@@ -181,13 +181,10 @@ def Z2_subgroup(ctx: FormulaContext, literal_exponent: bool = False) -> Subgroup
 
 @dataclass
 class Dim3Formula:
-    """Both evaluation routes for the closed third-dimension formula."""
+    """The closed third-dimension formula and whether its two routes agree."""
 
     result: Subgroup
-    per_modulus: Subgroup | None  # U_m N_3 G^m / U_m N_3 G^2m V^m route
-    sigma_route: Subgroup | None  # U_0 N_3 Z_2 * prod of odd p-factors
     routes_agree: bool
-    z2_reading_sensitive: bool
 
 
 def _primes_dividing(n: int) -> list[int]:
@@ -245,14 +242,15 @@ def dim3_per_modulus(ctx: FormulaContext) -> Subgroup:
 
 
 def dim3_formula(ctx: FormulaContext) -> Dim3Formula:
-    """Evaluate the closed formula along both routes and cross-check."""
-    fixed = dim3_sigma_route(ctx, literal_z2=False)
-    literal = dim3_sigma_route(ctx, literal_z2=True)
-    z2_sensitive = fixed != literal
+    """Evaluate the closed formula along both routes and cross-check.
+
+    Abstract rings have only the sigma route, which is then the result.
+    """
+    sigma = dim3_sigma_route(ctx)
     if ctx.ring.is_concrete:
         per_mod = dim3_per_modulus(ctx)
-        return Dim3Formula(per_mod, per_mod, fixed, per_mod == fixed, z2_sensitive)
-    return Dim3Formula(fixed, None, fixed, True, z2_sensitive)
+        return Dim3Formula(per_mod, per_mod == sigma)
+    return Dim3Formula(sigma, True)
 
 
 # -- Fox subgroup formulas -----------------------------------------------------

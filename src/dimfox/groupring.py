@@ -272,53 +272,6 @@ def nseries_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> 
     return total
 
 
-def ideal_power_naive(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> ModuleSpan:
-    """Reference generator set for the filtration ideal, with no shortcuts.
-
-    Takes every product over every weight tuple (parts up to n, length
-    up to n, total weight >= n) and every two-sided translate
-    g * product * h.  Exponentially slower than the composition
-    construction; only for validating it on small groups.
-    """
-    m = ring.modulus
-    out = ModuleSpan(G, ring)
-    tuples: list[tuple[int, ...]] = []
-
-    def comps(prefix: list[int]):
-        if prefix and sum(prefix) >= n:
-            tuples.append(tuple(prefix))
-        if len(prefix) < n:
-            for k in range(1, n + 1):
-                comps(prefix + [k])
-
-    comps([])
-    seen_pools = set()
-    for comp in tuples:
-        pools = [
-            [a for a in sorted(N.term(k).members) if a != G.identity] for k in comp
-        ]
-        key = tuple(tuple(p) for p in pools)
-        if key in seen_pools or any(not p for p in pools):
-            continue
-        seen_pools.add(key)
-
-        def rec(i, acc):
-            if i == len(pools):
-                for g in G.elements():
-                    left = row_translate(G, g, acc, m)
-                    out.lattice.add(left)
-                    for h in G.elements():
-                        out.lattice.add(row_translate_right(G, left, h, m))
-                return
-            for a in pools[i]:
-                rec(i + 1, row_multiply(G, acc, elem_minus_one(G, a), m))
-
-        one = [0] * G.order
-        one[G.identity] = 1
-        rec(0, one)
-    return out
-
-
 def membership(G: FiniteGroup, v: Sequence[int], span: ModuleSpan) -> bool:
     if span.group is not G:
         raise GroupError("membership: group mismatch")
@@ -354,20 +307,18 @@ def dim_subgroup_brute(
     return group_slice(G, span_sum([ik_ig, filt]))
 
 
-def fox_subgroup_brute(
+def fox_modules(
     G: FiniteGroup,
     H: Subgroup,
     K: Subgroup,
     n: int,
     ring: CoeffRing,
-    rg_prefix: bool = True,
     max_order: int = DEFAULT_BRUTE_CAP,
-) -> Subgroup:
-    """G cut along R(G)I(K)I(H) + I^n(G)I(H) (or I(K)I(H) without prefix).
+) -> tuple[ModuleSpan, ModuleSpan]:
+    """R(G)I(K)I(H) + I^n(G)I(H) and I(K)I(H) + I^n(G)I(H), in that order.
 
-    n = 0 uses the module R(G)I(H).  The prefix variant matches the
-    general definition; the unprefixed one matches the closed-formula
-    statement for n = 2; both slices agree for n in {1, 2}.
+    Both forms share I(H), I(K)I(H) and I^n(G)I(H), which are built once.
+    For n = 0 both are R(G)I(H), which contains R(G)I(K)I(H).
     """
     if G.order > max_order:
         raise GroupError(f"brute force capped at order {max_order}")
@@ -377,15 +328,27 @@ def fox_subgroup_brute(
         raise GroupError("fox subgroup implemented for n in {0, 1, 2}")
     ih = augmentation_ideal(G, H, ring)
     if n == 0:
-        return group_slice(G, translate_closure(ih))
+        rg_ih = translate_closure(ih)
+        return rg_ih, rg_ih
     ik_ih = span_product(augmentation_ideal(G, K, ring), ih)
-    if rg_prefix:
-        ik_ih = translate_closure(ik_ih)
     ig = augmentation_ideal(G, whole_group(G), ring)
     power = ig
     for _ in range(n - 1):
         power = span_product(power, ig)
-    return group_slice(G, span_sum([ik_ih, span_product(power, ih)]))
+    power_ih = span_product(power, ih)
+    return span_sum([translate_closure(ik_ih), power_ih]), span_sum([ik_ih, power_ih])
+
+
+def fox_subgroup_brute(
+    G: FiniteGroup,
+    H: Subgroup,
+    K: Subgroup,
+    n: int,
+    ring: CoeffRing,
+    max_order: int = DEFAULT_BRUTE_CAP,
+) -> Subgroup:
+    """G cut along R(G)I(K)I(H) + I^n(G)I(H); n = 0 uses R(G)I(H)."""
+    return group_slice(G, fox_modules(G, H, K, n, ring, max_order)[0])
 
 
 def quotient_invariants(sub: ModuleSpan, sup: ModuleSpan) -> tuple[int, ...]:
@@ -394,17 +357,7 @@ def quotient_invariants(sub: ModuleSpan, sup: ModuleSpan) -> tuple[int, ...]:
     Verifies containment first.  Factors >= 2 come first (ascending by
     divisibility), infinite cyclic factors are reported as trailing 0s.
     """
-    if sub.group is not sup.group or sub.ring != sup.ring:
-        raise GroupError("quotient_invariants: group/ring mismatch")
-    basis = sup.basis_rows()
-    relations = []
-    for row in sub.basis_rows():
-        residual, coeffs = sup.lattice.reduce_with_coeffs(list(row))
-        if any(residual):
-            raise GroupError("quotient_invariants: sub is not contained in sup")
-        relations.append(coeffs)
-    pres = Presentation(relations, len(basis))
-    return pres.group.invariants
+    return module_quotient_presentation(sub, sup)[0].group.invariants
 
 
 def module_quotient_presentation(sub: ModuleSpan, sup: ModuleSpan):

@@ -27,10 +27,13 @@ from .formulas import (
 )
 from .groupring import (
     CoeffRing,
+    ModuleSpan,
     augmentation_ideal,
     dim_subgroup_brute,
     elem_minus_one,
-    fox_subgroup_brute,
+    fox_modules,
+    group_slice,
+    module_quotient_presentation,
     nseries_ideal_power,
     row_translate,
     row_translate_right,
@@ -43,6 +46,7 @@ from .groups import (
     NSeries,
     Subgroup,
     abelian_quotient,
+    all_subgroups,
     build_group,
     commutator_subgroup,
     cyclic_subgroups,
@@ -56,7 +60,7 @@ from .groups import (
     validate_nseries,
     whole_group,
 )
-from .intlinalg import IntLattice, intersect_lattices, preimage_lattice
+from .intlinalg import intersect_lattices, lattice_from_rows, preimage_lattice
 
 SCHEMA_VERSION = 1
 
@@ -111,16 +115,14 @@ def verify_dim3(
 ) -> Report:
     """Brute third dimension subgroup against the closed formula."""
     t0 = time.perf_counter()
-    ctx = FormulaContext(G, K, ring, N)
-    formula = dim3_formula(ctx)
     brute = dim_subgroup_brute(G, K, N, 3, ring, max_order=max_order)
+    formula = dim3_formula(FormulaContext(G, K, ring, N))
     k2n3 = join(G, [commutator_subgroup(G, K, K), N.term(3)])
     equal = brute == formula.result
     exceeds = not k2n3.contains_subgroup(brute)
     extra = {
         "formula_path": "per-modulus" if ring.is_concrete else "sigma",
         "sigma_route_agrees": formula.routes_agree,
-        "z2_literal_reading_differs": formula.z2_reading_sensitive,
         "exceeds_k2n3": exceeds,
     }
     if check_reduction:
@@ -171,7 +173,8 @@ def verify_fox(
     """Brute Fox subgroup against the closed formula for its weight."""
     t0 = time.perf_counter()
     ctx = FormulaContext(G, K, ring, H=H)
-    brute = fox_subgroup_brute(G, H, K, n, ring, rg_prefix=True, max_order=max_order)
+    prefixed, plain = fox_modules(G, H, K, n, ring, max_order=max_order)
+    brute = group_slice(G, prefixed)
     extra: dict = {}
     containments: dict = {}
     if n == 0:
@@ -188,8 +191,7 @@ def verify_fox(
         except EnumerationCapError as exc:
             extra["generator_family_skipped"] = str(exc)
     if n in (1, 2):
-        plain = fox_subgroup_brute(G, H, K, n, ring, rg_prefix=False, max_order=max_order)
-        containments["module_forms_agree"] = plain == brute
+        containments["module_forms_agree"] = group_slice(G, plain) == brute
     equal = brute == formula
     report = Report(
         case=case or {},
@@ -211,13 +213,6 @@ def verify_fox(
 # -- exact sequence checks -----------------------------------------------------
 
 
-def _ring_lattice(rows, ncols: int, modulus: int) -> IntLattice:
-    lat = IntLattice(ncols, modulus)
-    for r in rows:
-        lat.add(list(r))
-    return lat
-
-
 def _pushforward_rows(G: FiniteGroup, Q: FiniteGroup, proj, rows) -> list[list[int]]:
     out = []
     for row in rows:
@@ -227,6 +222,45 @@ def _pushforward_rows(G: FiniteGroup, Q: FiniteGroup, proj, rows) -> list[list[i
                 v[int(proj[g])] += c
         out.append(v)
     return out
+
+
+def _exact_middle_and_right(
+    G: FiniteGroup,
+    K: Subgroup,
+    N: NSeries,
+    ring: CoeffRing,
+    ig: ModuleSpan,
+    mspan: ModuleSpan,
+    kn3: Subgroup,
+) -> tuple[bool, bool]:
+    """Exactness of KN_3 -> I(G)/mspan -> P_R(G/K) -> 0 at the middle and
+    at the right end, where P_R(G/K) = I(G/K)/(weight-3 ideal of G/K).
+
+    Middle: mspan plus the rows a - 1 (a in KN_3) span the kernel of the
+    projection, as lattices.  Right: the pushed-forward generators of
+    I(G) plus the target module fill I(G/K).
+    """
+    n, m = G.order, ring.modulus
+    im_lat = lattice_from_rows(
+        list(mspan.basis_rows()) + [elem_minus_one(G, a) for a in sorted(kn3.members)], n, m
+    )
+    Q, proj, _ = quotient_group(G, K)
+    piN = validate_nseries(
+        Q, [generated_subgroup(Q, [int(proj[a]) for a in t.members]) for t in N.chain]
+    )
+    mprime = nseries_ideal_power(Q, piN, 3, ring)
+    unit_rows = []
+    for g in range(n):
+        v = [0] * Q.order
+        v[int(proj[g])] = 1
+        unit_rows.append(v)
+    pre = preimage_lattice(unit_rows, mprime.lattice)
+    ker_lat = lattice_from_rows(intersect_lattices(ig.lattice, pre).basis_rows(), n, m)
+    push = lattice_from_rows(
+        _pushforward_rows(G, Q, proj, ig.basis_rows()) + list(mprime.basis_rows()), Q.order, m
+    )
+    iq = augmentation_ideal(Q, whole_group(Q), ring).lattice
+    return im_lat.canonical() == ker_lat.canonical(), push.canonical() == iq.canonical()
 
 
 def verify_four_term(
@@ -246,7 +280,6 @@ def verify_four_term(
     if not K.is_normal():
         raise GroupError("four-term check needs a normal subgroup")
     ring = CoeffRing.integers()
-    n = G.order
     kn2 = join(G, [K, N.term(2)])
     kn3 = join(G, [K, N.term(3)])
     k2n3 = join(G, [commutator_subgroup(G, K, K), N.term(3)])
@@ -265,41 +298,12 @@ def verify_four_term(
             gens.append(img)
     image = generated_subgroup(G, gens + sorted(k2n3.members))
     # kernel of a -> (a - 1) + I(K)I(G) + (weight-3 ideal)
-    ik_ig = span_product(
-        augmentation_ideal(G, K, ring), augmentation_ideal(G, whole_group(G), ring)
-    )
+    ig = augmentation_ideal(G, whole_group(G), ring)
+    ik_ig = span_product(augmentation_ideal(G, K, ring), ig)
     mspan = span_sum([ik_ig, nseries_ideal_power(G, N, 3, ring)])
     kernel = {a for a in kn3.members if mspan.contains_row(elem_minus_one(G, a))}
     left_exact = image.members == kernel
-    # middle: image of the a -> a - 1 lattice equals the kernel of the
-    # projection to the quotient polynomial group
-    ilat = augmentation_ideal(G, whole_group(G), ring).lattice
-    im_lat = _ring_lattice(
-        list(mspan.canonical()) + [elem_minus_one(G, a) for a in sorted(kn3.members)],
-        n,
-        0,
-    )
-    Q, proj, _ = quotient_group(G, K)
-    piN = validate_nseries(
-        Q, [generated_subgroup(Q, [int(proj[a]) for a in t.members]) for t in N.chain]
-    )
-    mprime = nseries_ideal_power(Q, piN, 3, ring)
-    unit_rows = []
-    for g in range(n):
-        v = [0] * Q.order
-        v[int(proj[g])] = 1
-        unit_rows.append(v)
-    pre = preimage_lattice(unit_rows, mprime.lattice)
-    ker_lat = intersect_lattices(ilat, pre)
-    middle_exact = im_lat.canonical() == ker_lat.canonical()
-    # right end: pushed generators plus the target module fill I(G/K)
-    push = _ring_lattice(
-        _pushforward_rows(G, Q, proj, ilat.basis_rows()) + [list(r) for r in mprime.canonical()],
-        Q.order,
-        0,
-    )
-    iq = augmentation_ideal(Q, whole_group(Q), ring).lattice
-    surjective = push.canonical() == iq.canonical()
+    middle_exact, surjective = _exact_middle_and_right(G, K, N, ring, ig, mspan, kn3)
     report = Report(
         case=case or {},
         lhs=_names(G, kernel),
@@ -339,46 +343,14 @@ def verify_polynomial_sequence(
     n = G.order
     m = ring.modulus
     kn3 = join(G, [K, N.term(3)])
-    ik_ig = span_product(
-        augmentation_ideal(G, K, ring), augmentation_ideal(G, whole_group(G), ring)
-    )
+    ig = augmentation_ideal(G, whole_group(G), ring)
+    ik_ig = span_product(augmentation_ideal(G, K, ring), ig)
     mspan = span_sum([ik_ig, nseries_ideal_power(G, N, 3, ring)])
-    ilat = augmentation_ideal(G, whole_group(G), ring).lattice
-    im_lat = _ring_lattice(
-        list(mspan.lattice.basis_rows())
-        + [elem_minus_one(G, a) for a in sorted(kn3.members)],
-        n,
-        m,
-    )
-    Q, proj, _ = quotient_group(G, K)
-    piN = validate_nseries(
-        Q, [generated_subgroup(Q, [int(proj[a]) for a in t.members]) for t in N.chain]
-    )
-    mprime = nseries_ideal_power(Q, piN, 3, ring)
-    unit_rows = []
-    for g in range(n):
-        v = [0] * Q.order
-        v[int(proj[g])] = 1
-        unit_rows.append(v)
-    pre = preimage_lattice(unit_rows, mprime.lattice)
-    ker_rows = intersect_lattices(ilat, pre).basis_rows()
-    ker_lat = _ring_lattice(ker_rows, n, m)
-    middle_exact = im_lat.canonical() == ker_lat.canonical()
-    push = _ring_lattice(
-        _pushforward_rows(G, Q, proj, ilat.basis_rows())
-        + [list(r) for r in mprime.lattice.basis_rows()],
-        Q.order,
-        m,
-    )
-    iq = augmentation_ideal(Q, whole_group(Q), ring).lattice
-    surjective = push.canonical() == iq.canonical()
+    middle_exact, surjective = _exact_middle_and_right(G, K, N, ring, ig, mspan, kn3)
     # derivation law spot-check through the quotient presentation: the
     # canonical map p(a) = (a - 1) + module satisfies the two exact
     # product expansions p(ab) = a.p(b) + p(a) and p(ab) = p(a).b + p(b)
-    from .groupring import module_quotient_presentation
-
-    isup = augmentation_ideal(G, whole_group(G), ring)
-    _, coords = module_quotient_presentation(mspan, isup)
+    _, coords = module_quotient_presentation(mspan, ig)
     rng = random.Random(seed)
     derivation_ok = True
     failures = []
@@ -504,12 +476,27 @@ class CorpusConfig:
             if not hasattr(cfg, key):
                 raise GroupError(f"unknown corpus config key {key!r}")
             setattr(cfg, key, value)
-        if cfg.max_group_order <= 0 or (cfg.jobs is not None and cfg.jobs < 1):
-            raise GroupError("corpus caps must be positive")
+        cfg.validate()
         return cfg
 
+    def validate(self) -> None:
+        """Reject a bad field, naming it and its value, before any case runs."""
+        if self.max_group_order <= 0 or (self.jobs is not None and self.jobs < 1):
+            raise GroupError("corpus caps must be positive")
+        for t in self.theorems:
+            if t not in ("dim3", "fox"):
+                raise GroupError(f"corpus config: unknown theorems entry {t!r}")
+        for m in self.moduli:
+            if not isinstance(m, int) or m < 0 or m == 1:
+                raise GroupError(f"corpus config: moduli entry {m!r} is not 0 or >= 2")
+        for n in self.fox_weights:
+            if n not in (0, 1, 2):
+                raise GroupError(f"corpus config: fox_weights entry {n!r} is not 0, 1 or 2")
+        if self.subgroup_policy not in ("cyclic", "all", "explicit"):
+            raise GroupError(f"corpus config: unknown subgroup_policy {self.subgroup_policy!r}")
 
-def _series_tags(spec: str, G: FiniteGroup) -> list[str]:
+
+def _series_tags(G: FiniteGroup) -> list[str]:
     tags = ["gamma"]
     tags.append("double")
     if G.is_abelian() and any(G.order % p == 0 for p in (2, 3)):
@@ -555,40 +542,26 @@ def _explicit_subgroups(G: FiniteGroup, cfg: CorpusConfig, spec: str) -> list[Su
 def _subgroup_choices(G: FiniteGroup, cfg: CorpusConfig, spec: str) -> list[Subgroup]:
     if cfg.subgroup_policy == "cyclic":
         return cyclic_subgroups(G)
-    if cfg.subgroup_policy in ("all", "conjugacy"):
-        from .groups import all_subgroups
-
+    if cfg.subgroup_policy == "all":
         if G.order > 16:
             # full lattices explode; fall back to cyclic plus explicit
             subs = cyclic_subgroups(G)
             have = {s.members for s in subs}
             subs += [s for s in _explicit_subgroups(G, cfg, spec) if s.members not in have]
             return subs
-        subs = all_subgroups(G, cap=16)
-        if cfg.subgroup_policy == "all":
-            return subs
-        out = []
-        seen: set[frozenset] = set()
-        for sub in subs:
-            if sub.members in seen:
-                continue
-            out.append(sub)
-            for g in G.elements():
-                seen.add(frozenset(G.conj(g, a) for a in sub.members))
-        return out
-    if cfg.subgroup_policy == "explicit":
-        return _explicit_subgroups(G, cfg, spec)
-    raise GroupError(f"unknown subgroup policy {cfg.subgroup_policy!r}")
+        return all_subgroups(G, cap=16)
+    return _explicit_subgroups(G, cfg, spec)
 
 
 def build_cases(cfg: CorpusConfig) -> list[dict]:
+    cfg.validate()
     cases = []
     for spec in cfg.groups:
         G = build_group(spec)
         if G.order > cfg.max_group_order:
             continue
         subs = _subgroup_choices(G, cfg, spec)
-        series = _series_tags(spec, G) if cfg.extra_series else ["gamma"]
+        series = _series_tags(G) if cfg.extra_series else ["gamma"]
         if "dim3" in cfg.theorems:
             for K in subs:
                 for tag in series:
@@ -656,9 +629,6 @@ def run_case(case: dict) -> dict:
         return verify_polynomial_sequence(
             G, K, N, _ring_for(case["m"]), case=case
         ).to_dict()
-    if kind == "corollary":
-        K = generated_subgroup(G, case["K"])
-        return verify_corollary(G, K, case=case).to_dict()
     raise GroupError(f"unknown case kind {kind!r}")
 
 

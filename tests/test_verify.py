@@ -7,6 +7,7 @@ import pytest
 from dimfox.cli import main as cli_main
 from dimfox.groupring import CoeffRing
 from dimfox.groups import (
+    GroupError,
     build_group,
     centre,
     generated_subgroup,
@@ -83,22 +84,6 @@ def test_verify_four_term_rejects_non_normal():
         verify_four_term(D4, K, lower_central_series(D4))
 
 
-def test_conjugacy_subgroup_policy():
-    cfg = CorpusConfig(
-        groups=["dihedral:4"],
-        subgroup_policy="conjugacy",
-        moduli=[0],
-        theorems=["dim3"],
-        include_counterexample=False,
-        extra_series=False,
-    )
-    cases = build_cases(cfg)
-    # 10 subgroups fall into 8 conjugacy classes (two reflection pairs fuse)
-    assert len(cases) == 8
-    res = run_corpus(cfg)
-    assert res.ok
-
-
 def test_verify_polynomial_sequence_cases():
     for spec, kgens, m in [("dihedral:4", [2], 0), ("dihedral:4", [2], 2), ("cyclic:6", [2], 3)]:
         G = build_group(spec)
@@ -138,11 +123,23 @@ def test_z2_literal_reading_is_flagged_and_rejected():
     ring = CoeffRing.mod(2)
     ctx = FormulaContext(G, trivial_subgroup(G), ring, N)
     f = dim3_formula(ctx)
-    assert f.z2_reading_sensitive  # the readings genuinely differ here
+    literal = dim3_sigma_route(ctx, literal_z2=True)
+    assert literal != dim3_sigma_route(ctx)  # the readings genuinely differ here
     brute = dim_subgroup_brute(G, trivial_subgroup(G), N, 3, ring)
     assert f.result == brute
-    literal = dim3_sigma_route(ctx, literal_z2=True)
     assert literal != brute  # the literal reading would be wrong
+
+
+def test_verify_dim3_checks_brute_cap_before_formula(monkeypatch):
+    import dimfox.verify as verify
+
+    def no_formula(ctx):
+        raise AssertionError("dim3_formula ran before the brute-force cap was checked")
+
+    monkeypatch.setattr(verify, "dim3_formula", no_formula)
+    G = build_group("dihedral:4")
+    with pytest.raises(GroupError, match="capped at order 4"):
+        verify_dim3(G, trivial_subgroup(G), lower_central_series(G), Z, max_order=4)
 
 
 def test_resolve_series_variants():
@@ -201,6 +198,9 @@ def test_corpus_config_validation():
         CorpusConfig.from_dict({"bogus_key": 1})
     cfg = CorpusConfig.from_dict({"groups": ["cyclic:4"], "moduli": [0]})
     assert cfg.groups == ["cyclic:4"]
+    # a config built directly is checked by run_corpus before its first case
+    with pytest.raises(GroupError, match="moduli entry 1"):
+        run_corpus(CorpusConfig(groups=["cyclic:2"], moduli=[0, 1]))
 
 
 def test_explicit_subgroup_policy():
@@ -308,6 +308,28 @@ def test_cli_corpus_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert cli_main(["corpus", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        ({"theorems": ["dim"]}, "theorems entry 'dim'"),
+        ({"groups": ["cyclic:2"], "moduli": [0, 1]}, "moduli entry 1"),
+        ({"groups": ["cyclic:2"], "fox_weights": [3]}, "fox_weights entry 3"),
+        ({"subgroup_policy": "conjugacy"}, "subgroup_policy 'conjugacy'"),
+    ],
+)
+def test_cli_corpus_rejects_bad_config(tmp_path, capsys, monkeypatch, bad, named):
+    import dimfox.verify as verify
+
+    def no_case(case):
+        raise AssertionError(f"case {case} ran on a bad config")
+
+    monkeypatch.setattr(verify, "run_case", no_case)
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(bad))
+    assert cli_main(["corpus", "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_cli_nseries_argument(capsys):
