@@ -15,7 +15,7 @@ from .abelian import (
     check_torsion_square_kernel,
     check_wedge_kernel_identity,
 )
-from .groupring import CoeffRing
+from .groupring import DEFAULT_BRUTE_CAP, CoeffRing
 from .groups import (
     GroupError,
     Subgroup,
@@ -89,7 +89,7 @@ def _cmd_group_show(args) -> int:
 
 
 def _brute_cap(args, G) -> int:
-    return G.order if getattr(args, "slow", False) else 256
+    return G.order if getattr(args, "slow", False) else DEFAULT_BRUTE_CAP
 
 
 def _cmd_dim3(args) -> int:

@@ -15,9 +15,10 @@ group are periodic with that period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import product as iproduct
-from math import log2
-from typing import Sequence
+from math import gcd, log2
+from typing import Iterable, Sequence
 
 from .abelian import FgAb, Presentation
 from .groups import (
@@ -49,9 +50,23 @@ class EnumerationCapError(GroupError):
     """A formula enumeration would exceed its configured budget."""
 
 
+def _memoized(method):
+    """Keep a FormulaContext method's value per argument in the context's _cache."""
+
+    @wraps(method)
+    def cached(ctx, *args):
+        key = (method.__name__, *args)
+        if key not in ctx._cache:
+            ctx._cache[key] = method(ctx, *args)
+        return ctx._cache[key]
+
+    return cached
+
+
 @dataclass
 class FormulaContext:
-    """The tuple (G, K, H, N, R) threaded through the closed formulas."""
+    """The tuple (G, K, H, N, R) threaded through the closed formulas; each
+    per-case subgroup the formulas share is built once per context."""
 
     G: FiniteGroup
     K: Subgroup
@@ -62,7 +77,7 @@ class FormulaContext:
 
     def __post_init__(self):
         if self.N is None:
-            self.N = lower_central_series(self.G)
+            self.N = self.gamma()
         if self.H is None:
             self.H = whole_group(self.G)
 
@@ -70,76 +85,79 @@ class FormulaContext:
     def m(self) -> int:
         return self.ring.modulus
 
+    @_memoized
     def gamma(self) -> NSeries:
-        if "gamma" not in self._cache:
-            self._cache["gamma"] = lower_central_series(self.G)
-        return self._cache["gamma"]
+        return lower_central_series(self.G)
 
     def G2(self) -> Subgroup:
         return self.gamma().term(2)
 
+    @_memoized
     def power_of_G(self, m: int) -> Subgroup:
-        key = ("Gm", m)
-        if key not in self._cache:
-            self._cache[key] = power_subgroup(self.G, whole_group(self.G), m)
-        return self._cache[key]
+        return power_subgroup(self.G, whole_group(self.G), m)
 
+    @_memoized
     def KN2Gm(self, m: int) -> Subgroup:
         """The normal subgroup K N_2 G^m (contains [G, G])."""
-        key = ("KN2Gm", m)
-        if key not in self._cache:
-            self._cache[key] = join(self.G, [self.K, self.N.term(2), self.power_of_G(m)])
-        return self._cache[key]
+        return join(self.G, [self.K, self.N.term(2), self.power_of_G(m)])
 
+    @_memoized
     def KG2Gm(self, m: int) -> Subgroup:
-        key = ("KG2Gm", m)
-        if key not in self._cache:
-            self._cache[key] = join(self.G, [self.K, self.G2(), self.power_of_G(m)])
-        return self._cache[key]
+        return join(self.G, [self.K, self.G2(), self.power_of_G(m)])
+
+    @_memoized
+    def U(self, m: int) -> Subgroup:
+        return U_subgroup(self, m)
+
+    @_memoized
+    def U0N3(self) -> Subgroup:
+        return join(self.G, [self.U(0), self.N.term(3)])
+
+    @_memoized
+    def H2(self) -> Subgroup:
+        return commutator_subgroup(self.G, self.H, self.H)
+
+    @_memoized
+    def H3(self) -> Subgroup:
+        return commutator_subgroup(self.G, self.H2(), self.H)
+
+    @_memoized
+    def H2Hm(self, m: int) -> Subgroup:
+        return join(self.G, [self.H2(), power_subgroup(self.G, self.H, m)])
 
 
-def _power_table(G: FiniteGroup) -> list[list[int]]:
-    """pow_table[k][g] = g^k for k in [0, exponent)."""
-    e = G.exponent()
-    table = [[G.identity] * G.order]
-    for _ in range(1, e):
-        prev = table[-1]
-        table.append([G.mul(prev[g], g) for g in G.elements()])
-    return table
+def _power_commutators(G: FiniteGroup, A: Iterable[int], M: frozenset[int]) -> Subgroup:
+    """sgp{[a, b^k] : a, b in A with a^k and b^k in M}, k over one period."""
+    seeds: set[int] = set()
+    for ptab in G.power_rows():
+        admissible = [a for a in A if ptab[a] in M]
+        seeds.update(G.comm(a, ptab[b]) for a in admissible for b in admissible)
+    return generated_subgroup(G, seeds)
+
+
+def _power_preimage(G: FiniteGroup, A: Iterable[int], k: int, M: frozenset[int]) -> Subgroup:
+    """{a in A : a^k in M}, asserted to be a subgroup."""
+    ptab = G.power_rows()[k % G.exponent()]
+    return subgroup_from_members(G, [a for a in A if ptab[a] in M])
 
 
 def U_subgroup(ctx: FormulaContext, m: int) -> Subgroup:
     """sgp{[a, b^k] : a^k and b^k both fall into K N_2 G^m}."""
-    G = ctx.G
-    M = ctx.KN2Gm(m).members
-    powers = _power_table(G)
-    seeds: set[int] = set()
-    for ptab in powers:
-        admissible = [g for g in G.elements() if ptab[g] in M]
-        for a in admissible:
-            for b in admissible:
-                seeds.add(G.comm(a, ptab[b]))
-    return generated_subgroup(G, seeds)
+    return _power_commutators(ctx.G, ctx.G.elements(), ctx.KN2Gm(m).members)
 
 
 def V_subgroup(ctx: FormulaContext, m: int) -> Subgroup:
     """{a : a^(m/2) in K N_2 G^m}; only defined for even m > 0."""
     if m <= 0 or m % 2:
         raise GroupError("V is defined for even m > 0")
-    G = ctx.G
-    M = ctx.KN2Gm(m).members
-    members = [a for a in G.elements() if G.power(a, m // 2) in M]
-    return subgroup_from_members(G, members)
+    return _power_preimage(ctx.G, ctx.G.elements(), m // 2, ctx.KN2Gm(m).members)
 
 
 def W_subgroup(ctx: FormulaContext, m: int) -> Subgroup:
     """{h in H : h^(m/2) in K G_2 G^m}; even m > 0."""
     if m <= 0 or m % 2:
         raise GroupError("W is defined for even m > 0")
-    G = ctx.G
-    M = ctx.KG2Gm(m).members
-    members = [h for h in ctx.H.members if G.power(h, m // 2) in M]
-    return subgroup_from_members(G, members)
+    return _power_preimage(ctx.G, ctx.H.members, m // 2, ctx.KG2Gm(m).members)
 
 
 def Z2_subgroup(ctx: FormulaContext, literal_exponent: bool = False) -> Subgroup:
@@ -155,28 +173,15 @@ def Z2_subgroup(ctx: FormulaContext, literal_exponent: bool = False) -> Subgroup
     e = ctx.ring.sigma_exponent(2)
     if e is None:
         return trivial_subgroup(G)
-    u0n3 = join(G, [U_subgroup(ctx, 0), ctx.N.term(3)])
-    tors2 = p_torsion_mod(G, u0n3, 2)
+    tors2 = p_torsion_mod(G, ctx.U0N3(), 2)
     q = 2**e
     if e == 0:
         V = whole_group(G)
     else:
         exp = (e - 1) if literal_exponent else 2 ** (e - 1)
-        M = ctx.KN2Gm(q).members
-        V = subgroup_from_members(
-            G, [g for g in G.elements() if G.power(g, exp) in M]
-        )
-    bulk = join(
-        G,
-        [
-            U_subgroup(ctx, q),
-            ctx.N.term(3),
-            ctx.power_of_G(2 * q),
-            power_subgroup(G, V, q),
-        ],
-    )
-    members = tors2.members & bulk.members
-    return subgroup_from_members(G, members)
+        V = _power_preimage(G, G.elements(), exp, ctx.KN2Gm(q).members)
+    bulk = join(G, [ctx.U(q), ctx.N.term(3), ctx.power_of_G(2 * q), power_subgroup(G, V, q)])
+    return subgroup_from_members(G, tors2.members & bulk.members)
 
 
 @dataclass
@@ -208,7 +213,7 @@ def dim3_sigma_route(ctx: FormulaContext, literal_z2: bool = False) -> Subgroup:
     the order the torsion factor collapses into U_0 N_3.
     """
     G = ctx.G
-    u0n3 = join(G, [U_subgroup(ctx, 0), ctx.N.term(3)])
+    u0n3 = ctx.U0N3()
     parts = [u0n3, Z2_subgroup(ctx, literal_exponent=literal_z2)]
     for p in _primes_dividing(G.order):
         if p == 2:
@@ -218,7 +223,7 @@ def dim3_sigma_route(ctx: FormulaContext, literal_z2: bool = False) -> Subgroup:
             continue
         q = p**e
         tors = p_torsion_mod(G, u0n3, p)
-        bulk = join(G, [U_subgroup(ctx, q), ctx.N.term(3), ctx.power_of_G(q)])
+        bulk = join(G, [ctx.U(q), ctx.N.term(3), ctx.power_of_G(q)])
         parts.append(subgroup_from_members(G, tors.members & bulk.members))
     return join(G, parts)
 
@@ -231,13 +236,13 @@ def dim3_per_modulus(ctx: FormulaContext) -> Subgroup:
     m = ctx.m
     n3 = ctx.N.term(3)
     if m == 0:
-        return join(G, [U_subgroup(ctx, 0), n3])
+        return ctx.U0N3()
     if m % 2:
-        return join(G, [U_subgroup(ctx, m), n3, ctx.power_of_G(m)])
+        return join(G, [ctx.U(m), n3, ctx.power_of_G(m)])
     V = V_subgroup(ctx, m)
     return join(
         G,
-        [U_subgroup(ctx, m), n3, ctx.power_of_G(2 * m), power_subgroup(G, V, m)],
+        [ctx.U(m), n3, ctx.power_of_G(2 * m), power_subgroup(G, V, m)],
     )
 
 
@@ -264,11 +269,10 @@ def fox0_formula(ctx: FormulaContext) -> Subgroup:
 def fox1_formula(ctx: FormulaContext) -> Subgroup:
     """H_2 * (p^e-th powers of the p-torsion of H mod H_2), or H_2 H^char."""
     G = ctx.G
-    H = ctx.H
-    h2 = commutator_subgroup(G, H, H)
+    h2 = ctx.H2()
     n_r = ctx.ring.characteristic
     if n_r > 0:
-        return join(G, [h2, power_subgroup(G, H, n_r)])
+        return ctx.H2Hm(n_r)
     parts = [h2]
     if ctx.ring.kind == "integers":
         return h2
@@ -276,7 +280,7 @@ def fox1_formula(ctx: FormulaContext) -> Subgroup:
         e = ctx.ring.sigma_exponent(p)
         if e is None:
             continue
-        tors = p_torsion_mod(G, h2, p, within=H)
+        tors = p_torsion_mod(G, h2, p, within=ctx.H)
         parts.append(power_subgroup(G, tors, p**e))
     return join(G, parts)
 
@@ -307,10 +311,8 @@ def fox2_formula(
     m = ctx.m
     if not ctx.ring.is_concrete:
         raise GroupError("fox2 needs Z or Z/m")
-    h2 = commutator_subgroup(G, H, H)
-    h2hm = join(G, [h2, power_subgroup(G, H, m)])
     if decomposition is None:
-        decomposition = abelian_quotient(G, H, h2hm)
+        decomposition = abelian_quotient(G, H, ctx.H2Hm(m))
     d = decomposition.invariants
     reps = decomposition.reps
     r = len(d)
@@ -324,19 +326,8 @@ def fox2_formula(
         raise EnumerationCapError(f"fox2 enumeration needs {ntuples} tuples")
     C = _binom2(m)
     targets = [ctx.KG2Gm(dk).members for dk in d]
-    # precompute rep powers mod element orders
-    rep_pow = []
-    for h in reps:
-        o = G.order_of(h)
-        row = [G.identity]
-        for _ in range(1, o):
-            row.append(G.mul(row[-1], h))
-        rep_pow.append((o, row))
-
-    def hp(i: int, e: int) -> int:
-        o, row = rep_pow[i]
-        return row[e % o]
-
+    powers = G.power_rows()
+    ex = len(powers)
     comms = [[G.comm(reps[i], reps[j]) for j in range(r)] for i in range(r)]
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     seeds: set[int] = set()
@@ -347,11 +338,11 @@ def fox2_formula(
         for b in iproduct(range(E), repeat=r):
             ok = True
             for k in range(r):
-                word = hp(k, C * b[k] * b[k])
+                word = powers[C * b[k] * b[k] % ex][reps[k]]
                 for i in range(k):
-                    word = G.mul(word, hp(i, aij[(i, k)] + C * b[i] * b[k]))
+                    word = G.mul(word, powers[(aij[(i, k)] + C * b[i] * b[k]) % ex][reps[i]])
                 for j in range(k + 1, r):
-                    word = G.mul(word, hp(j, -aij[(k, j)] + C * b[j] * b[k]))
+                    word = G.mul(word, powers[(C * b[j] * b[k] - aij[(k, j)]) % ex][reps[j]])
                 if word not in targets[k]:
                     ok = False
                     break
@@ -359,14 +350,13 @@ def fox2_formula(
                 continue
             gen = G.identity
             for (i, j), v in zip(pairs, a):
-                gen = G.mul(gen, G.power(comms[i][j], v))
+                gen = G.mul(gen, powers[v][comms[i][j]])
             g = G.identity
             for l in range(r):
-                g = G.mul(g, hp(l, b[l]))
+                g = G.mul(g, powers[b[l]][reps[l]])
             seeds.add(G.mul(gen, G.power(g, m)))
     smfg = generated_subgroup(G, seeds)
-    h3 = commutator_subgroup(G, h2, H)
-    return join(G, [smfg, h3, power_subgroup(G, H, m * m)])
+    return join(G, [smfg, ctx.H3(), power_subgroup(G, H, m * m)])
 
 
 def fox2_generator_family(
@@ -404,21 +394,15 @@ def fox2_generator_family(
         raise EnumerationCapError(f"generator family capped at |H| <= {cap}")
     E = subgroup_exponent(H)
     C = _binom2(m)
-    h2 = commutator_subgroup(G, H, H)
+    h2 = ctx.H2()
     h2sub, h2elems = subgroup_as_group(G, h2)
     if not h2sub.is_abelian():
         raise EnumerationCapError("commutator letters do not commute; |H| too large")
-    h2hm = join(G, [h2, power_subgroup(G, H, m)])
-
-    # order of k modulo H_2 H^m: the canonical witness exponent
-    def order_mod(k: int) -> int:
-        x, t = k, 1
-        while x not in h2hm.members:
-            x = G.mul(x, k)
-            t += 1
-        return t
-
-    d_of = {k: order_mod(k) for k in helems}
+    h2hm = ctx.H2Hm(m).members
+    powers = G.power_rows()
+    ex = len(powers)
+    # order of k modulo H_2 H^m, the canonical witness exponent (k^ex = 1 ends the search)
+    d_of = {k: next(t for t in range(1, ex + 1) if powers[t % ex][k] in h2hm) for k in helems}
     sections: dict[int, AbelianSection] = {}
     for k in helems:
         dk = d_of[k]
@@ -485,14 +469,13 @@ def fox2_generator_family(
         states: dict[tuple[int, tuple[int, ...]], None] = {(G.identity, Cgrp.zero()): None}
         for l in order:
             nxt: dict[tuple[int, tuple[int, ...]], None] = {}
-            lp = G.identity
             obs_step = contrib[l]
             obs = Cgrp.zero()
             for t in range(E):
+                lp = powers[t][l]
                 for (p, o) in states:
                     key = (G.mul(p, lp), Cgrp.add(o, obs))
                     nxt[key] = None
-                lp = G.mul(lp, l)
                 obs = Cgrp.add(obs, obs_step)
                 if len(nxt) > state_cap:
                     raise EnumerationCapError("state budget exceeded")
@@ -519,41 +502,23 @@ def remark_lower_bound(ctx: FormulaContext) -> Subgroup:
     G = ctx.G
     H = ctx.H
     m = ctx.m
-    h2 = commutator_subgroup(G, H, H)
-    h3 = commutator_subgroup(G, h2, H)
-    if m == 0 or m % 2 == 0:
-        if m == 0:
-            vh = trivial_subgroup(G)
-        else:
-            vh = join(
-                G,
-                [
-                    power_subgroup(G, H, 2 * m),
-                    power_subgroup(G, W_subgroup(ctx, m), m),
-                ],
-            )
-    else:
+    if m % 2 or m == 0:  # H^m, trivial at m = 0
         vh = power_subgroup(G, H, m)
+    else:
+        vh = join(G, [power_subgroup(G, H, 2 * m), power_subgroup(G, W_subgroup(ctx, m), m)])
     M = ctx.KG2Gm(m).members
-    powers = _power_table(G)
-    t1_seeds: set[int] = set()
-    for ptab in powers:
-        admissible = [h for h in H.members if ptab[h] in M]
-        for h in admissible:
-            for k in admissible:
-                t1_seeds.add(G.comm(h, ptab[k]))
-    T1 = generated_subgroup(G, t1_seeds)
-    t2_seeds: set[int] = set()
+    T1 = _power_commutators(G, H.members, M)
+    # T_2 pairs h in H with h^q in H_2 against k in H with k in K G_2 G^m G^q,
+    # which is K G_2 G^gcd(m, q) because G/G_2 is abelian
+    h2 = ctx.H2().members
     h_in_M = [h for h in H.members if h in M]
-    for ptab, q in zip(powers, range(len(powers))):
-        MGq = join(G, [ctx.KG2Gm(m), ctx.power_of_G(q)]).members
-        k_admiss = [k for k in H.members if k in MGq]
-        for h in h_in_M:
-            if ptab[h] in h2.members:
-                for k in k_admiss:
-                    t2_seeds.add(G.comm(h, k))
+    t2_seeds: set[int] = set()
+    for q, ptab in enumerate(G.power_rows()):
+        target = ctx.KG2Gm(gcd(m, q)).members
+        k_admiss = [k for k in H.members if k in target]
+        t2_seeds.update(G.comm(h, k) for h in h_in_M if ptab[h] in h2 for k in k_admiss)
     T2 = generated_subgroup(G, t2_seeds)
-    return join(G, [h3, vh, T1, T2])
+    return join(G, [ctx.H3(), vh, T1, T2])
 
 
 def corollary_hypotheses(G: FiniteGroup, K: Subgroup) -> dict[str, bool]:

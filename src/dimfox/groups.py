@@ -67,6 +67,7 @@ class FiniteGroup:
         self._exponent: int | None = None
         self._rows: list[list[int]] | None = None
         self._cols: list[list[int]] | None = None
+        self._powers: list[list[int]] | None = None
 
     def mul_rows(self) -> list[list[int]]:
         """Table rows as plain int lists (fast path for inner loops)."""
@@ -78,6 +79,16 @@ class FiniteGroup:
         if self._cols is None:
             self._cols = self.table.T.tolist()
         return self._cols
+
+    def power_rows(self) -> list[list[int]]:
+        """power_rows()[k][g] = g^k for k in [0, exponent), as plain int lists."""
+        if self._powers is None:
+            rows = self.mul_rows()
+            powers = [[self.identity] * self.order]
+            for _ in range(1, self.exponent()):
+                powers.append([rows[x][g] for g, x in enumerate(powers[-1])])
+            self._powers = powers
+        return self._powers
 
     # -- construction checks ------------------------------------------------
 

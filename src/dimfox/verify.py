@@ -26,6 +26,7 @@ from .formulas import (
     remark_lower_bound,
 )
 from .groupring import (
+    DEFAULT_BRUTE_CAP,
     CoeffRing,
     ModuleSpan,
     augmentation_ideal,
@@ -110,7 +111,7 @@ def verify_dim3(
     N: NSeries,
     ring: CoeffRing,
     case: dict | None = None,
-    max_order: int = 256,
+    max_order: int = DEFAULT_BRUTE_CAP,
     check_reduction: bool = False,
 ) -> Report:
     """Brute third dimension subgroup against the closed formula."""
@@ -120,11 +121,7 @@ def verify_dim3(
     k2n3 = join(G, [commutator_subgroup(G, K, K), N.term(3)])
     equal = brute == formula.result
     exceeds = not k2n3.contains_subgroup(brute)
-    extra = {
-        "formula_path": "per-modulus" if ring.is_concrete else "sigma",
-        "sigma_route_agrees": formula.routes_agree,
-        "exceeds_k2n3": exceeds,
-    }
+    extra = {"exceeds_k2n3": exceeds}
     if check_reduction:
         extra["reduction_agrees"] = _dim3_reduction_agrees(G, K, N, ring, brute)
     report = Report(
@@ -167,7 +164,7 @@ def verify_fox(
     n: int,
     ring: CoeffRing,
     case: dict | None = None,
-    max_order: int = 256,
+    max_order: int = DEFAULT_BRUTE_CAP,
     family_cap: int = 8,
 ) -> Report:
     """Brute Fox subgroup against the closed formula for its weight."""
@@ -456,6 +453,18 @@ DEFAULT_GROUPS = [
 DEFAULT_MODULI = [0, 2, 3, 4]
 
 
+# the corpus config fields whose type validate() checks; bool never passes for int
+_FIELD_TYPES = {
+    "groups": list,
+    "explicit_subgroups": dict,
+    "moduli": list,
+    "theorems": list,
+    "fox_weights": list,
+    "max_group_order": int,
+    "jobs": (int, type(None)),
+}
+
+
 @dataclass
 class CorpusConfig:
     groups: list[str] = field(default_factory=lambda: list(DEFAULT_GROUPS))
@@ -481,13 +490,17 @@ class CorpusConfig:
 
     def validate(self) -> None:
         """Reject a bad field, naming it and its value, before any case runs."""
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise GroupError(f"corpus config: {name} has the wrong type: {value!r}")
         if self.max_group_order <= 0 or (self.jobs is not None and self.jobs < 1):
             raise GroupError("corpus caps must be positive")
         for t in self.theorems:
             if t not in ("dim3", "fox"):
                 raise GroupError(f"corpus config: unknown theorems entry {t!r}")
         for m in self.moduli:
-            if not isinstance(m, int) or m < 0 or m == 1:
+            if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m == 1:
                 raise GroupError(f"corpus config: moduli entry {m!r} is not 0 or >= 2")
         for n in self.fox_weights:
             if n not in (0, 1, 2):
@@ -592,6 +605,12 @@ def build_cases(cfg: CorpusConfig) -> list[dict]:
                             )
     if cfg.include_counterexample and "dim3" in cfg.theorems:
         cases.append({"kind": "counterexample", "p": 2, "r": 1, "s": 1})
+    if not cases:
+        raise GroupError(
+            f"corpus config: no case selected by theorems={cfg.theorems}, "
+            f"moduli={cfg.moduli}, fox_weights={cfg.fox_weights} and "
+            f"{len(cfg.groups)} groups up to order {cfg.max_group_order}"
+        )
     for i, case in enumerate(cases):
         case["id"] = i
     return cases

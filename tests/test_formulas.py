@@ -2,6 +2,7 @@
 
 import random
 from itertools import product as iproduct
+from math import gcd
 
 import pytest
 
@@ -374,6 +375,56 @@ def test_remark_lower_bound_pieces():
     for h in inter[:8]:
         for k in inter[:8]:
             assert G.comm(h, k) in lb.members
+
+
+def test_dim3_formula_builds_each_U_once(monkeypatch):
+    import dimfox.formulas as formulas
+
+    calls = []
+
+    def counting(ctx, m):
+        calls.append(m)
+        return U_subgroup(ctx, m)
+
+    monkeypatch.setattr(formulas, "U_subgroup", counting)
+    for spec, m in [("cyclic:4", 4), ("cyclic:2 x cyclic:4", 2), ("dihedral:6", 6), ("cyclic:8", 0)]:
+        G = build_group(spec)
+        calls.clear()
+        dim3_formula(FormulaContext(G, trivial_subgroup(G), ring_for(m)))
+        assert calls and len(calls) == len(set(calls)), (spec, m, calls)
+        if spec == "cyclic:4":
+            assert sorted(calls) == [0, 4]
+
+
+def test_formula_context_builds_lower_central_series_once(monkeypatch):
+    import dimfox.formulas as formulas
+
+    calls = []
+
+    def counting(G):
+        calls.append(G)
+        return lower_central_series(G)
+
+    monkeypatch.setattr(formulas, "lower_central_series", counting)
+    G, K, _ = make_counterexample(2, 1, 1)
+    ctx = FormulaContext(G, K, CoeffRing.mod(4))
+    ctx.KG2Gm(4)
+    ctx.KN2Gm(2)
+    remark_lower_bound(ctx)
+    assert len(calls) == 1
+    assert ctx.N is ctx.gamma()
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "cyclic:2 x quaternion:8", "class2:2,1"])
+def test_KG2Gm_absorbs_powers_by_gcd(spec):
+    # remark_lower_bound reads K G_2 G^m G^q as K G_2 G^gcd(m, q)
+    G = build_group(spec)
+    for K in cyclic_subgroups(G)[:4]:
+        ctx = FormulaContext(G, K, Z)
+        for m in (0, 2, 4, 6):
+            for q in range(G.exponent()):
+                joined = join(G, [ctx.KG2Gm(m), ctx.power_of_G(q)])
+                assert joined == ctx.KG2Gm(gcd(m, q)), (K.generators, m, q)
 
 
 def test_W_subgroup():

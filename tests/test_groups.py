@@ -222,6 +222,18 @@ def test_lower_central_series():
     assert [len(t) for t in chain] == [6, 3]  # stabilizes at the rotation part
 
 
+@pytest.mark.parametrize(
+    "spec", ["cyclic:12", "dihedral:4", "quaternion:8", "cyclic:2 x cyclic:4", "class2:2,1"]
+)
+def test_power_rows_match_power(spec):
+    G = build_group(spec)
+    rows = G.power_rows()
+    assert len(rows) == G.exponent()
+    for k, row in enumerate(rows):
+        assert row == [G.power(g, k) for g in G.elements()]
+    assert G.power_rows() is rows  # cached on the group
+
+
 @pytest.mark.parametrize("spec", ["cyclic:6", "dihedral:4", "quaternion:8", "class2:2,1"])
 def test_lcs_is_valid_nseries(spec):
     G = build_group(spec)

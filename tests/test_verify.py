@@ -156,9 +156,10 @@ def test_resolve_series_variants():
 
 
 def test_empty_corpus():
+    # a campaign without a case is bad input, never a green run
     cfg = CorpusConfig(groups=[], include_counterexample=False)
-    res = run_corpus(cfg)
-    assert res.ok and not res.reports
+    with pytest.raises(GroupError, match="no case selected"):
+        run_corpus(cfg)
 
 
 def test_corpus_deterministic_and_parallel():
@@ -317,6 +318,12 @@ def test_cli_corpus_config(tmp_path, capsys):
         ({"groups": ["cyclic:2"], "moduli": [0, 1]}, "moduli entry 1"),
         ({"groups": ["cyclic:2"], "fox_weights": [3]}, "fox_weights entry 3"),
         ({"subgroup_policy": "conjugacy"}, "subgroup_policy 'conjugacy'"),
+        ({"moduli": 2}, "moduli has the wrong type"),
+        ({"moduli": [False]}, "moduli entry False"),
+        ({"max_group_order": "16"}, "max_group_order has the wrong type"),
+        ({"max_group_order": True}, "max_group_order has the wrong type"),
+        ({"groups": "cyclic:2"}, "groups has the wrong type"),
+        ({"theorems": []}, "theorems=[]"),
     ],
 )
 def test_cli_corpus_rejects_bad_config(tmp_path, capsys, monkeypatch, bad, named):
