@@ -180,7 +180,8 @@ def _cmd_corpus(args) -> int:
     else:
         print(f"cases: {len(result.reports)}  failures: {len(result.failures)}")
         for r in result.failures[:20]:
-            print("FAIL", r["case"])
+            error = r["extra"].get("error")
+            print("FAIL", r["case"], *([f"error: {error}"] if error else []))
         flagged = [r for r in result.reports if r.get("counterexample")]
         print(f"counterexample flags: {len(flagged)}")
     return OK if result.ok else MISMATCH

@@ -19,6 +19,7 @@ from .groups import (
     GroupError,
     NSeries,
     Subgroup,
+    small_generators,
     subgroup_from_members,
     whole_group,
 )
@@ -219,57 +220,92 @@ def span_product(A: ModuleSpan, B: ModuleSpan) -> ModuleSpan:
     return out
 
 
-def translate_closure(span: ModuleSpan) -> ModuleSpan:
-    """R-span of all left G-translates of the given span."""
-    G, m = span.group, span.ring.modulus
-    out = ModuleSpan(G, span.ring)
-    base = span.canonical()
-    for g in G.elements():
-        for row in base:
-            out.lattice.add(row_translate(G, g, row, m))
+def _generator_product(M: ModuleSpan, S: Subgroup, shifts: list[list[int]]) -> ModuleSpan:
+    """R-span of the rows b*t - b (shifts = G.mul_cols()) or t*b - b
+    (shifts = G.mul_rows()) for b in basis(M) and t in a small generating
+    set of S."""
+    if S.parent is not M.group:
+        raise GroupError("subgroup of a different group")
+    out = ModuleSpan(M.group, M.ring)
+    basis = M.canonical()
+    for t in small_generators(M.group, S.members):
+        perm = shifts[t]
+        for b in basis:
+            row = [-c for c in b]
+            for j, c in enumerate(b):
+                if c:
+                    row[perm[j]] += c
+            out.lattice.add(row)
     return out
 
 
-def _compositions(n: int):
-    """All tuples of positive integers summing to n."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
+def right_ideal_product(M: ModuleSpan, S: Subgroup) -> ModuleSpan:
+    """M*I(S) for an R-submodule M of R(G) with M*s in M for every s in S.
+
+    If M*s lies in M for every s in S, and T generates S, then
+    M*I(S) = R-span{b(t - 1) : b in basis(M), t in T}.  Proof: by
+    m(st - 1) = (ms)(t - 1) + m(s - 1) and induction on the length of s
+    as a word in T; S is finite, so inverses are positive powers and
+    words in T reach every s.  A product then costs rank(M)*|T| row
+    translates instead of rank(M)*(|S| - 1) row products.
+    """
+    return _generator_product(M, S, M.group.mul_cols())
+
+
+def left_ideal_product(S: Subgroup, M: ModuleSpan) -> ModuleSpan:
+    """I(S)*M for an R-submodule M of R(G) with s*M in M for every s in S.
+
+    The mirror of `right_ideal_product`: (st - 1)m = (s - 1)(tm) + (t - 1)m
+    gives I(S)*M = R-span{(t - 1)b : b in basis(M), t in T} for any T
+    generating S.
+    """
+    return _generator_product(M, S, M.group.mul_rows())
+
+
+def translate_closure(span: ModuleSpan) -> ModuleSpan:
+    """R(G)*span: the R-span of all left G-translates of the given span.
+
+    Closes under left translates by a small generating set of G with a
+    worklist.  A translate is queued for further translation only when it
+    grew the span: the base rows and the rows that grew it span the
+    result, and each of them has its generator translates inside, so the
+    span is closed under left translation by G.
+    """
+    G, m = span.group, span.ring.modulus
+    gens = small_generators(G, G.elements())
+    out = ModuleSpan(G, span.ring)
+    queue = [list(row) for row in span.canonical()]
+    for row in queue:
+        out.lattice.add(row)
+    while queue:
+        row = queue.pop()
+        for t in gens:
+            moved = row_translate(G, t, row, m)
+            if out.lattice.add(moved):
+                queue.append(moved)
+    return out
 
 
 def nseries_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> ModuleSpan:
     """The filtration ideal of weight n induced by the series, as an R-module.
 
-    Generated by products (a_1 - 1)...(a_r - 1) with a_i in N_{k_i} and
-    sum k_i = n.  Compositions of n exactly suffice since terms descend;
-    no translates are needed: terms of a valid series are normal, so a
-    left translate migrates through a product at the cost of a trailing
-    factor, which lands in a lower composition again.  Validated against
+    J_n is the R-span of the products (a_1 - 1)...(a_r - 1) with a_i in
+    N_{k_i} and sum k_i = n.  Products of larger weight lie in J_n too
+    (lower the k_i, and shorten a product of more than n factors through
+    (x - 1)(y - 1) = (xy - 1) - (x - 1) - (y - 1)), so J_n absorbs a
+    factor g - 1 on either side and is a two-sided ideal.  Splitting off
+    the last factor gives J_n = I(N_n) + sum_{j<n} J_{n-j}*I(N_j), and
+    each J_{n-j}*I(N_j) is a `right_ideal_product`.  Validated against
     the no-shortcut generator set in the test suite.
     """
     if n < 1:
         raise GroupError("ideal weight must be >= 1")
-    level_spans: dict[int, ModuleSpan] = {}
-
-    def level(k: int) -> ModuleSpan:
-        if k not in level_spans:
-            level_spans[k] = augmentation_ideal(G, N.term(k), ring)
-        return level_spans[k]
-
-    total = ModuleSpan(G, ring)
-    seen: set[tuple[int, ...]] = set()
-    for comp in _compositions(n):
-        prod = level(comp[0])
-        for k in comp[1:]:
-            prod = span_product(prod, level(k))
-        for row in prod.canonical():
-            if row not in seen:
-                seen.add(row)
-                total.lattice.add(list(row))
-    return total
+    J: dict[int, ModuleSpan] = {}
+    for k in range(1, n + 1):
+        parts = [augmentation_ideal(G, N.term(k), ring)]
+        parts += [right_ideal_product(J[k - j], N.term(j)) for j in range(1, k)]
+        J[k] = span_sum(parts)
+    return J[n]
 
 
 def membership(G: FiniteGroup, v: Sequence[int], span: ModuleSpan) -> bool:
@@ -287,6 +323,17 @@ def group_slice(G: FiniteGroup, span: ModuleSpan) -> Subgroup:
         raise ClosureError(f"group slice is not a subgroup: {exc}") from exc
 
 
+def dim_modules(
+    G: FiniteGroup, K: Subgroup, N: NSeries, n: int, ring: CoeffRing
+) -> tuple[ModuleSpan, ModuleSpan]:
+    """I(G) and I(K)I(G) + (weight-n filtration ideal), in that order.
+
+    I(K)I(G) is a `left_ideal_product`: I(G) is a left ideal.
+    """
+    ig = augmentation_ideal(G, whole_group(G), ring)
+    return ig, span_sum([left_ideal_product(K, ig), nseries_ideal_power(G, N, n, ring)])
+
+
 def dim_subgroup_brute(
     G: FiniteGroup,
     K: Subgroup,
@@ -300,11 +347,7 @@ def dim_subgroup_brute(
         raise GroupError(f"brute force capped at order {max_order}")
     if not ring.is_concrete:
         raise GroupError("brute force needs a concrete ring")
-    ik_ig = span_product(
-        augmentation_ideal(G, K, ring), augmentation_ideal(G, whole_group(G), ring)
-    )
-    filt = nseries_ideal_power(G, N, n, ring)
-    return group_slice(G, span_sum([ik_ig, filt]))
+    return group_slice(G, dim_modules(G, K, N, n, ring)[1])
 
 
 def fox_modules(
@@ -318,7 +361,10 @@ def fox_modules(
     """R(G)I(K)I(H) + I^n(G)I(H) and I(K)I(H) + I^n(G)I(H), in that order.
 
     Both forms share I(H), I(K)I(H) and I^n(G)I(H), which are built once.
-    For n = 0 both are R(G)I(H), which contains R(G)I(K)I(H).
+    For n = 0 both are R(G)I(H), which contains R(G)I(K)I(H).  I^n(G) and
+    I^n(G)I(H) are `right_ideal_product`s, since I^(n-1)(G) is a two-sided
+    ideal; I(K)I(H) stays a `span_product`, as neither factor is stable
+    under the other subgroup.
     """
     if G.order > max_order:
         raise GroupError(f"brute force capped at order {max_order}")
@@ -331,11 +377,11 @@ def fox_modules(
         rg_ih = translate_closure(ih)
         return rg_ih, rg_ih
     ik_ih = span_product(augmentation_ideal(G, K, ring), ih)
-    ig = augmentation_ideal(G, whole_group(G), ring)
-    power = ig
+    whole = whole_group(G)
+    power = augmentation_ideal(G, whole, ring)
     for _ in range(n - 1):
-        power = span_product(power, ig)
-    power_ih = span_product(power, ih)
+        power = right_ideal_product(power, whole)
+    power_ih = right_ideal_product(power, H)
     return span_sum([translate_closure(ik_ih), power_ih]), span_sum([ik_ih, power_ih])
 
 

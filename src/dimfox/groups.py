@@ -287,13 +287,22 @@ def subgroup_from_members(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
                 raise ClosureError(
                     f"set is not closed: {G.name(a)} * {G.name(b)} escapes"
                 )
+    return Subgroup(G, members, small_generators(G, members))
+
+
+def small_generators(G: FiniteGroup, members: Iterable[int]) -> tuple[int, ...]:
+    """Greedy generating set of a subgroup, scanning members in index order.
+
+    Each element taken at least doubles the span, so there are at most
+    log2 |members| of them.
+    """
     gens: list[int] = []
     have = frozenset({G.identity})
     for m in sorted(members):
         if m not in have:
             gens.append(m)
             have = _closure(G, gens)
-    return Subgroup(G, members, tuple(gens))
+    return tuple(gens)
 
 
 def join(G: FiniteGroup, parts: Sequence[Subgroup]) -> Subgroup:

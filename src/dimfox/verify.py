@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
+import traceback
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -30,6 +31,7 @@ from .groupring import (
     CoeffRing,
     ModuleSpan,
     augmentation_ideal,
+    dim_modules,
     dim_subgroup_brute,
     elem_minus_one,
     fox_modules,
@@ -38,8 +40,7 @@ from .groupring import (
     nseries_ideal_power,
     row_translate,
     row_translate_right,
-    span_product,
-    span_sum,
+    span_product,  # no longer called here; kept bound for code that reads verify.span_product
 )
 from .groups import (
     FiniteGroup,
@@ -295,9 +296,7 @@ def verify_four_term(
             gens.append(img)
     image = generated_subgroup(G, gens + sorted(k2n3.members))
     # kernel of a -> (a - 1) + I(K)I(G) + (weight-3 ideal)
-    ig = augmentation_ideal(G, whole_group(G), ring)
-    ik_ig = span_product(augmentation_ideal(G, K, ring), ig)
-    mspan = span_sum([ik_ig, nseries_ideal_power(G, N, 3, ring)])
+    ig, mspan = dim_modules(G, K, N, 3, ring)
     kernel = {a for a in kn3.members if mspan.contains_row(elem_minus_one(G, a))}
     left_exact = image.members == kernel
     middle_exact, surjective = _exact_middle_and_right(G, K, N, ring, ig, mspan, kn3)
@@ -340,9 +339,7 @@ def verify_polynomial_sequence(
     n = G.order
     m = ring.modulus
     kn3 = join(G, [K, N.term(3)])
-    ig = augmentation_ideal(G, whole_group(G), ring)
-    ik_ig = span_product(augmentation_ideal(G, K, ring), ig)
-    mspan = span_sum([ik_ig, nseries_ideal_power(G, N, 3, ring)])
+    ig, mspan = dim_modules(G, K, N, 3, ring)
     middle_exact, surjective = _exact_middle_and_right(G, K, N, ring, ig, mspan, kn3)
     # derivation law spot-check through the quotient presentation: the
     # canonical map p(a) = (a - 1) + module satisfies the two exact
@@ -507,6 +504,21 @@ class CorpusConfig:
                 raise GroupError(f"corpus config: fox_weights entry {n!r} is not 0, 1 or 2")
         if self.subgroup_policy not in ("cyclic", "all", "explicit"):
             raise GroupError(f"corpus config: unknown subgroup_policy {self.subgroup_policy!r}")
+        for spec, subs in self.explicit_subgroups.items():
+            if not isinstance(subs, list) or not all(
+                isinstance(gens, list) and all(isinstance(t, str) for t in gens) for gens in subs
+            ):
+                raise GroupError(
+                    f"corpus config: explicit_subgroups entry for {spec!r} is not a list of "
+                    f"lists of element names: {subs!r}"
+                )
+        if self.subgroup_policy == "explicit":
+            for spec in self.groups:
+                if spec not in self.explicit_subgroups:
+                    raise GroupError(
+                        f"corpus config: group {spec!r} has no explicit_subgroups entry "
+                        f"under subgroup_policy 'explicit'"
+                    )
 
 
 def _series_tags(G: FiniteGroup) -> list[str]:
@@ -546,10 +558,13 @@ def resolve_series(G: FiniteGroup, tag: str) -> NSeries:
 
 
 def _explicit_subgroups(G: FiniteGroup, cfg: CorpusConfig, spec: str) -> list[Subgroup]:
-    out = []
-    for gens in cfg.explicit_subgroups.get(spec, []):
-        out.append(generated_subgroup(G, [G.index_of(str(t)) for t in gens]))
-    return out
+    try:
+        return [
+            generated_subgroup(G, [G.index_of(t) for t in gens])
+            for gens in cfg.explicit_subgroups.get(spec, [])
+        ]
+    except GroupError as exc:
+        raise GroupError(f"corpus config: explicit_subgroups entry for {spec!r}: {exc}") from exc
 
 
 def _subgroup_choices(G: FiniteGroup, cfg: CorpusConfig, spec: str) -> list[Subgroup]:
@@ -680,15 +695,24 @@ def _report_ok(r: dict) -> bool:
     return bool(r["equal"]) and all(r["containments"].values())
 
 
+def _run_case_or_fail(case: dict) -> dict:
+    """run_case, with an exception turned into a failed report naming the case."""
+    try:
+        return run_case(case)
+    except Exception as exc:  # one bad case must not end the campaign
+        extra = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
+        return Report(case=case, lhs=[], rhs=[], equal=False, extra=extra).to_dict()
+
+
 def run_corpus(cfg: CorpusConfig) -> CorpusResult:
     cases = build_cases(cfg)
     if cfg.jobs and cfg.jobs > 1:
         import multiprocessing as mp
 
         with mp.Pool(cfg.jobs) as pool:
-            results = pool.map(run_case, cases, chunksize=8)
+            results = pool.map(_run_case_or_fail, cases, chunksize=8)
     else:
-        results = [run_case(c) for c in cases]
+        results = [_run_case_or_fail(c) for c in cases]
     results.sort(key=lambda r: r["case"]["id"])
     failures = [r for r in results if not _report_ok(r)]
     ordered = failures + [r for r in results if _report_ok(r)]

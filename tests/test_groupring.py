@@ -15,14 +15,17 @@ from dimfox.groupring import (
     fox_subgroup_brute,
     group_slice,
     membership,
+    left_ideal_product,
     module_quotient_presentation,
     nseries_ideal_power,
     quotient_invariants,
+    right_ideal_product,
     row_multiply,
     row_translate,
     row_translate_right,
     span_product,
     span_sum,
+    translate_closure,
     zero_span,
 )
 from dimfox.groups import (
@@ -87,6 +90,17 @@ def ideal_power_naive(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> Mo
         one = [0] * G.order
         one[G.identity] = 1
         rec(0, one)
+    return out
+
+
+def translate_closure_naive(span: ModuleSpan) -> ModuleSpan:
+    """R-span of all left G-translates of the given span."""
+    G, m = span.group, span.ring.modulus
+    out = ModuleSpan(G, span.ring)
+    base = span.canonical()
+    for g in G.elements():
+        for row in base:
+            out.lattice.add(row_translate(G, g, row, m))
     return out
 
 
@@ -393,3 +407,51 @@ def test_row_multiply_is_ring_product():
             for j in range(8):
                 expected[D4.mul(i, j)] += a[i] * b[j]
         assert out == expected
+
+
+def _non_normal_first(G: FiniteGroup):
+    """Nontrivial cyclic subgroups, the non-normal ones first."""
+    subs = [S for S in cyclic_subgroups(G) if not S.is_trivial()]
+    return sorted(subs, key=lambda S: (S.is_normal(), sorted(S.members)))
+
+
+# quaternion:8 has no non-normal subgroup; its K and H are non-central instead
+@pytest.mark.parametrize(
+    "spec", ["dihedral:4", "quaternion:8", "class2:2,1", "cyclic:3 x dihedral:3"]
+)
+@pytest.mark.parametrize("m", [0, 4, 3])
+def test_generator_products_match_span_product(spec, m):
+    """Each generator-based product equals span_product of the same factors,
+    and the worklist R(G)-closure equals the all-translates closure."""
+    G = build_group(spec)
+    ring = Z if m == 0 else CoeffRing.mod(m)
+    whole = whole_group(G)
+    K, H = _non_normal_first(G)[:2]
+    assert spec == "quaternion:8" or not (K.is_normal() or H.is_normal())
+    ig = augmentation_ideal(G, whole, ring)
+    ik, ih = augmentation_ideal(G, K, ring), augmentation_ideal(G, H, ring)
+    ig2 = right_ideal_product(ig, whole)
+    assert ig2 == span_product(ig, ig)
+    assert right_ideal_product(ig2, H) == span_product(ig2, ih)
+    assert left_ideal_product(K, ig) == span_product(ik, ig)
+    N = lower_central_series(G)
+    j2 = nseries_ideal_power(G, N, 2, ring)
+    assert right_ideal_product(j2, N.term(2)) == span_product(
+        j2, augmentation_ideal(G, N.term(2), ring)
+    )
+    ik_ih = span_product(ik, ih)
+    assert translate_closure(ik_ih) == translate_closure_naive(ik_ih)
+    assert translate_closure(ih) == translate_closure_naive(ih)
+
+
+def test_dim_subgroup_brute_never_calls_span_product(monkeypatch):
+    import dimfox.groupring as groupring
+
+    def refuse(A, B):
+        raise AssertionError("span_product called")
+
+    monkeypatch.setattr(groupring, "span_product", refuse)
+    G = build_group("dihedral:4")
+    K = generated_subgroup(G, [G.index_of("f")])
+    for ring in (Z, CoeffRing.mod(4)):
+        dim_subgroup_brute(G, K, lower_central_series(G), 3, ring)

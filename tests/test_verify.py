@@ -274,6 +274,15 @@ def test_cli_slow_tier_gate(capsys):
     assert code == 2 and "capped" in err
 
 
+@pytest.mark.slow
+def test_counterexample_p3_verified():
+    """The order-729 member of the family, with the brute-force cap lifted."""
+    G, K, _ = make_counterexample(3, 1, 1)
+    r = verify_dim3(G, K, lower_central_series(G), Z, max_order=G.order)
+    assert r.ok and r.counterexample
+    assert r.lhs == ["1", "c3", "c6"]
+
+
 def test_cli_homology(capsys):
     assert cli_main(["homology", "lemma2.8", "--shape", "4", "--m", "2"]) == 0
     assert cli_main(["homology", "lemma2.7", "--shape", "4", "--B", "2"]) == 0
@@ -324,6 +333,17 @@ def test_cli_corpus_config(tmp_path, capsys):
         ({"max_group_order": True}, "max_group_order has the wrong type"),
         ({"groups": "cyclic:2"}, "groups has the wrong type"),
         ({"theorems": []}, "theorems=[]"),
+        ({"groups": ["cyclic:2"], "subgroup_policy": "explicit"}, "group 'cyclic:2' has no"),
+        ({"explicit_subgroups": {"cyclic:4": ["x2"]}}, "entry for 'cyclic:4' is not a list"),
+        ({"explicit_subgroups": {"cyclic:4": [[2]]}}, "entry for 'cyclic:4' is not a list"),
+        (
+            {
+                "groups": ["cyclic:4"],
+                "subgroup_policy": "explicit",
+                "explicit_subgroups": {"cyclic:4": [["zzz"]]},
+            },
+            "entry for 'cyclic:4': unknown element 'zzz'",
+        ),
     ],
 )
 def test_cli_corpus_rejects_bad_config(tmp_path, capsys, monkeypatch, bad, named):
@@ -337,6 +357,28 @@ def test_cli_corpus_rejects_bad_config(tmp_path, capsys, monkeypatch, bad, named
     path.write_text(json.dumps(bad))
     assert cli_main(["corpus", "--config", str(path)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raising_case_becomes_failure_report(monkeypatch, jobs):
+    import dimfox.verify as verify
+
+    real = verify.run_case
+
+    def raise_on_3(case):
+        if case["id"] == 3:
+            raise RuntimeError("boom on purpose")
+        return real(case)
+
+    monkeypatch.setattr(verify, "run_case", raise_on_3)
+    cfg = CorpusConfig(
+        groups=["cyclic:4"], moduli=[0, 2], theorems=["dim3"], include_counterexample=False, jobs=jobs
+    )
+    result = run_corpus(cfg)
+    assert len(result.reports) == len(build_cases(cfg)) > 3
+    assert [f["case"]["id"] for f in result.failures] == [3]
+    assert result.failures[0]["extra"]["error"] == "RuntimeError: boom on purpose"
+    assert "raise_on_3" in result.failures[0]["extra"]["traceback"]
 
 
 def test_cli_nseries_argument(capsys):
