@@ -29,6 +29,7 @@ from .groups import (
     Subgroup,
     abelian_quotient,
     centre,
+    commutator_seeds,
     commutator_subgroup,
     generated_subgroup,
     join,
@@ -128,11 +129,11 @@ class FormulaContext:
 
 def _power_commutators(G: FiniteGroup, A: Iterable[int], M: frozenset[int]) -> Subgroup:
     """sgp{[a, b^k] : a, b in A with a^k and b^k in M}, k over one period."""
-    seeds: set[int] = set()
+    pairs = []
     for ptab in G.power_rows():
         admissible = [a for a in A if ptab[a] in M]
-        seeds.update(G.comm(a, ptab[b]) for a in admissible for b in admissible)
-    return generated_subgroup(G, seeds)
+        pairs.append((admissible, [ptab[b] for b in admissible]))
+    return generated_subgroup(G, commutator_seeds(G, pairs))
 
 
 def _power_preimage(G: FiniteGroup, A: Iterable[int], k: int, M: frozenset[int]) -> Subgroup:
@@ -512,12 +513,11 @@ def remark_lower_bound(ctx: FormulaContext) -> Subgroup:
     # which is K G_2 G^gcd(m, q) because G/G_2 is abelian
     h2 = ctx.H2().members
     h_in_M = [h for h in H.members if h in M]
-    t2_seeds: set[int] = set()
+    t2_pairs = []
     for q, ptab in enumerate(G.power_rows()):
         target = ctx.KG2Gm(gcd(m, q)).members
-        k_admiss = [k for k in H.members if k in target]
-        t2_seeds.update(G.comm(h, k) for h in h_in_M if ptab[h] in h2 for k in k_admiss)
-    T2 = generated_subgroup(G, t2_seeds)
+        t2_pairs.append(([h for h in h_in_M if ptab[h] in h2], [k for k in H.members if k in target]))
+    T2 = generated_subgroup(G, commutator_seeds(G, t2_pairs))
     return join(G, [ctx.H3(), vh, T1, T2])
 
 

@@ -55,6 +55,7 @@ class FiniteGroup:
             self._validate_table()
         self.identity = self._find_identity()
         self.inverse = self._build_inverses()
+        self._inv = self.inverse.tolist()
         if names is None:
             names = [f"g{i}" for i in range(n)]
         if len(names) != n or len(set(names)) != n:
@@ -68,6 +69,7 @@ class FiniteGroup:
         self._rows: list[list[int]] | None = None
         self._cols: list[list[int]] | None = None
         self._powers: list[list[int]] | None = None
+        self._comm: np.ndarray | None = None
 
     def mul_rows(self) -> list[list[int]]:
         """Table rows as plain int lists (fast path for inner loops)."""
@@ -89,6 +91,14 @@ class FiniteGroup:
                 powers.append([rows[x][g] for g, x in enumerate(powers[-1])])
             self._powers = powers
         return self._powers
+
+    def comm_table(self) -> np.ndarray:
+        """comm_table()[a, b] = [a, b] = a b a^-1 b^-1, built once and read-only."""
+        if self._comm is None:
+            t, inv = self.table, self.inverse
+            self._comm = t[t, t[inv][:, inv]]
+            self._comm.setflags(write=False)
+        return self._comm
 
     # -- construction checks ------------------------------------------------
 
@@ -115,55 +125,56 @@ class FiniteGroup:
         raise GroupError("table has no identity element")
 
     def _build_inverses(self) -> np.ndarray:
-        n = self.order
-        inv = np.full(n, -1, dtype=np.int32)
-        e = self.identity
-        for a in range(n):
-            hits = np.nonzero(self.table[a] == e)[0]
-            if len(hits) != 1 or self.table[hits[0], a] != e:
-                raise GroupError("element without a two-sided inverse")
-            inv[a] = hits[0]
+        idx = np.arange(self.order)
+        rows, inv = np.nonzero(self.table == self.identity)
+        # exactly one right inverse per row (rows come out in order), and it is a left inverse
+        if not np.array_equal(rows, idx) or (self.table[inv, idx] != self.identity).any():
+            raise GroupError("element without a two-sided inverse")
+        inv = inv.astype(np.int32)
         inv.setflags(write=False)
         return inv
 
     # -- element arithmetic --------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.mul_rows()[a][b]
 
     def inv(self, a: int) -> int:
-        return int(self.inverse[a])
+        return self._inv[a]
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
-            a, k = self.inv(a), -k
+            a, k = self._inv[a], -k
+        rows = self.mul_rows()
         result = self.identity
-        base = a
         while k:
             if k & 1:
-                result = int(self.table[result, base])
-            base = int(self.table[base, base])
+                result = rows[result][a]
+            a = rows[a][a]
             k >>= 1
         return result
 
     def conj(self, g: int, a: int) -> int:
         """g * a * g^-1."""
-        return self.mul(self.mul(g, a), self.inv(g))
+        rows = self.mul_rows()
+        return rows[rows[g][a]][self._inv[g]]
 
     def comm(self, a: int, b: int) -> int:
         """[a, b] = a b a^-1 b^-1."""
-        return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
+        rows, inv = self.mul_rows(), self._inv
+        return rows[rows[a][b]][rows[inv[a]][inv[b]]]
 
     def order_of(self, a: int) -> int:
         if self._orders is None:
-            orders = []
-            for g in range(self.order):
-                x, k = g, 1
-                while x != self.identity:
-                    x = self.mul(x, g)
-                    k += 1
-                orders.append(k)
-            self._orders = orders
+            idx = np.arange(self.order)
+            orders = np.zeros(self.order, dtype=np.int64)
+            x, k = idx, 1  # x[g] = g^k
+            while True:
+                orders[(x == self.identity) & (orders == 0)] = k
+                if orders.all():
+                    break
+                x, k = self.table[x, idx], k + 1
+            self._orders = orders.tolist()
         return self._orders[a]
 
     def exponent(self) -> int:
@@ -235,31 +246,50 @@ class Subgroup:
 
     def is_normal(self) -> bool:
         G = self.parent
-        return all(
-            G.conj(g, a) in self.members for a in self.members for g in G.elements()
-        )
+        return bool(_mask(G, self.members)[_conjugates(G, G.elements(), self.members)].all())
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         return other.members <= self.members
 
 
+def _index_array(elements: Iterable[int]) -> np.ndarray:
+    return np.fromiter(elements, dtype=np.intp)
+
+
+def _mask(G: FiniteGroup, *parts) -> np.ndarray:
+    """Boolean membership mask of the union of the parts (index arrays or iterables)."""
+    mask = np.zeros(G.order, dtype=bool)
+    for part in parts:
+        mask[part if isinstance(part, np.ndarray) else _index_array(part)] = True
+    return mask
+
+
+def _distinct(G: FiniteGroup, parts) -> list[int]:
+    """The distinct elements of the parts in index order; a mask, not np.unique, which
+    costs more peak memory on its first call than the rest of a small run."""
+    return np.flatnonzero(_mask(G, *parts)).tolist()
+
+
+def _conjugates(G: FiniteGroup, A: Iterable[int], B: Iterable[int]) -> np.ndarray:
+    """[[a b a^-1 for b in B] for a in A] as one fancy index over the table."""
+    A, B = _index_array(A), _index_array(B)
+    return G.table[G.table[np.ix_(A, B)], G.inverse[A][:, None]]
+
+
 def _closure(G: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
+    # Closing under right multiplication by the seeds is enough: in a finite group
+    # s^-1 = s^(ord(s) - 1), so the monoid the seeds generate is the subgroup.
+    rows = G.mul_rows()
+    seeds = list(seeds)
     members = {G.identity}
     frontier = [G.identity]
-    seeds = set(seeds) | {G.identity}
-    for s in seeds:
-        if s not in members:
-            members.add(s)
-            frontier.append(s)
-    seeds = sorted(seeds)
-    while frontier:
-        g = frontier.pop()
-        row = G.table[g]
+    for g in frontier:  # the list grows while it is walked
+        row = rows[g]
         for s in seeds:
-            for h in (int(row[s]), G.mul(s, g)):
-                if h not in members:
-                    members.add(h)
-                    frontier.append(h)
+            h = row[s]
+            if h not in members:
+                members.add(h)
+                frontier.append(h)
     return frozenset(members)
 
 
@@ -281,12 +311,11 @@ def whole_group(G: FiniteGroup) -> Subgroup:
 def subgroup_from_members(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
     """Wrap an already-closed member set, recording a small generator set."""
     members = frozenset(int(m) for m in members)
-    for a in members:
-        for b in members:
-            if G.mul(a, b) not in members:
-                raise ClosureError(
-                    f"set is not closed: {G.name(a)} * {G.name(b)} escapes"
-                )
+    mem = _index_array(members)
+    escapes = ~_mask(G, mem)[G.table[np.ix_(mem, mem)]]
+    if escapes.any():
+        i, j = np.argwhere(escapes)[0]
+        raise ClosureError(f"set is not closed: {G.name(mem[i])} * {G.name(mem[j])} escapes")
     return Subgroup(G, members, small_generators(G, members))
 
 
@@ -315,9 +344,17 @@ def join(G: FiniteGroup, parts: Sequence[Subgroup]) -> Subgroup:
     return generated_subgroup(G, seeds)
 
 
+def commutator_seeds(
+    G: FiniteGroup, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]
+) -> list[int]:
+    """The distinct [a, b] for a in A, b in B over the (A, B) pairs, in index
+    order, read from slices of the commutator table."""
+    C = G.comm_table()
+    return _distinct(G, [C[np.ix_(_index_array(A), _index_array(B))] for A, B in pairs])
+
+
 def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
-    seeds = {G.comm(a, b) for a in A.members for b in B.members}
-    return generated_subgroup(G, seeds)
+    return generated_subgroup(G, commutator_seeds(G, [(A.members, B.members)]))
 
 
 def power_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
@@ -331,17 +368,11 @@ def power_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
 
 
 def centre(G: FiniteGroup) -> Subgroup:
-    members = [
-        a
-        for a in G.elements()
-        if all(G.mul(a, g) == G.mul(g, a) for g in G.elements())
-    ]
-    return subgroup_from_members(G, members)
+    return subgroup_from_members(G, np.flatnonzero((G.table == G.table.T).all(axis=1)))
 
 
 def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    conj_seeds = {G.conj(g, s) for s in seeds for g in G.elements()}
-    return generated_subgroup(G, conj_seeds)
+    return generated_subgroup(G, _distinct(G, [_conjugates(G, G.elements(), seeds)]))
 
 
 def subgroup_exponent(A: Subgroup) -> int:
@@ -435,10 +466,8 @@ def p_torsion_mod(
     ambient = within if within is not None else whole_group(G)
     if not S.members <= ambient.members:
         raise GroupError("p_torsion_mod: S must lie in the ambient subgroup")
-    for a in ambient.members:
-        for s in S.members:
-            if G.conj(a, s) not in S.members:
-                raise GroupError("p_torsion_mod: S is not normal in the ambient subgroup")
+    if not _mask(G, S.members)[_conjugates(G, ambient.members, S.members)].all():
+        raise GroupError("p_torsion_mod: S is not normal in the ambient subgroup")
     kmax = 1
     q = p
     while q < G.order:
@@ -472,42 +501,27 @@ def quotient_group(
     if not S.is_normal():
         raise GroupError("quotient by a non-normal subgroup")
     n = G.order
-    smem = sorted(S.members)
-    rep = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for g in range(n):
-        if rep[g] >= 0:
-            continue
-        coset = [int(G.table[g, s]) for s in smem]
-        r = min(coset)
-        for h in coset:
-            rep[h] = r
-        reps.append(r)
-    reps.sort()
-    cid = {r: i for i, r in enumerate(reps)}
-    proj = np.array([cid[int(rep[g])] for g in range(n)], dtype=np.int64)
-    q = len(reps)
-    table = np.zeros((q, q), dtype=np.int32)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            table[i, j] = proj[int(G.table[a, b])]
+    rep = G.table[:, _index_array(S.members)].min(axis=1)  # least element of the coset gS
+    reps = np.flatnonzero(_mask(G, rep))
+    cid = np.full(n, -1, dtype=np.int64)
+    cid[reps] = np.arange(len(reps))
+    proj = cid[rep]
+    table = proj[G.table[np.ix_(reps, reps)]]
+    reps = reps.tolist()
     names = [G.names[r] for r in reps]
     gens = sorted({int(proj[g]) for g in (G.generators or range(n))} - {int(proj[G.identity])})
-    Q = FiniteGroup(table, names, gens, spec=f"{G.spec}/|{len(smem)}|", check=False)
+    Q = FiniteGroup(table, names, gens, spec=f"{G.spec}/|{len(S)}|", check=False)
     return Q, proj, reps
 
 
 def subgroup_as_group(G: FiniteGroup, A: Subgroup) -> tuple[FiniteGroup, list[int]]:
     """A as a standalone group plus the list mapping new indices to old."""
     elems = sorted(A.members)
-    back = {g: i for i, g in enumerate(elems)}
-    k = len(elems)
-    table = np.zeros((k, k), dtype=np.int32)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i, j] = back[int(G.table[a, b])]
+    back = np.full(G.order, -1, dtype=np.int64)
+    back[elems] = np.arange(len(elems))
+    table = back[G.table[np.ix_(elems, elems)]]
     names = [G.names[g] for g in elems]
-    gens = [back[g] for g in A.generators if g in back]
+    gens = [int(back[g]) for g in A.generators if back[g] >= 0]
     H = FiniteGroup(table, names, gens, spec=f"sub:{G.spec}", check=False)
     return H, elems
 

@@ -505,6 +505,8 @@ class CorpusConfig:
         if self.subgroup_policy not in ("cyclic", "all", "explicit"):
             raise GroupError(f"corpus config: unknown subgroup_policy {self.subgroup_policy!r}")
         for spec, subs in self.explicit_subgroups.items():
+            if spec not in self.groups:
+                raise GroupError(f"corpus config: explicit_subgroups key {spec!r} is not in groups")
             if not isinstance(subs, list) or not all(
                 isinstance(gens, list) and all(isinstance(t, str) for t in gens) for gens in subs
             ):
@@ -512,6 +514,11 @@ class CorpusConfig:
                     f"corpus config: explicit_subgroups entry for {spec!r} is not a list of "
                     f"lists of element names: {subs!r}"
                 )
+        if self.subgroup_policy == "cyclic" and self.explicit_subgroups:
+            raise GroupError(
+                f"corpus config: explicit_subgroups entries for {sorted(self.explicit_subgroups)} "
+                f"are never read under subgroup_policy 'cyclic'"
+            )
         if self.subgroup_policy == "explicit":
             for spec in self.groups:
                 if spec not in self.explicit_subgroups:
@@ -567,7 +574,7 @@ def _explicit_subgroups(G: FiniteGroup, cfg: CorpusConfig, spec: str) -> list[Su
         raise GroupError(f"corpus config: explicit_subgroups entry for {spec!r}: {exc}") from exc
 
 
-def _subgroup_choices(G: FiniteGroup, cfg: CorpusConfig, spec: str) -> list[Subgroup]:
+def _subgroup_choices(G: FiniteGroup, cfg: CorpusConfig, explicit: list[Subgroup]) -> list[Subgroup]:
     if cfg.subgroup_policy == "cyclic":
         return cyclic_subgroups(G)
     if cfg.subgroup_policy == "all":
@@ -575,10 +582,10 @@ def _subgroup_choices(G: FiniteGroup, cfg: CorpusConfig, spec: str) -> list[Subg
             # full lattices explode; fall back to cyclic plus explicit
             subs = cyclic_subgroups(G)
             have = {s.members for s in subs}
-            subs += [s for s in _explicit_subgroups(G, cfg, spec) if s.members not in have]
+            subs += [s for s in explicit if s.members not in have]
             return subs
         return all_subgroups(G, cap=16)
-    return _explicit_subgroups(G, cfg, spec)
+    return explicit
 
 
 def build_cases(cfg: CorpusConfig) -> list[dict]:
@@ -586,9 +593,11 @@ def build_cases(cfg: CorpusConfig) -> list[dict]:
     cases = []
     for spec in cfg.groups:
         G = build_group(spec)
+        # resolved before the order cap, so a bad element name never passes unread
+        explicit = _explicit_subgroups(G, cfg, spec)
         if G.order > cfg.max_group_order:
             continue
-        subs = _subgroup_choices(G, cfg, spec)
+        subs = _subgroup_choices(G, cfg, explicit)
         series = _series_tags(G) if cfg.extra_series else ["gamma"]
         if "dim3" in cfg.theorems:
             for K in subs:

@@ -415,6 +415,30 @@ def test_formula_context_builds_lower_central_series_once(monkeypatch):
     assert ctx.N is ctx.gamma()
 
 
+def _commutator_built_members(m):
+    """Member sets of [G, K], the lower central series, U_m and the remark's lower
+    bound (which holds T_1 and T_2) on a freshly built class2:2,1."""
+    G = build_group("class2:2,1")
+    x, y = G.generators
+    K = generated_subgroup(G, [G.power(x, 2), y])
+    ctx = FormulaContext(G, K, ring_for(m), H=generated_subgroup(G, [x, G.power(y, 2)]))
+    subs = [commutator_subgroup(G, whole_group(G), K), *lower_central_series(G).chain]
+    subs += [U_subgroup(ctx, m), remark_lower_bound(ctx)]
+    return [s.members for s in subs]
+
+
+def test_commutator_subgroups_read_the_table(monkeypatch):
+    from dimfox.groups import FiniteGroup
+
+    expected = [_commutator_built_members(m) for m in (0, 2, 3, 4)]
+
+    def refuse(self, a, b):
+        raise AssertionError("FiniteGroup.comm called")
+
+    monkeypatch.setattr(FiniteGroup, "comm", refuse)
+    assert [_commutator_built_members(m) for m in (0, 2, 3, 4)] == expected
+
+
 @pytest.mark.parametrize("spec", ["dihedral:4", "cyclic:2 x quaternion:8", "class2:2,1"])
 def test_KG2Gm_absorbs_powers_by_gcd(spec):
     # remark_lower_bound reads K G_2 G^m G^q as K G_2 G^gcd(m, q)

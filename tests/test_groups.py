@@ -1,5 +1,8 @@
 """Group construction, subgroup primitives, series, abelian quotients."""
 
+import re
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +28,7 @@ from dimfox.groups import (
     quotient_group,
     subgroup_as_group,
     subgroup_exponent,
+    subgroup_from_members,
     trivial_subgroup,
     validate_nseries,
     whole_group,
@@ -372,3 +376,206 @@ def test_centre():
     assert centre(build_group("cyclic:6")).is_whole()
     G, _, _ = make_counterexample(2, 1, 1)
     assert len(centre(G)) == 4
+
+
+# -- scalar loop oracles for the table-based primitives ---------------------
+#
+# Each oracle is the element-by-element loop the primitive used before it
+# read whole tables; it reads only scalar entries of G.table.
+
+
+def _mul(G, a, b):
+    return int(G.table[a, b])
+
+
+def inverses_loop(G):
+    inv = []
+    for a in range(G.order):
+        hits = np.nonzero(G.table[a] == G.identity)[0]
+        assert len(hits) == 1 and G.table[hits[0], a] == G.identity
+        inv.append(int(hits[0]))
+    return inv
+
+
+def orders_loop(G):
+    orders = []
+    for g in range(G.order):
+        x, k = g, 1
+        while x != G.identity:
+            x = _mul(G, x, g)
+            k += 1
+        orders.append(k)
+    return orders
+
+
+def closure_two_sided(G, seeds):
+    """The subgroup generated by the seeds, closing under left and right products."""
+    members = {G.identity}
+    frontier = [G.identity]
+    seeds = set(seeds) | {G.identity}
+    for s in seeds:
+        if s not in members:
+            members.add(s)
+            frontier.append(s)
+    seeds = sorted(seeds)
+    while frontier:
+        g = frontier.pop()
+        for s in seeds:
+            for h in (_mul(G, g, s), _mul(G, s, g)):
+                if h not in members:
+                    members.add(h)
+                    frontier.append(h)
+    return frozenset(members)
+
+
+def is_normal_loop(G, members):
+    inv = inverses_loop(G)
+    return all(_mul(G, _mul(G, g, a), inv[g]) in members for a in members for g in range(G.order))
+
+
+def escaping_pairs_loop(G, members):
+    return {(a, b) for a in members for b in members if _mul(G, a, b) not in members}
+
+
+def quotient_loop(G, members):
+    """(table, proj, reps) of G/S with cosets gS named by their least element."""
+    n = G.order
+    smem = sorted(members)
+    rep = [-1] * n
+    reps = []
+    for g in range(n):
+        if rep[g] >= 0:
+            continue
+        coset = [_mul(G, g, s) for s in smem]
+        for h in coset:
+            rep[h] = min(coset)
+        reps.append(min(coset))
+    reps.sort()
+    cid = {r: i for i, r in enumerate(reps)}
+    proj = [cid[rep[g]] for g in range(n)]
+    table = [[proj[_mul(G, a, b)] for b in reps] for a in reps]
+    return table, proj, reps
+
+
+def subgroup_table_loop(G, members):
+    elems = sorted(members)
+    back = {g: i for i, g in enumerate(elems)}
+    return [[back[_mul(G, a, b)] for b in elems] for a in elems]
+
+
+def _relabelled_dihedral4():
+    """dihedral:4 ingested through a permutation of its labels, so the identity is not 0."""
+    D = build_group("dihedral:4")
+    perm = [5, 2, 7, 0, 3, 6, 1, 4]  # old label -> new label
+    table = [[0] * 8 for _ in range(8)]
+    for a in range(8):
+        for b in range(8):
+            table[perm[a]][perm[b]] = perm[int(D.table[a, b])]
+    return {"table": table}
+
+
+ORACLE_SPECS = {
+    "cyclic:6": "cyclic:6",
+    "dihedral:4": "dihedral:4",
+    "quaternion:8": "quaternion:8",
+    "elementary-abelian:2,3": "elementary-abelian:2,3",
+    "class2:2,1": "class2:2,1",
+    "cyclic:2 x dihedral:3": "cyclic:2 x dihedral:3",
+    "ingested dihedral:4": _relabelled_dihedral4(),
+    "perms S4": {"perm_gens": [[[0, 1, 2, 3]], [[0, 1]]]},
+}
+
+
+@lru_cache(maxsize=None)
+def oracle_group(key):
+    return build_group(ORACLE_SPECS[key])
+
+
+@pytest.mark.parametrize("key", list(ORACLE_SPECS))
+def test_element_tables_match_loop_oracles(key):
+    G = oracle_group(key)
+    n = G.order
+    inv = inverses_loop(G)
+    assert G.inverse.tolist() == inv
+    assert [G.order_of(g) for g in range(n)] == orders_loop(G)
+    C = G.comm_table()
+    assert not C.flags.writeable and G.comm_table() is C
+    for a in range(n):
+        for b in range(n):
+            ab = _mul(G, a, b)
+            assert G.mul(a, b) == ab
+            comm = _mul(G, ab, _mul(G, inv[a], inv[b]))
+            assert C[a, b] == G.comm(a, b) == comm
+            assert G.conj(a, b) == _mul(G, ab, inv[a])
+        assert G.inv(a) == inv[a]
+        x = G.identity
+        for k in range(G.order_of(a) + 2):
+            assert G.power(a, k) == x
+            assert G.power(a, -k) == G.power(inv[a], k)
+            x = _mul(G, x, a)
+
+
+def _test_subgroups(G):
+    """Every cyclic subgroup and every normal subgroup of G."""
+    subs = {S.members: S for S in cyclic_subgroups(G)}
+    for S in normal_subgroups(G):
+        subs.setdefault(S.members, S)
+    return list(subs.values())
+
+
+@pytest.mark.parametrize("key", list(ORACLE_SPECS))
+def test_subgroup_primitives_match_loop_oracles(key):
+    G = oracle_group(key)
+    subs = _test_subgroups(G)
+    assert {S.members for S in normal_subgroups(G)} == {
+        S.members for S in subs if is_normal_loop(G, S.members)
+    }
+    for S in subs:
+        assert closure_two_sided(G, S.generators) == S.members
+        assert S.is_normal() == is_normal_loop(G, S.members)
+        assert not escaping_pairs_loop(G, S.members)
+        assert subgroup_from_members(G, S.members) == S
+        H, elems = subgroup_as_group(G, S)
+        assert elems == sorted(S.members)
+        assert H.table.tolist() == subgroup_table_loop(G, S.members)
+        if S.is_normal():
+            Q, proj, reps = quotient_group(G, S)
+            table, proj_loop, reps_loop = quotient_loop(G, S.members)
+            assert (Q.table.tolist(), proj.tolist(), reps) == (table, proj_loop, reps_loop)
+        else:
+            with pytest.raises(GroupError, match="non-normal"):
+                quotient_group(G, S)
+    inv = inverses_loop(G)
+    for A in subs[:6]:
+        for B in subs[-6:]:
+            seeds = {
+                _mul(G, _mul(G, a, b), _mul(G, inv[a], inv[b])) for a in A.members for b in B.members
+            }
+            com = commutator_subgroup(G, A, B)
+            assert com.generators == tuple(sorted(seeds))
+            assert com.members == closure_two_sided(G, seeds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(ORACLE_SPECS)), st.data())
+def test_generated_subgroup_matches_two_sided_closure(key, data):
+    G = oracle_group(key)
+    seeds = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    sub = generated_subgroup(G, seeds)
+    assert sub.members == closure_two_sided(G, seeds)
+    assert sub.generators == tuple(sorted(set(seeds)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(ORACLE_SPECS)), st.data())
+def test_subgroup_from_members_names_an_escaping_pair(key, data):
+    G = oracle_group(key)
+    members = frozenset(data.draw(st.sets(st.integers(0, G.order - 1), min_size=1)))
+    escaping = escaping_pairs_loop(G, members)
+    if not escaping:
+        assert subgroup_from_members(G, members).members == members
+        return
+    with pytest.raises(ClosureError) as err:
+        subgroup_from_members(G, members)
+    a, b = re.fullmatch(r"set is not closed: (.+) \* (.+) escapes", str(err.value)).groups()
+    assert (G.index_of(a), G.index_of(b)) in escaping

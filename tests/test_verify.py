@@ -344,6 +344,43 @@ def test_cli_corpus_config(tmp_path, capsys):
             },
             "entry for 'cyclic:4': unknown element 'zzz'",
         ),
+        (
+            {
+                "groups": ["cyclic:4"],
+                "moduli": [0],
+                "theorems": ["dim3"],
+                "include_counterexample": False,
+                "explicit_subgroups": {"cyclic:4": [["zzz"]]},
+            },
+            "explicit_subgroups entries for ['cyclic:4'] are never read under subgroup_policy 'cyclic'",
+        ),
+        (
+            {
+                "groups": ["cyclic:4"],
+                "moduli": [0],
+                "theorems": ["dim3"],
+                "include_counterexample": False,
+                "subgroup_policy": "all",
+                "explicit_subgroups": {"cyclic:4": [["zzz"]]},
+            },
+            "explicit_subgroups entry for 'cyclic:4': unknown element 'zzz'",
+        ),
+        (
+            {
+                "groups": ["cyclic:4"],
+                "subgroup_policy": "explicit",
+                "explicit_subgroups": {"cyclic:4": [["x"]], "cyclc:8": [["x"]]},
+            },
+            "explicit_subgroups key 'cyclc:8' is not in groups",
+        ),
+        (
+            {
+                "groups": ["cyclic:4", "cyclic:32"],
+                "subgroup_policy": "all",
+                "explicit_subgroups": {"cyclic:32": [["x99"]]},
+            },
+            "explicit_subgroups entry for 'cyclic:32': unknown element 'x99'",
+        ),
     ],
 )
 def test_cli_corpus_rejects_bad_config(tmp_path, capsys, monkeypatch, bad, named):
