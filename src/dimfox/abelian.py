@@ -194,11 +194,8 @@ class Presentation:
     def push(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.rank:
             raise AbelianError("generator coordinate length mismatch")
-        full = [
-            sum(vec[i] * self._V[i][j] for i in range(self.rank))
-            for j in range(self.rank)
-        ]
-        return self.group.reduce([full[i] for i in self._keep])
+        nonzero = [(x, self._V[i]) for i, x in enumerate(vec) if x]
+        return self.group.reduce([sum(x * row[j] for x, row in nonzero) for j in self._keep])
 
     def lift(self, elem: Sequence[int]) -> list[int]:
         full = [0] * self.rank

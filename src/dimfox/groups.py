@@ -12,10 +12,13 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .abelian import Presentation
+from .intlinalg import IntLattice
 
 DEFAULT_ORDER_CAP = 1024
 
@@ -526,93 +529,6 @@ def subgroup_as_group(G: FiniteGroup, A: Subgroup) -> tuple[FiniteGroup, list[in
     return H, elems
 
 
-def abelian_basis(Q: FiniteGroup) -> tuple[list[int], list[int], dict[int, tuple[int, ...]]]:
-    """Invariant-factor basis of a finite abelian group.
-
-    Returns (invariants, basis, coords): invariants d_1 | d_2 | ... (all
-    >= 2), basis elements of matching orders whose internal direct sum
-    is Q, and the full coordinate map element -> tuple.  The direct-sum
-    property is certified by checking the coordinate map is a bijection.
-    """
-    if not Q.is_abelian():
-        raise GroupError("abelian_basis needs an abelian group")
-
-    def decompose(H: FiniteGroup) -> list[tuple[int, int]]:
-        if H.order == 1:
-            return []
-        ex = H.exponent()
-        # assemble an element of maximal order from p-parts
-        a = H.identity
-        m = ex
-        p = 2
-        parts = []
-        while m > 1:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                parts.append((p, e))
-            p += 1 if p == 2 else 2
-        for p, e in parts:
-            best, bestv = H.identity, 0
-            for g in H.elements():
-                o = H.order_of(g)
-                v = 0
-                while o % p == 0:
-                    o //= p
-                    v += 1
-                if v > bestv:
-                    best, bestv = g, v
-            comp = H.power(best, H.order_of(best) // (p**e))
-            a = H.mul(a, comp)
-        if H.order_of(a) != ex:
-            raise GroupError("failed to realize the exponent")
-        Asub = generated_subgroup(H, [a])
-        Q2, proj, reps = quotient_group(H, Asub)
-        sub = decompose(Q2)
-        out = []
-        apow = {H.identity: 0}
-        x = H.identity
-        for k in range(1, ex):
-            x = H.mul(x, a)
-            apow[x] = k
-        for bbar, e in sub:
-            b = reps[bbar]
-            t = H.power(b, e)
-            j = apow[t]
-            if j % e:
-                raise GroupError("lift adjustment failed")
-            b = H.mul(b, H.power(a, (-(j // e)) % ex))
-            if H.order_of(b) != e:
-                raise GroupError("adjusted lift has wrong order")
-            out.append((b, e))
-        out.append((a, ex))
-        return out
-
-    pairs = decompose(Q)
-    invariants = [e for _, e in pairs]
-    basis = [b for b, _ in pairs]
-    coords: dict[int, tuple[int, ...]] = {}
-
-    def fill(i: int, elem: int, acc: list[int]):
-        if i == len(basis):
-            key = elem
-            if key in coords:
-                raise GroupError("abelian decomposition is not direct")
-            coords[key] = tuple(acc)
-            return
-        x = elem
-        for c in range(invariants[i]):
-            fill(i + 1, x, acc + [c])
-            x = Q.mul(x, basis[i])
-
-    fill(0, Q.identity, [])
-    if len(coords) != Q.order:
-        raise GroupError("abelian decomposition does not cover the group")
-    return invariants, basis, coords
-
-
 @dataclass
 class AbelianSection:
     """An abelian quotient A/S with chosen representatives in the parent."""
@@ -625,31 +541,54 @@ class AbelianSection:
     def coords(self, g: int) -> tuple[int, ...]:
         return self._coords[int(self._proj[g])]
 
-    @property
-    def size(self) -> int:
-        out = 1
-        for d in self.invariants:
-            out *= d
-        return out
-
 
 def abelian_quotient(G: FiniteGroup, A: Subgroup, S: Subgroup) -> AbelianSection:
-    """A/S in invariant-factor form, for S normal in A with [A, A] <= S."""
+    """A/S in invariant-factor form, for S normal in A with [A, A] <= S.
+
+    The cosets are walked breadth-first over a small generating set T of A,
+    which gives each coset an exponent vector in Z^T.  The Schreier
+    relations of the walk span the kernel of Z^T -> A/S; the Smith form of
+    that kernel gives the invariants, each coset's coordinates (push) and
+    the basis representatives (lift of the unit vectors).
+    """
     if not S.members <= A.members:
         raise GroupError("S must be contained in A")
     com = commutator_subgroup(G, A, A)
     if not S.contains_subgroup(com):
         raise GroupError("quotient is not abelian")
-    H, elems = subgroup_as_group(G, A)
-    back = {g: i for i, g in enumerate(elems)}
-    Ssub = Subgroup(H, frozenset(back[s] for s in S.members))
-    Q, proj, reps = quotient_group(H, Ssub)
-    invariants, basis, coords = abelian_basis(Q)
-    parent_proj = np.full(G.order, -1, dtype=np.int64)
-    for g in A.members:
-        parent_proj[g] = proj[back[g]]
-    parent_reps = tuple(elems[reps[b]] for b in basis)
-    return AbelianSection(tuple(invariants), parent_reps, parent_proj, coords)
+    members = _index_array(A.members)
+    proj = np.full(G.order, -1, dtype=np.int64)
+    proj[members] = G.table[np.ix_(members, _index_array(S.members))].min(axis=1)  # least element of aS
+    gens = small_generators(G, A.members)
+    rows = G.mul_rows()
+    start = int(proj[G.identity])
+    vecs = {start: [0] * len(gens)}
+    kernel = IntLattice(len(gens))
+    frontier = [start]
+    for c in frontier:  # the list grows while it is walked
+        for j, t in enumerate(gens):
+            step = vecs[c][:]
+            step[j] += 1
+            nxt = int(proj[rows[c][t]])
+            if nxt in vecs:
+                kernel.add([x - y for x, y in zip(step, vecs[nxt])])
+            else:
+                vecs[nxt] = step
+                frontier.append(nxt)
+    pres = Presentation(kernel.basis_rows(), len(gens))
+    invariants = pres.group.invariants
+    coords = {c: pres.push(v) for c, v in vecs.items()}
+    # certify the direct sum: distinct coordinates per coset, and as many cosets as coordinates
+    if len(set(coords.values())) != len(vecs) or prod(invariants) != len(vecs):
+        raise GroupError("abelian decomposition is not direct")
+    reps = []
+    for j in range(len(invariants)):
+        word = pres.lift([int(i == j) for i in range(len(invariants))])
+        g = G.identity
+        for t, k in zip(gens, word):
+            g = rows[g][G.power(t, k)]
+        reps.append(g)
+    return AbelianSection(invariants, tuple(reps), proj, coords)
 
 
 # -- subgroup enumeration ----------------------------------------------------

@@ -311,11 +311,6 @@ def preimage_lattice(matrix_rows: Sequence[Sequence[int]], target: IntLattice) -
     return out
 
 
-def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n, k = len(a), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(k)] for i in range(n)]
-
-
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -18,7 +18,6 @@ from math import gcd
 from .formulas import (
     EnumerationCapError,
     FormulaContext,
-    corollary_hypotheses,
     dim3_formula,
     fox0_formula,
     fox1_formula,
@@ -380,31 +379,6 @@ def verify_polynomial_sequence(
             "derivation_law": derivation_ok,
         },
         witnesses=[f"{a}*{b}" for a, b in failures[:4]],
-    )
-    report.ms = int((time.perf_counter() - t0) * 1000)
-    return report
-
-
-def verify_corollary(G: FiniteGroup, K: Subgroup, case: dict | None = None) -> Report:
-    """Whenever one of the first three hypotheses holds, the brute third
-    dimension subgroup over Z must collapse onto K_2 G_3."""
-    t0 = time.perf_counter()
-    hyps = corollary_hypotheses(G, K)
-    N = lower_central_series(G)
-    brute = dim_subgroup_brute(G, K, N, 3, CoeffRing.integers())
-    k2g3 = join(G, [commutator_subgroup(G, K, K), N.term(3)])
-    applicable = hyps["central_commutator"] or hyps["central_complement"] or hyps["cyclic_quotient"]
-    collapse = brute == k2g3
-    equal = (not applicable) or collapse
-    report = Report(
-        case=case or {},
-        lhs=_names(G, brute.members),
-        rhs=_names(G, k2g3.members),
-        equal=equal,
-        counterexample=not collapse,
-        containments={},
-        witnesses=[] if equal else _sym_diff_names(G, brute, k2g3),
-        extra={"hypotheses": hyps, "applicable": applicable, "collapses": collapse},
     )
     report.ms = int((time.perf_counter() - t0) * 1000)
     return report

@@ -39,6 +39,7 @@ from dimfox.groups import (
     trivial_subgroup,
     whole_group,
 )
+from dimfox.verify import DEFAULT_GROUPS
 
 Z = CoeffRing.integers()
 
@@ -467,6 +468,19 @@ def test_corollary_hypotheses():
     G, K, _ = make_counterexample(2, 1, 1)
     res3 = corollary_hypotheses(G, K)
     assert not any(res3.values())
+    # divisible_image against the literal test: x -> x^p is onto K G_2 / G_2 for every prime p
+    for spec in DEFAULT_GROUPS:
+        G = build_group(spec)
+        G2 = lower_central_series(G).term(2)
+        for K in cyclic_subgroups(G):
+            kg2 = join(G, [K, G2])
+            cosets = {min(G.mul(x, s) for s in G2.members) for x in kg2.members}
+            divisible = all(
+                len({min(G.mul(G.power(c, p), s) for s in G2.members) for c in cosets}) == len(cosets)
+                for p in range(2, G.order + 1)
+                if all(p % q for q in range(2, p))
+            )
+            assert corollary_hypotheses(G, K)["divisible_image"] == divisible, (spec, sorted(K.members))
 
 
 def test_corollary_collapse_when_hypotheses_hold():

@@ -2,6 +2,8 @@
 
 import re
 from functools import lru_cache
+from itertools import product as iproduct
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dimfox.groups import (
     ClosureError,
+    FiniteGroup,
     GroupError,
     NSeriesError,
     abelian_quotient,
@@ -554,6 +557,68 @@ def test_subgroup_primitives_match_loop_oracles(key):
             com = commutator_subgroup(G, A, B)
             assert com.generators == tuple(sorted(seeds))
             assert com.members == closure_two_sided(G, seeds)
+
+
+@lru_cache(maxsize=None)
+def _section_ambients(key):
+    """Cyclic and normal subgroups, and joins of two cyclic ones (in S4 these
+    include the non-normal dihedral Sylow subgroups)."""
+    G = oracle_group(key)
+    cyclic = cyclic_subgroups(G)
+    subs = {S.members: S for S in _test_subgroups(G)}
+    for a in cyclic:
+        for b in cyclic:
+            J = join(G, [a, b])
+            subs.setdefault(J.members, J)
+    return list(subs.values())
+
+
+@pytest.mark.parametrize("key", list(ORACLE_SPECS))
+def test_abelian_quotient_is_an_invariant_factor_decomposition(key):
+    """For S = A_2 A^m (normal in A, not always in G): the coordinates are a
+    homomorphism from A onto prod Z/d_i with kernel S, the reps map to the
+    unit vectors, and the invariants are a divisibility chain that matches
+    the coset count #{c : c^k in S} = prod gcd(k, d_i) for every k | exp(A)."""
+    G = oracle_group(key)
+    non_normal = 0
+    for A in _section_ambients(key):
+        for m in (0, 2, 3, 4):
+            S = join(G, [commutator_subgroup(G, A, A), power_subgroup(G, A, m)])
+            non_normal += not S.is_normal()
+            sec = abelian_quotient(G, A, S)
+            d = sec.invariants
+            assert all(x >= 2 for x in d) and all(b % a == 0 for a, b in zip(d, d[1:]))
+            coords = {a: sec.coords(a) for a in A.members}
+            assert set(coords.values()) == set(iproduct(*(range(x) for x in d)))
+            assert {a for a, c in coords.items() if not any(c)} == S.members
+            for a in A.members:
+                for b in A.members:
+                    expect = tuple((x + y) % n for x, y, n in zip(coords[a], coords[b], d))
+                    assert coords[G.mul(a, b)] == expect
+            for j, r in enumerate(sec.reps):
+                assert r in A.members
+                assert coords[r] == tuple(int(i == j) for i in range(len(d)))
+            cosets = {min(G.mul(a, s) for s in S.members) for a in A.members}
+            E = subgroup_exponent(A)
+            for k in (k for k in range(1, E + 1) if E % k == 0):
+                hits = sum(1 for c in cosets if G.power(c, k) in S.members)
+                assert hits == prod(gcd(k, x) for x in d), (sorted(A.members), m, k)
+    assert non_normal or all(S.is_normal() for S in cyclic_subgroups(G))
+
+
+def test_abelian_quotient_builds_no_group(monkeypatch):
+    cases = []
+    for key in ORACLE_SPECS:
+        G = oracle_group(key)
+        for A in _section_ambients(key)[-4:]:
+            cases.append((G, A, join(G, [commutator_subgroup(G, A, A), power_subgroup(G, A, 2)])))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("abelian_quotient built a FiniteGroup")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    for G, A, S in cases:
+        abelian_quotient(G, A, S)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,6 @@ from dimfox.groupring import CoeffRing
 from dimfox.groups import (
     GroupError,
     build_group,
-    centre,
     generated_subgroup,
     lower_central_series,
     make_counterexample,
@@ -22,7 +21,6 @@ from dimfox.verify import (
     resolve_series,
     run_case,
     run_corpus,
-    verify_corollary,
     verify_dim3,
     verify_four_term,
     verify_fox,
@@ -91,15 +89,6 @@ def test_verify_polynomial_sequence_cases():
         ring = Z if m == 0 else CoeffRing.mod(m)
         r = verify_polynomial_sequence(G, K, lower_central_series(G), ring)
         assert r.equal, (spec, m)
-
-
-def test_verify_corollary_driver():
-    D4 = build_group("dihedral:4")
-    r = verify_corollary(D4, centre(D4))
-    assert r.equal and r.extra["applicable"] and r.extra["collapses"]
-    G, K, _ = make_counterexample(2, 1, 1)
-    r2 = verify_corollary(G, K)
-    assert r2.equal and not r2.extra["applicable"] and r2.counterexample
 
 
 def test_dim3_reduction_crosscheck():
