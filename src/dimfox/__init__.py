@@ -13,7 +13,6 @@ from .abelian import (
     check_wedge_kernel_identity,
     connecting_tau,
     exterior_square,
-    from_presentation,
     symmetric_square,
     tau3,
     tensor,

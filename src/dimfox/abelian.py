@@ -20,7 +20,7 @@ from itertools import product as iproduct
 from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .intlinalg import IntLattice, lattice_from_rows, smith_normal_form
+from .intlinalg import IntLattice, lattice_from_rows, preimage_lattice, smith_normal_form
 
 DEFAULT_ENUM_CAP = 4096
 
@@ -85,9 +85,6 @@ class FgAb:
 
     def sub(self, a, b):
         return self.reduce([x - y for x, y in zip(a, b)])
-
-    def neg(self, a):
-        return self.reduce([-x for x in a])
 
     def smul(self, k: int, a):
         return self.reduce([k * x for x in a])
@@ -207,19 +204,20 @@ class Presentation:
         ]
 
 
-def from_presentation(relations: Sequence[Sequence[int]], rank: int) -> Presentation:
-    return Presentation(relations, rank)
-
-
-def fgab_from_diagonal(divisors: Sequence[int]) -> Presentation:
-    """Presentation of + Z/divisors[i] on its natural generators."""
-    rels = []
+def diagonal_rows(divisors: Sequence[int]) -> list[list[int]]:
+    """The relation rows d * e_i of + Z/divisors[i], one per nonzero d, in order."""
+    rows = []
     for i, d in enumerate(divisors):
         if d:
             row = [0] * len(divisors)
             row[i] = d
-            rels.append(row)
-    return Presentation(rels, len(divisors))
+            rows.append(row)
+    return rows
+
+
+def fgab_from_diagonal(divisors: Sequence[int]) -> Presentation:
+    """Presentation of + Z/divisors[i] on its natural generators."""
+    return Presentation(diagonal_rows(divisors), len(divisors))
 
 
 class AbHom:
@@ -248,9 +246,6 @@ class AbHom:
             raise AbelianError("composition mismatch")
         return AbHom(inner.dom, self.cod, [self(r) for r in inner.rows])
 
-    def image_set(self, cap: int = DEFAULT_ENUM_CAP) -> frozenset:
-        return self.cod.span(self.rows, cap)
-
     def kernel_set(self, cap: int = DEFAULT_ENUM_CAP) -> frozenset:
         return frozenset(a for a in self.dom.elements(cap) if not any(self(a)))
 
@@ -263,24 +258,13 @@ class SubgroupData:
 
     def __init__(self, ambient: FgAb, gens: Sequence[Sequence[int]]):
         self.ambient = ambient
-        r = ambient.rank
-        rows = [list(ambient.reduce(g)) for g in gens]
-        for i, d in enumerate(ambient.invariants):
-            if d:
-                rel = [0] * r
-                rel[i] = d
-                rows.append(rel)
-        if not rows:
-            rows = []
-        self._lattice = lattice_from_rows(rows, r) if rows else IntLattice(r)
+        ambient_rels = diagonal_rows(ambient.invariants)
+        rows = [list(ambient.reduce(g)) for g in gens] + ambient_rels
+        self._lattice = lattice_from_rows(rows, ambient.rank)
         basis = self._lattice.basis_rows()
         self._basis = basis
         rels = []
-        for i, d in enumerate(ambient.invariants):
-            if not d:
-                continue
-            v = [0] * r
-            v[i] = d
+        for v in ambient_rels:
             residual, coeffs = self._lattice.reduce_with_coeffs(v)
             if any(residual):
                 raise AbelianError("ambient relations must lie in the subgroup lattice")
@@ -308,10 +292,6 @@ class SubgroupData:
                     vec = [x + c * y for x, y in zip(vec, row)]
             rows.append(self.ambient.reduce(vec))
         return AbHom(self.group, self.ambient, rows)
-
-    def element_set(self, cap: int = DEFAULT_ENUM_CAP) -> frozenset:
-        incl = self.inclusion()
-        return frozenset(incl(b) for b in self.group.elements(cap))
 
 
 # -- binary functors ----------------------------------------------------------
@@ -419,14 +399,6 @@ class TorProduct:
             out.append((idx, tuple(a), d, tuple(b)))
         return out
 
-    def generator_elements(self):
-        out = []
-        for idx, a, k, b in self.generators():
-            vec = [0] * len(self.pairs)
-            vec[idx] = 1
-            out.append(self.presentation.push(vec))
-        return out
-
 
 def tor1(A: FgAb, B: FgAb) -> TorProduct:
     return TorProduct(A, B)
@@ -439,18 +411,9 @@ class ExteriorSquare:
         self.A = A
         r = A.rank
         self.tensorAA = tensor(A, A)
-        rels = []
-        for i in range(r):
-            for j in range(r):
-                g = gcd(A.invariants[i], A.invariants[j])
-                if g:
-                    row = [0] * (r * r)
-                    row[i * r + j] = g
-                    rels.append(row)
-        for i in range(r):
-            row = [0] * (r * r)
-            row[i * r + i] = 1
-            rels.append(row)
+        # relations of A (x) A, then e_i (x) e_i, then e_i (x) e_j + e_j (x) e_i
+        rels = diagonal_rows([gcd(a, b) for a in A.invariants for b in A.invariants])
+        rels += diagonal_rows([int(i == j) for i in range(r) for j in range(r)])
         for i in range(r):
             for j in range(i + 1, r):
                 row = [0] * (r * r)
@@ -506,14 +469,7 @@ class SymmetricSquare:
     def __init__(self, A: FgAb):
         self.A = A
         r = A.rank
-        rels = []
-        for i in range(r):
-            for j in range(r):
-                g = gcd(A.invariants[i], A.invariants[j])
-                if g:
-                    row = [0] * (r * r)
-                    row[i * r + j] = g
-                    rels.append(row)
+        rels = diagonal_rows([gcd(a, b) for a in A.invariants for b in A.invariants])
         for i in range(r):
             for j in range(i + 1, r):
                 row = [0] * (r * r)
@@ -548,13 +504,7 @@ class ConnectingTau:
     def __init__(self, A: FgAb, b_gens: Sequence[Sequence[int]]):
         self.A = A
         self.B = SubgroupData(A, b_gens)
-        rels = [list(g) for g in b_gens]
-        for i, d in enumerate(A.invariants):
-            if d:
-                row = [0] * A.rank
-                row[i] = d
-                rels.append(row)
-        self.q_pres = Presentation(rels, A.rank)
+        self.q_pres = Presentation([list(g) for g in b_gens] + diagonal_rows(A.invariants), A.rank)
         self.Q = self.q_pres.group
         self.tor = tor1(self.Q, self.Q)
         self.target = tensor(self.Q, self.B.group)
@@ -635,13 +585,7 @@ class CheckReport:
 
 
 def relation_lattice(group: FgAb) -> IntLattice:
-    lat = IntLattice(group.rank)
-    for i, d in enumerate(group.invariants):
-        if d:
-            row = [0] * group.rank
-            row[i] = d
-            lat.add(row)
-    return lat
+    return lattice_from_rows(diagonal_rows(group.invariants), group.rank)
 
 
 def subgroup_lattice(group: FgAb, gens: Iterable[Sequence[int]]) -> IntLattice:
@@ -652,38 +596,11 @@ def subgroup_lattice(group: FgAb, gens: Iterable[Sequence[int]]) -> IntLattice:
     return lat
 
 
-def hom_kernel_lattice(f: AbHom) -> IntLattice:
-    """Preimage lattice of Ker(f) in the domain's coordinates."""
-    from .intlinalg import preimage_lattice
-
-    if f.cod.rank == 0:
-        lat = IntLattice(f.dom.rank)
-        for i in range(f.dom.rank):
-            row = [0] * f.dom.rank
-            row[i] = 1
-            lat.add(row)
-        return lat
-    pre = preimage_lattice([list(r) for r in f.rows], relation_lattice(f.cod))
-    for i, d in enumerate(f.dom.invariants):
-        if d:
-            row = [0] * f.dom.rank
-            row[i] = d
-            pre.add(row)
-    return pre
-
-
 def hom_preimage_lattice(f: AbHom, target: IntLattice) -> IntLattice:
-    """Preimage lattice of a subgroup lattice of the codomain."""
-    from .intlinalg import preimage_lattice
-
-    if f.cod.rank == 0:
-        return hom_kernel_lattice(f)
+    """Preimage lattice of a subgroup lattice of the codomain; with
+    target = relation_lattice(f.cod) it is the kernel of f."""
     pre = preimage_lattice([list(r) for r in f.rows], target)
-    for i, d in enumerate(f.dom.invariants):
-        if d:
-            row = [0] * f.dom.rank
-            row[i] = d
-            pre.add(row)
+    pre.add_all(diagonal_rows(f.dom.invariants))
     return pre
 
 
@@ -707,7 +624,7 @@ def check_wedge_kernel_identity(
     qmap = ct.quotient_map()
     q_tensor_id_AA = t_AA.hom_from_left(qmap, t_QA)
     composite = q_tensor_id_AA.compose(wedge.ell())
-    lhs = hom_kernel_lattice(composite)
+    lhs = hom_preimage_lattice(composite, relation_lattice(composite.cod))
 
     im_tau = subgroup_lattice(ct.target.group, ct.hom.rows)
     t_AB = tensor(A, B.group)
@@ -776,31 +693,6 @@ def check_torsion_square_kernel(A: FgAb, m: int, cap: int = DEFAULT_ENUM_CAP) ->
             "witnesses": witnesses,
         },
     )
-
-
-def fgab_subgroups(A: FgAb, cap: int = DEFAULT_ENUM_CAP) -> list[frozenset]:
-    """All subgroups of a finite group, as element sets.
-
-    Join closure of the cyclic subgroups; deterministic order by size
-    then sorted members.
-    """
-    if not A.is_finite:
-        raise AbelianError("subgroup enumeration needs a finite group")
-    cyclics = {A.span([a], cap) for a in A.elements(cap)}
-    found = set(cyclics)
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for c in cyclics:
-                if c <= s:
-                    continue
-                j = A.span(list(s | c), cap)
-                if j not in found:
-                    found.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def all_invariant_shapes(max_size: int) -> list[tuple[int, ...]]:

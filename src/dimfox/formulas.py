@@ -20,7 +20,7 @@ from itertools import product as iproduct
 from math import gcd, log2
 from typing import Iterable, Sequence
 
-from .abelian import Presentation
+from .abelian import Presentation, diagonal_rows
 from .groups import (
     AbelianSection,
     FiniteGroup,
@@ -38,7 +38,6 @@ from .groups import (
     p_torsion_mod,
     power_subgroup,
     quotient_group,
-    subgroup_as_group,
     subgroup_exponent,
     subgroup_from_members,
     trivial_subgroup,
@@ -396,8 +395,8 @@ def fox2_generator_family(
     E = subgroup_exponent(H)
     C = _binom2(m)
     h2 = ctx.H2()
-    h2sub, h2elems = subgroup_as_group(G, h2)
-    if not h2sub.is_abelian():
+    h2elems = sorted(h2.members)
+    if not commutator_subgroup(G, h2, h2).is_trivial():
         raise EnumerationCapError("commutator letters do not commute; |H| too large")
     h2hm = ctx.H2Hm(m).members
     powers = G.power_rows()
@@ -426,11 +425,7 @@ def fox2_generator_family(
         return sections[d_of[k]].coords(g)
 
     # relation rows: moduli, plus one reachability row per ordered pair
-    relations: list[list[int]] = []
-    for i, dd in enumerate(block_dims):
-        row = [0] * total_dim
-        row[i] = dd
-        relations.append(row)
+    relations = diagonal_rows(block_dims)
     for h in helems:
         for k in helems:
             if h == k:

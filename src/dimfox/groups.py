@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from functools import reduce
 from math import lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -517,18 +517,6 @@ def quotient_group(
     return Q, proj, reps
 
 
-def subgroup_as_group(G: FiniteGroup, A: Subgroup) -> tuple[FiniteGroup, list[int]]:
-    """A as a standalone group plus the list mapping new indices to old."""
-    elems = sorted(A.members)
-    back = np.full(G.order, -1, dtype=np.int64)
-    back[elems] = np.arange(len(elems))
-    table = back[G.table[np.ix_(elems, elems)]]
-    names = [G.names[g] for g in elems]
-    gens = [int(back[g]) for g in A.generators if back[g] >= 0]
-    H = FiniteGroup(table, names, gens, spec=f"sub:{G.spec}", check=False)
-    return H, elems
-
-
 @dataclass
 class AbelianSection:
     """An abelian quotient A/S with chosen representatives in the parent."""
@@ -645,15 +633,29 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 # -- built-in families -------------------------------------------------------
 
 
-def _cyclic(n: int) -> FiniteGroup:
+class _Table(NamedTuple):
+    """A built-in group before it becomes a FiniteGroup; element 0 is its identity."""
+
+    table: np.ndarray
+    names: list[str]
+    generators: list[int]
+    spec: str
+
+
+def _group(t: _Table) -> FiniteGroup:
+    # closed multiplication laws: no associativity check needed
+    return FiniteGroup(t.table, t.names, t.generators, spec=t.spec, check=False)
+
+
+def _cyclic(n: int) -> _Table:
     if n < 1:
         raise GroupError("cyclic order must be >= 1")
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     names = ["1"] + [f"x{k}" if k > 1 else "x" for k in range(1, n)]
-    return FiniteGroup(table, names, [1] if n > 1 else [], spec=f"cyclic:{n}", check=False)
+    return _Table(table, names, [1] if n > 1 else [], f"cyclic:{n}")
 
 
-def _dihedral(n: int) -> FiniteGroup:
+def _dihedral(n: int) -> _Table:
     if n < 1:
         raise GroupError("dihedral parameter must be >= 1")
     # elements r^a f^b encoded as a + n*b
@@ -675,10 +677,10 @@ def _dihedral(n: int) -> FiniteGroup:
             if b:
                 r = "f" if a == 0 else r + "f"
             names.append(r)
-    return FiniteGroup(table, names, [1, n] if n > 1 else [n], spec=f"dihedral:{n}", check=False)
+    return _Table(table, names, [1, n] if n > 1 else [n], f"dihedral:{n}")
 
 
-def _quaternion8() -> FiniteGroup:
+def _quaternion8() -> _Table:
     # elements x^a y^b, a mod 4, b mod 2, with y x = x^-1 y and y^2 = x^2
     table = np.zeros((8, 8), dtype=np.int32)
     for a in range(4):
@@ -693,10 +695,10 @@ def _quaternion8() -> FiniteGroup:
                         ea, eb = (ea + 2) % 4, 0
                     table[a + 4 * b, c + 4 * d] = ea + 4 * eb
     names = ["1", "x", "x2", "x3", "y", "xy", "x2y", "x3y"]
-    return FiniteGroup(table, names, [1, 4], spec="quaternion:8", check=False)
+    return _Table(table, names, [1, 4], "quaternion:8")
 
 
-def _class2(p: int, s: int) -> FiniteGroup:
+def _class2(p: int, s: int) -> _Table:
     """Two-generator class-2 group: x, y of order p^(s+1), [x, y] central.
 
     Elements are triples (i, j, k) mod q = p^(s+1) in the normal form
@@ -732,36 +734,30 @@ def _class2(p: int, s: int) -> FiniteGroup:
         if k:
             parts.append(f"c{k}" if k > 1 else "c")
         names.append("*".join(parts) if parts else "1")
-    return FiniteGroup(table, names, [enc(1, 0, 0), enc(0, 1, 0)], spec=f"class2:{p},{s}", check=False)
+    return _Table(table, names, [enc(1, 0, 0), enc(0, 1, 0)], f"class2:{p},{s}")
 
 
-def _direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
-    n1, n2 = G1.order, G2.order
-    t = G1.table[:, None, :, None] * n2 + G2.table[None, :, None, :]
+def _direct_product(t1: _Table, t2: _Table) -> _Table:
+    """Pairs (a, b) at index a * |t2| + b; the identity stays at 0."""
+    n1, n2 = len(t1.names), len(t2.names)
+    t = t1.table[:, None, :, None] * n2 + t2.table[None, :, None, :]
     table = t.reshape(n1 * n2, n1 * n2)
-    names = [f"({a},{b})" for a in G1.names for b in G2.names]
-    gens = [g * n2 + G2.identity for g in G1.generators] + [
-        G1.identity * n2 + g for g in G2.generators
-    ]
-    spec = f"{G1.spec} x {G2.spec}"
-    return FiniteGroup(table, names, gens, spec=spec, check=False)
+    names = [f"({a},{b})" for a in t1.names for b in t2.names]
+    gens = [g * n2 for g in t1.generators] + list(t2.generators)
+    return _Table(table, names, gens, f"{t1.spec} x {t2.spec}")
 
 
-def _elementary_abelian(p: int, k: int) -> FiniteGroup:
+def _elementary_abelian(p: int, k: int) -> _Table:
     if p < 2 or k < 1:
         raise GroupError("elementary-abelian needs p >= 2, k >= 1")
-    G = _cyclic(p)
-    out = G
-    for _ in range(k - 1):
-        out = _direct_product(out, _cyclic(p))
-    out.spec = f"elementary-abelian:{p},{k}"
-    return out
+    power = reduce(_direct_product, [_cyclic(p)] * k)
+    return power._replace(spec=f"elementary-abelian:{p},{k}")
 
 
 _FAMILY_RE = re.compile(r"^([a-z0-9-]+):([0-9,]+)$")
 
 
-def _build_family(token: str, cap: int) -> FiniteGroup:
+def _build_family(token: str, cap: int) -> _Table:
     m = _FAMILY_RE.match(token.strip())
     if not m:
         raise GroupError(f"cannot parse group family {token!r}")
@@ -783,8 +779,8 @@ def _build_family(token: str, cap: int) -> FiniteGroup:
         G = _elementary_abelian(*params)
     else:
         raise GroupError(f"unknown group family {token!r}")
-    if G.order > cap:
-        raise GroupError(f"group order {G.order} exceeds the cap {cap}")
+    if len(G.names) > cap:
+        raise GroupError(f"group order {len(G.names)} exceeds the cap {cap}")
     return G
 
 
@@ -854,14 +850,12 @@ def build_group(spec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         if text.startswith("{"):
             spec = json.loads(text)
         else:
-            parts = [p for p in re.split(r"\s+x\s+|(?<=\d)x(?=[a-z])", text) if p]
-            groups = [_build_family(p, max_order) for p in parts]
-            G = groups[0]
-            for other in groups[1:]:
-                G = _direct_product(G, other)
-            if G.order > max_order:
-                raise GroupError(f"group order {G.order} exceeds the cap {max_order}")
-            return G
+            parts = [p for p in re.split(r"\s+x\s+|(?<=\d)x(?=[a-z])", text) if p] or [text]
+            factors = [_build_family(p, max_order) for p in parts]
+            order = prod(len(t.names) for t in factors)
+            if order > max_order:
+                raise GroupError(f"group order {order} exceeds the cap {max_order}")
+            return _group(reduce(_direct_product, factors))
     if isinstance(spec, dict):
         if "table" in spec:
             table = spec["table"]
@@ -884,7 +878,7 @@ def make_counterexample(p: int, r: int, s: int, max_order: int = DEFAULT_ORDER_C
     """
     if not (0 < r <= s):
         raise GroupError("need 0 < r <= s")
-    G = _build_family(f"class2:{p},{s}", max_order)
+    G = _group(_build_family(f"class2:{p},{s}", max_order))
     q = p ** (s + 1)
 
     def enc(i, j, k):

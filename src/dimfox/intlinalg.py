@@ -71,17 +71,6 @@ class IntLattice:
                 self.rows.append(row)
                 self.pivcols.append(j)
 
-    def copy(self) -> "IntLattice":
-        other = IntLattice.__new__(IntLattice)
-        other.ncols = self.ncols
-        other.modulus = self.modulus
-        other.rows = [row[:] for row in self.rows]
-        other.pivcols = self.pivcols[:]
-        other._dirty = self._dirty
-        other._canonical = self._canonical
-        other._changes = self._changes
-        return other
-
     def _find_pivot_row(self, col: int) -> int | None:
         i = bisect_left(self.pivcols, col)
         if i < len(self.pivcols) and self.pivcols[i] == col:
@@ -193,9 +182,6 @@ class IntLattice:
     def contains(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce(vec))
 
-    def contains_lattice(self, other: "IntLattice") -> bool:
-        return all(self.contains(row) for row in other.rows)
-
     def _normalize(self) -> None:
         if not self._dirty:
             return
@@ -300,7 +286,7 @@ def intersect_lattices(a: IntLattice, b: IntLattice) -> IntLattice:
 def preimage_lattice(matrix_rows: Sequence[Sequence[int]], target: IntLattice) -> IntLattice:
     """Lattice {x in Z^r : x . matrix in target} for r = len(matrix_rows)."""
     r = len(matrix_rows)
-    out = IntLattice(r) if r else IntLattice(1)
+    out = IntLattice(r)
     if r == 0:
         return out
     trows = target.basis_rows()

@@ -9,14 +9,19 @@ from hypothesis import given, settings, strategies as st
 from dimfox.abelian import (
     AbelianError,
     AbHom,
+    ConnectingTau,
+    ExteriorSquare,
     FgAb,
+    Presentation,
     SubgroupData,
     all_invariant_shapes,
     check_torsion_square_kernel,
     check_wedge_kernel_identity,
     connecting_tau,
+    diagonal_rows,
     exterior_square,
-    from_presentation,
+    hom_preimage_lattice,
+    relation_lattice,
     symmetric_square,
     tau3,
     tensor,
@@ -51,35 +56,28 @@ def test_element_arithmetic():
     assert A.order_of((2, 0)) == 2
 
 
-def test_from_presentation_examples():
-    assert from_presentation([], 2).group.invariants == (0, 0)
-    assert from_presentation([[2, 0], [0, 4]], 2).group.invariants == (2, 4)
-    assert from_presentation([[2, 2], [0, 4]], 2).group.invariants == (2, 4)
+def test_presentation_examples():
+    assert Presentation([], 2).group.invariants == (0, 0)
+    assert Presentation([[2, 0], [0, 4]], 2).group.invariants == (2, 4)
+    assert Presentation([[2, 2], [0, 4]], 2).group.invariants == (2, 4)
+
+
+def test_diagonal_rows():
+    assert diagonal_rows([2, 0, 6]) == [[2, 0, 0], [0, 0, 6]]
+    assert diagonal_rows([0, 0]) == [] and diagonal_rows([]) == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_fgab())
 def test_presentation_idempotent(A):
-    rels = []
-    for i, d in enumerate(A.invariants):
-        if d:
-            row = [0] * A.rank
-            row[i] = d
-            rels.append(row)
-    pres = from_presentation(rels, A.rank)
+    pres = Presentation(diagonal_rows(A.invariants), A.rank)
     assert pres.group.invariants == A.invariants
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_fgab())
 def test_push_lift_roundtrip(A):
-    rels = []
-    for i, d in enumerate(A.invariants):
-        if d:
-            row = [0] * A.rank
-            row[i] = d
-            rels.append(row)
-    pres = from_presentation(rels, A.rank)
+    pres = Presentation(diagonal_rows(A.invariants), A.rank)
     rng = random.Random(1)
     for _ in range(5):
         elem = pres.group.reduce([rng.randint(-9, 9) for _ in range(pres.group.rank)])
@@ -150,8 +148,8 @@ def test_tor_triple_validity():
     elem = t.triple((2,), 2, (3,))
     assert elem in {(0,), (1,)}
     # the generator triple evaluates to the generator
-    gens = t.generator_elements()
-    assert gens == [(1,)]
+    gens = [t.triple(a, k, b) for _, a, k, b in t.generators()]
+    assert gens == [t.presentation.push([1])] == [(1,)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -221,7 +219,7 @@ def test_subgroup_data():
     assert B.coords([2]) in {(1,), (3,)}
     incl = B.inclusion()
     assert incl(B.coords([4])) == (4,)
-    assert B.element_set() == frozenset({(0,), (2,), (4,), (6,)})
+    assert frozenset(incl(b) for b in B.group.elements()) == frozenset({(0,), (2,), (4,), (6,)})
 
 
 def test_connecting_tau_example():
@@ -272,7 +270,7 @@ def test_six_term_exactness(A):
         im_j = t_QA.group.span(id_j.rows)
         ker_q = id_q.kernel_set()
         assert im_j == ker_q
-        assert id_q.image_set() == frozenset(t_QQ.group.elements())
+        assert t_QQ.group.span(id_q.rows) == frozenset(t_QQ.group.elements())
 
 
 def _tensor_map_rows(t_src, t_dst, Q, f):
@@ -348,6 +346,28 @@ def test_wedge_kernel_identity_examples():
     assert check_wedge_kernel_identity(A, [[1]]).ok  # B = A
     assert check_wedge_kernel_identity(A, []).ok  # B = 0
     assert check_wedge_kernel_identity(A, [[2]]).ok
+
+
+def _kernel_path_maps(A):
+    """Maps whose kernels the single lattice path must reproduce."""
+    wedge = ExteriorSquare(A)
+    e_first = [1] + [0] * (A.rank - 1)
+    twice_last = [0] * (A.rank - 1) + [2]
+    yield wedge.nu()
+    yield wedge.ell()
+    for gens in ([], [twice_last], [e_first]):
+        yield ConnectingTau(A, gens).quotient_map()
+    yield AbHom(A, FgAb(()), [()] * A.rank)
+    yield AbHom(FgAb(()), A, [])
+
+
+@pytest.mark.parametrize("shape", all_invariant_shapes(16), ids=str)
+def test_kernel_lattice_matches_elementwise_kernel(shape):
+    cap = 1 << 16  # (Z/2)^4 (x) (Z/2)^4 has 2^16 elements
+    for f in _kernel_path_maps(FgAb(shape)):
+        lat = hom_preimage_lattice(f, relation_lattice(f.cod))
+        assert lat.ncols == f.dom.rank  # 0 for the map out of FgAb(())
+        assert frozenset(a for a in f.dom.elements(cap) if lat.contains(a)) == f.kernel_set(cap)
 
 
 def test_all_invariant_shapes():

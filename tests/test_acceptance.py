@@ -8,11 +8,12 @@ only tolerances are the stated wall-clock budgets.
 import time
 
 from dimfox.abelian import (
+    DEFAULT_ENUM_CAP,
+    AbelianError,
     FgAb,
     all_invariant_shapes,
     check_torsion_square_kernel,
     check_wedge_kernel_identity,
-    fgab_subgroups,
 )
 from dimfox.formulas import (
     FormulaContext,
@@ -293,6 +294,31 @@ def test_criterion_08_torsion_square_kernel():
         t0,
         f"{checked} checks, runtime {elapsed:.1f}s<=60s",
     )
+
+
+def fgab_subgroups(A: FgAb, cap: int = DEFAULT_ENUM_CAP) -> list[frozenset]:
+    """All subgroups of a finite group, as element sets.
+
+    Join closure of the cyclic subgroups; deterministic order by size
+    then sorted members.
+    """
+    if not A.is_finite:
+        raise AbelianError("subgroup enumeration needs a finite group")
+    cyclics = {A.span([a], cap) for a in A.elements(cap)}
+    found = set(cyclics)
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for c in cyclics:
+                if c <= s:
+                    continue
+                j = A.span(list(s | c), cap)
+                if j not in found:
+                    found.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def test_criterion_09_wedge_kernel_identity():

@@ -4,6 +4,7 @@ import random
 from itertools import product as iproduct
 from math import gcd
 
+import numpy as np
 import pytest
 
 from dimfox.formulas import (
@@ -24,6 +25,7 @@ from dimfox.formulas import (
 )
 from dimfox.groupring import CoeffRing, dim_subgroup_brute, fox_subgroup_brute
 from dimfox.groups import (
+    FiniteGroup,
     GroupError,
     abelian_quotient,
     build_group,
@@ -243,12 +245,23 @@ def test_fox2_basis_independence():
         assert alt == base, spec
 
 
+def _subgroup_as_group(G, A):
+    """A as a standalone group plus the list mapping new indices to old."""
+    elems = sorted(A.members)
+    back = np.full(G.order, -1, dtype=np.int64)
+    back[elems] = np.arange(len(elems))
+    table = back[G.table[np.ix_(elems, elems)]]
+    names = [G.names[g] for g in elems]
+    gens = [int(back[g]) for g in A.generators if back[g] >= 0]
+    H = FiniteGroup(table, names, gens, spec=f"sub:{G.spec}", check=False)
+    return H, elems
+
+
 def _section_from_basis(G, H, S, reps, invariants):
     """AbelianSection for a given (valid) basis of H/S."""
-    from dimfox.groups import AbelianSection, quotient_group, subgroup_as_group, Subgroup
-    import numpy as np
+    from dimfox.groups import AbelianSection, quotient_group, Subgroup
 
-    Hgrp, elems = subgroup_as_group(G, H)
+    Hgrp, elems = _subgroup_as_group(G, H)
     back = {g: i for i, g in enumerate(elems)}
     Ssub = Subgroup(Hgrp, frozenset(back[s] for s in S.members))
     Q, proj, _ = quotient_group(Hgrp, Ssub)
@@ -363,6 +376,30 @@ def test_fox2_generator_family_cap():
     ctx = FormulaContext(G, trivial_subgroup(G), Z, H=whole_group(G))
     with pytest.raises(EnumerationCapError):
         fox2_generator_family(ctx, cap=8)
+
+
+def test_fox2_generator_family_needs_commuting_letters():
+    """[S4, S4] = A4 is not abelian, so the a-block is no homomorphism."""
+    G = build_group({"perm_gens": [[[0, 1, 2, 3]], [[0, 1]]]})
+    ctx = FormulaContext(G, trivial_subgroup(G), Z, H=whole_group(G))
+    with pytest.raises(EnumerationCapError, match="do not commute"):
+        fox2_generator_family(ctx, cap=24)
+
+
+def test_fox2_generator_family_builds_no_group(monkeypatch):
+    contexts = [
+        FormulaContext(G, K, ring_for(m), H=whole_group(G))
+        for G in (build_group("dihedral:4"), build_group("quaternion:8"))
+        for K in cyclic_subgroups(G)[:3]
+        for m in (0, 2)
+    ]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("fox2_generator_family built a FiniteGroup")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    for ctx in contexts:
+        fox2_generator_family(ctx)
 
 
 def test_remark_lower_bound_pieces():

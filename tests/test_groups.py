@@ -29,7 +29,6 @@ from dimfox.groups import (
     p_torsion_mod,
     power_subgroup,
     quotient_group,
-    subgroup_as_group,
     subgroup_exponent,
     subgroup_from_members,
     trivial_subgroup,
@@ -84,6 +83,8 @@ def test_build_group_cap_and_errors():
     with pytest.raises(GroupError):
         build_group("nosuch:3")
     with pytest.raises(GroupError):
+        build_group("")
+    with pytest.raises(GroupError):
         build_group({"table": [[0, 1], [1, 1]]})  # not Latin
     # associativity violation: Latin square that is not a group
     bad = [
@@ -95,6 +96,40 @@ def test_build_group_cap_and_errors():
     ]
     with pytest.raises(GroupError):
         build_group({"table": bad})
+
+
+PRODUCT_NAMES = ["((1,1),1)", "((1,1),x)", "((1,x),1)", "((1,x),x)", "((x,1),1)", "((x,1),x)", "((x,x),1)", "((x,x),x)"]
+Q8 = build_group("quaternion:8")
+
+
+@pytest.mark.parametrize(
+    "spec,names,generators,mul",
+    [
+        ("cyclic:2 x cyclic:2 x cyclic:2", PRODUCT_NAMES, (4, 2, 1), lambda a, b: a ^ b),
+        ("elementary-abelian:2,3", PRODUCT_NAMES, (4, 2, 1), lambda a, b: a ^ b),
+        (
+            "cyclic:2 x quaternion:8",
+            [f"({a},{b})" for a in ("1", "x") for b in Q8.names],
+            (8, 1, 4),
+            lambda a, b: (a ^ b) & 8 | Q8.mul(a & 7, b & 7),
+        ),
+    ],
+)
+def test_product_builds_are_pinned(spec, names, generators, mul, monkeypatch):
+    """Products keep their element order, nested names, generators, identity
+    and spec (names appear in reports and configs), and build one group."""
+    built = []
+    init = FiniteGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("spec"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counted)
+    G = build_group(spec)
+    assert built == [spec]
+    assert (list(G.names), G.generators, G.identity, G.spec) == (names, generators, 0, spec)
+    assert G.table.tolist() == [[mul(a, b) for b in range(G.order)] for a in range(G.order)]
 
 
 def test_ingested_table_roundtrip():
@@ -346,13 +381,6 @@ def test_quotient_group():
         quotient_group(D4, H)  # reflections are not normal
 
 
-def test_subgroup_as_group():
-    D4 = build_group("dihedral:4")
-    H, elems = subgroup_as_group(D4, generated_subgroup(D4, [1]))
-    assert H.order == 4
-    assert H.is_abelian()
-
-
 def test_subgroup_enumeration():
     D4 = build_group("dihedral:4")
     cyc = cyclic_subgroups(D4)
@@ -460,12 +488,6 @@ def quotient_loop(G, members):
     return table, proj, reps
 
 
-def subgroup_table_loop(G, members):
-    elems = sorted(members)
-    back = {g: i for i, g in enumerate(elems)}
-    return [[back[_mul(G, a, b)] for b in elems] for a in elems]
-
-
 def _relabelled_dihedral4():
     """dihedral:4 ingested through a permutation of its labels, so the identity is not 0."""
     D = build_group("dihedral:4")
@@ -538,9 +560,6 @@ def test_subgroup_primitives_match_loop_oracles(key):
         assert S.is_normal() == is_normal_loop(G, S.members)
         assert not escaping_pairs_loop(G, S.members)
         assert subgroup_from_members(G, S.members) == S
-        H, elems = subgroup_as_group(G, S)
-        assert elems == sorted(S.members)
-        assert H.table.tolist() == subgroup_table_loop(G, S.members)
         if S.is_normal():
             Q, proj, reps = quotient_group(G, S)
             table, proj_loop, reps_loop = quotient_loop(G, S.members)

@@ -184,6 +184,12 @@ def test_preimage_lattice():
         assert pre.contains(x) == hits
 
 
+def test_preimage_lattice_of_no_rows_is_zero_wide():
+    """A map out of Z^0 has the zero lattice of width 0 as its preimage."""
+    pre = preimage_lattice([], lattice_from_rows([[4, 0]], 2))
+    assert pre.ncols == 0 and pre.canonical() == ()
+
+
 def test_reduce_with_coeffs_reconstructs():
     rows = [[2, 1, 0], [0, 3, 1]]
     lat = lattice_from_rows(rows, 3)

@@ -4,7 +4,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dimfox"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dimfox"
 
 
 def _names(node: ast.AST) -> Counter:
@@ -20,29 +21,49 @@ def _names(node: ast.AST) -> Counter:
     return found
 
 
-def _private_defs(tree: ast.Module):
-    """Private module-level functions and private methods (dunders excluded)."""
+def _defs(tree: ast.Module):
+    """Module-level functions and methods (dunders excluded)."""
     for node in tree.body:
         defs = node.body if isinstance(node, ast.ClassDef) else [node]
         for d in defs:
-            if (
-                isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and d.name.startswith("_")
-                and not d.name.startswith("__")
-            ):
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) and not d.name.startswith("__"):
                 yield d
 
 
-def test_every_private_function_is_referenced():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert trees, f"no sources under {SRC}"
+def _unreferenced(trees: dict, readers: list, private: bool) -> list[str]:
+    """Defs of the given kind in trees whose name no reader mentions outside the def itself."""
     total = Counter()
-    for tree in trees.values():
+    for tree in readers:
         total.update(_names(tree))
-    unused = [
+    return [
         f"{name}:{d.lineno} {d.name}"
         for name, tree in trees.items()
-        for d in _private_defs(tree)
-        if total[d.name] - _names(d)[d.name] == 0
+        for d in _defs(tree)
+        if d.name.startswith("_") == private and total[d.name] - _names(d)[d.name] == 0
     ]
+
+
+def _parse(paths) -> dict:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(paths)}
+
+
+def test_every_private_function_is_referenced():
+    trees = _parse(SRC.glob("*.py"))
+    assert trees, f"no sources under {SRC}"
+    unused = _unreferenced(trees, list(trees.values()), private=True)
     assert not unused, f"private functions with no reference outside their own body: {unused}"
+
+
+def test_every_public_function_is_referenced():
+    """A public function or method that only its own body names is dead code.
+
+    Readers are src/dimfox (less the __init__.py re-exports), tests/ and
+    perfbench/.  Names are matched textually, so a method whose name some
+    unrelated call also uses (say numpy's .copy()) still passes.
+    """
+    trees = _parse(SRC.glob("*.py"))
+    readers = [tree for name, tree in trees.items() if name != "__init__.py"]
+    for folder in (ROOT / "tests", ROOT / "perfbench"):
+        readers += list(_parse(folder.glob("*.py")).values())
+    unused = _unreferenced(trees, readers, private=False)
+    assert not unused, f"public functions with no reference outside their own body: {unused}"
