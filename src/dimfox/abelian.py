@@ -543,7 +543,7 @@ class TorsionSquareMap:
     kernel is found by enumerating the m-torsion subgroup.
     """
 
-    def __init__(self, A: FgAb, m: int, cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, A: FgAb, m: int):
         if m < 0:
             raise AbelianError("m must be >= 0")
         if m == 0 and not A.is_finite:
@@ -553,10 +553,9 @@ class TorsionSquareMap:
         self.sp2 = symmetric_square(A)
         self.R = Z(m)
         self.target = tensor(self.R, self.sp2.group)
-        self.cap = cap
 
     def domain_elements(self):
-        return self.A.torsion_elements(self.m, self.cap)
+        return self.A.torsion_elements(self.m)
 
     def __call__(self, a: Sequence[int]) -> tuple[int, ...]:
         c = self.m * (self.m - 1) // 2
@@ -568,8 +567,8 @@ class TorsionSquareMap:
         return frozenset(a for a in self.domain_elements() if not any(self(a)))
 
 
-def tau3(A: FgAb, m: int, cap: int = DEFAULT_ENUM_CAP) -> TorsionSquareMap:
-    return TorsionSquareMap(A, m, cap)
+def tau3(A: FgAb, m: int) -> TorsionSquareMap:
+    return TorsionSquareMap(A, m)
 
 
 # -- checkers ------------------------------------------------------------------
@@ -604,9 +603,7 @@ def hom_preimage_lattice(f: AbHom, target: IntLattice) -> IntLattice:
     return pre
 
 
-def check_wedge_kernel_identity(
-    A: FgAb, b_gens: Sequence[Sequence[int]], cap: int = DEFAULT_ENUM_CAP
-) -> CheckReport:
+def check_wedge_kernel_identity(A: FgAb, b_gens: Sequence[Sequence[int]]) -> CheckReport:
     """Ker((q x id) . ell) against nu((q x id)^(-1) Im(tau)) inside A ^ A.
 
     Every map involved is additive, so both sides are computed as
@@ -665,24 +662,25 @@ def check_wedge_kernel_identity(
     )
 
 
-def check_torsion_square_kernel(A: FgAb, m: int, cap: int = DEFAULT_ENUM_CAP) -> CheckReport:
+def check_torsion_square_kernel(A: FgAb, m: int) -> CheckReport:
     """Enumerated Ker(tau3) against its closed description.
 
     Odd m: the whole m-torsion.  Even m (including 0): the product of
-    the doubles inside the m-torsion and the (m/2)-torsion.
+    the doubles inside the m-torsion and the (m/2)-torsion.  Every
+    enumeration is capped at DEFAULT_ENUM_CAP elements.
     """
     if not A.is_finite:
         raise AbelianError("checker needs a finite group")
-    tmap = tau3(A, m, cap)
+    tmap = tau3(A, m)
     kernel = tmap.kernel_set()
-    torsion = frozenset(A.torsion_elements(m, cap))
+    torsion = frozenset(A.torsion_elements(m))
     if m % 2 == 1:
         formula = torsion
     else:
-        doubles = frozenset(A.smul(2, a) for a in A.elements(cap))
+        doubles = frozenset(A.smul(2, a) for a in A.elements())
         part1 = torsion & doubles
-        part2 = frozenset(A.torsion_elements(m // 2, cap)) if m else torsion
-        formula = A.span(list(part1 | part2), cap) if (part1 or part2) else frozenset({A.zero()})
+        part2 = frozenset(A.torsion_elements(m // 2)) if m else torsion
+        formula = A.span(list(part1 | part2)) if (part1 or part2) else frozenset({A.zero()})
     ok = kernel == formula
     witnesses = sorted(kernel ^ formula)[:8]
     return CheckReport(

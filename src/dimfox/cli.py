@@ -15,106 +15,52 @@ from .abelian import (
     check_torsion_square_kernel,
     check_wedge_kernel_identity,
 )
-from .groupring import DEFAULT_BRUTE_CAP, CoeffRing
-from .groups import (
-    GroupError,
-    Subgroup,
-    build_group,
-    generated_subgroup,
-    lower_central_series,
-    make_counterexample,
-)
-from .verify import (
-    CorpusConfig,
-    Report,
-    resolve_series,
-    run_corpus,
-    verify_dim3,
-    verify_four_term,
-    verify_fox,
-    verify_polynomial_sequence,
-)
+from .groupring import CoeffRing
+from .groups import GroupError, build_group
+from .verify import CorpusConfig, report_ok, run_case, run_corpus
 
 OK, MISMATCH, BAD_INPUT = 0, 1, 2
 
 
-def _parse_subgroup(G, text: str) -> Subgroup:
-    toks = [t.strip() for t in text.split(",") if t.strip() and t.strip() != "1"]
-    return generated_subgroup(G, [G.index_of(t) for t in toks])
-
-
-def _parse_series(G, text: str):
-    text = text.strip()
-    if text in ("", "gamma"):
-        return lower_central_series(G)
-    if text == "double" or text.startswith("pow"):
-        return resolve_series(G, text)
-    return resolve_series(G, "chain:" + text)
-
-
-def _emit(report: Report, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
+def _run(case: dict, args) -> int:
+    """Run a case through run_case and print its report."""
+    report = run_case(case, max_order=args.max_order, slow=getattr(args, "slow", False))
+    ok = report_ok(report)
+    if args.json:
+        print(json.dumps(report, sort_keys=True, indent=1))
     else:
-        status = "VERIFIED" if report.ok else "MISMATCH"
-        print(f"{status}  case={report.case}")
-        print(f"  lhs (brute):   {report.lhs}")
-        print(f"  rhs (formula): {report.rhs}")
-        for key, value in report.containments.items():
+        print(f"{'VERIFIED' if ok else 'MISMATCH'}  case={report['case']}")
+        print(f"  lhs (brute):   {report['lhs']}")
+        print(f"  rhs (formula): {report['rhs']}")
+        for key, value in report["containments"].items():
             print(f"  {key}: {value}")
-        if report.counterexample:
+        if report["counterexample"]:
             print("  note: result strictly exceeds K_2 N_3")
-        if report.witnesses:
-            print(f"  witnesses: {report.witnesses}")
-        for key, value in report.extra.items():
+        if report["witnesses"]:
+            print(f"  witnesses: {report['witnesses']}")
+        for key, value in report["extra"].items():
             print(f"  {key}: {value}")
-        print(f"  ms: {report.ms}")
-    return OK if report.ok else MISMATCH
+        print(f"  ms: {report['ms']}")
+    return OK if ok else MISMATCH
 
 
 def _cmd_group_show(args) -> int:
-    G = build_group(args.spec, max_order=args.max_order)
-    gamma = lower_central_series(G)
-    info = {
-        "spec": G.spec,
-        "order": G.order,
-        "abelian": G.is_abelian(),
-        "exponent": G.exponent(),
-        "generators": [G.names[g] for g in G.generators],
-        "lower_central_sizes": [len(t) for t in gamma.chain],
-        "elements": list(G.names) if G.order <= 64 else list(G.names[:64]) + ["..."],
-    }
-    print(json.dumps(info, indent=1))
+    print(json.dumps(build_group(args.spec, max_order=args.max_order).summary(), indent=1))
     return OK
 
 
-def _brute_cap(args, G) -> int:
-    return G.order if getattr(args, "slow", False) else DEFAULT_BRUTE_CAP
+def _modulus(ring: str) -> int:
+    return CoeffRing.parse(ring).modulus
 
 
 def _cmd_dim3(args) -> int:
-    G = build_group(args.group, max_order=args.max_order)
-    K = _parse_subgroup(G, args.K)
-    N = _parse_series(G, args.nseries)
-    ring = CoeffRing.parse(args.ring)
-    report = verify_dim3(
-        G, K, N, ring, case={"kind": "dim3", "group": args.group, "m": ring.modulus},
-        max_order=_brute_cap(args, G), check_reduction=args.check_reduction,
-    )
-    return _emit(report, args.json)
+    case = {"kind": "dim3", "group": args.group, "K": args.K, "series": args.nseries}
+    return _run({**case, "m": _modulus(args.ring), "check_reduction": args.check_reduction}, args)
 
 
 def _cmd_fox(args) -> int:
-    G = build_group(args.group, max_order=args.max_order)
-    H = _parse_subgroup(G, args.H)
-    K = _parse_subgroup(G, args.K)
-    ring = CoeffRing.parse(args.ring)
-    report = verify_fox(
-        G, H, K, args.n, ring,
-        case={"kind": "fox", "group": args.group, "n": args.n, "m": ring.modulus},
-        max_order=_brute_cap(args, G),
-    )
-    return _emit(report, args.json)
+    case = {"kind": "fox", "group": args.group, "H": args.H, "K": args.K, "n": args.n, "m": _modulus(args.ring)}
+    return _run(case, args)
 
 
 def _cmd_homology(args) -> int:
@@ -135,35 +81,14 @@ def _cmd_homology(args) -> int:
         else:
             print(("VERIFIED " if result.ok else "MISMATCH ") + str(payload))
         return OK if result.ok else MISMATCH
-    G = build_group(args.group, max_order=args.max_order)
-    K = _parse_subgroup(G, args.K)
-    N = _parse_series(G, args.nseries)
+    case = {"group": args.group, "K": args.K, "series": args.nseries}
     if check == "thm2.6":
-        report = verify_four_term(G, K, N, case={"kind": "four_term", "group": args.group})
-    elif check == "lemma2.5":
-        ring = CoeffRing.parse(args.ring)
-        report = verify_polynomial_sequence(
-            G, K, N, ring, case={"kind": "polynomial", "group": args.group, "m": ring.modulus}
-        )
-    else:
-        raise GroupError(f"unknown homology check {check!r}")
-    return _emit(report, args.json)
+        return _run({"kind": "four_term", **case}, args)
+    return _run({"kind": "polynomial", **case, "m": _modulus(args.ring)}, args)
 
 
 def _cmd_example_2_4(args) -> int:
-    G, K, z = make_counterexample(args.p, args.r, args.s, max_order=args.max_order)
-    N = lower_central_series(G)
-    report = verify_dim3(
-        G, K, N, CoeffRing.integers(),
-        case={"kind": "counterexample", "p": args.p, "r": args.r, "s": args.s},
-        max_order=_brute_cap(args, G),
-    )
-    report.extra["z"] = G.names[z]
-    report.extra["z_in_brute"] = G.names[z] in report.lhs
-    code = _emit(report, args.json)
-    if code == OK and not (report.extra["z_in_brute"] and report.counterexample):
-        return MISMATCH
-    return code
+    return _run({"kind": "counterexample", "p": args.p, "r": args.r, "s": args.s}, args)
 
 
 def _cmd_corpus(args) -> int:

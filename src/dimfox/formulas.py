@@ -45,6 +45,14 @@ from .groups import (
 )
 from .groupring import CoeffRing
 
+# budgets of the fox2 enumerations: fox2_formula enumerates at most
+# FOX2_TUPLE_CAP exponent tuples, over at most FOX2_BUDGET_BITS bits of basis
+# (r * log2(exponent)); fox2_generator_family keeps at most FAMILY_STATE_CAP
+# scan states and obstruction classes
+FOX2_BUDGET_BITS = 20
+FOX2_TUPLE_CAP = 1 << 22
+FAMILY_STATE_CAP = 1 << 17
+
 
 class EnumerationCapError(GroupError):
     """A formula enumeration would exceed its configured budget."""
@@ -292,8 +300,6 @@ def _binom2(m: int) -> int:
 def fox2_formula(
     ctx: FormulaContext,
     decomposition: AbelianSection | None = None,
-    budget: int = 20,
-    tuple_cap: int = 1 << 22,
 ) -> Subgroup:
     """The finitely-generated-basis description of the second Fox subgroup.
 
@@ -317,12 +323,12 @@ def fox2_formula(
     reps = decomposition.reps
     r = len(d)
     E = subgroup_exponent(H)
-    if r and r * log2(max(E, 2)) > budget:
+    if r and r * log2(max(E, 2)) > FOX2_BUDGET_BITS:
         raise EnumerationCapError(
             f"fox2 enumeration budget exceeded: r={r}, exponent={E}"
         )
     ntuples = E ** (r + r * (r - 1) // 2)
-    if ntuples > tuple_cap:
+    if ntuples > FOX2_TUPLE_CAP:
         raise EnumerationCapError(f"fox2 enumeration needs {ntuples} tuples")
     C = _binom2(m)
     targets = [ctx.KG2Gm(dk).members for dk in d]
@@ -362,7 +368,6 @@ def fox2_formula(
 def fox2_generator_family(
     ctx: FormulaContext,
     cap: int = 8,
-    state_cap: int = 1 << 17,
     elem_order: Sequence[int] | None = None,
 ) -> Subgroup:
     """The element-indexed generator family for the second Fox subgroup.
@@ -444,7 +449,7 @@ def fox2_generator_family(
             relations.append(row)
     pres = Presentation(relations, total_dim)
     Cgrp = pres.group
-    if Cgrp.is_finite and Cgrp.size > state_cap:
+    if Cgrp.is_finite and Cgrp.size > FAMILY_STATE_CAP:
         raise EnumerationCapError("obstruction quotient too large")
 
     order = list(elem_order) if elem_order is not None else helems
@@ -473,7 +478,7 @@ def fox2_generator_family(
                     key = (G.mul(p, lp), Cgrp.add(o, obs))
                     nxt[key] = None
                 obs = Cgrp.add(obs, obs_step)
-                if len(nxt) > state_cap:
+                if len(nxt) > FAMILY_STATE_CAP:
                     raise EnumerationCapError("state budget exceeded")
             states = nxt
         gm = G.power(g_target, m)

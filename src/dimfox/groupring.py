@@ -58,8 +58,9 @@ class CoeffRing:
         return CoeffRing("abstract", characteristic, tuple(sorted(sigma.items())))
 
     @staticmethod
-    def parse(text: str) -> "CoeffRing":
-        t = text.strip()
+    def parse(text: str | int) -> "CoeffRing":
+        """A ring from "Z", "Z/m" or a modulus m (0 for Z), as text or an int."""
+        t = str(text).strip()
         if t in ("Z", "Z/0", "0"):
             return CoeffRing.integers()
         if t.startswith("Z/"):
@@ -111,8 +112,9 @@ def elem_minus_one(G: FiniteGroup, g: int) -> list[int]:
     return row
 
 
-def row_multiply(G: FiniteGroup, a: Sequence[int], b: Sequence[int], modulus: int = 0) -> list[int]:
-    """Product of two group-algebra elements via table convolution."""
+def row_multiply(G: FiniteGroup, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two group-algebra elements via table convolution, over Z;
+    IntLattice.add reduces the result modulo the lattice's modulus."""
     out = [0] * G.order
     rows = G.mul_rows()
     bsup = [(j, cb) for j, cb in enumerate(b) if cb]
@@ -121,28 +123,26 @@ def row_multiply(G: FiniteGroup, a: Sequence[int], b: Sequence[int], modulus: in
             row = rows[i]
             for j, cb in bsup:
                 out[row[j]] += ca * cb
-    if modulus:
-        out = [x % modulus for x in out]
     return out
 
 
-def row_translate(G: FiniteGroup, g: int, v: Sequence[int], modulus: int = 0) -> list[int]:
+def row_translate(G: FiniteGroup, g: int, v: Sequence[int]) -> list[int]:
     """g * v, the left translate of a coefficient row."""
     out = [0] * G.order
     row = G.mul_rows()[g]
     for j, c in enumerate(v):
         if c:
-            out[row[j]] = c % modulus if modulus else c
+            out[row[j]] = c
     return out
 
 
-def row_translate_right(G: FiniteGroup, v: Sequence[int], g: int, modulus: int = 0) -> list[int]:
+def row_translate_right(G: FiniteGroup, v: Sequence[int], g: int) -> list[int]:
     """v * g, the right translate of a coefficient row."""
     out = [0] * G.order
     col = G.mul_cols()[g]
     for j, c in enumerate(v):
         if c:
-            out[col[j]] = c % modulus if modulus else c
+            out[col[j]] = c
     return out
 
 
@@ -212,11 +212,11 @@ def span_product(A: ModuleSpan, B: ModuleSpan) -> ModuleSpan:
     """Module product A*B: spans multiply row by row."""
     if A.group is not B.group or A.ring != B.ring:
         raise GroupError("span_product: group/ring mismatch")
-    G, m = A.group, A.ring.modulus
+    G = A.group
     out = ModuleSpan(G, A.ring)
     for ra in A.canonical():
         for rb in B.canonical():
-            out.lattice.add(row_multiply(G, ra, rb, m))
+            out.lattice.add(row_multiply(G, ra, rb))
     return out
 
 
@@ -271,7 +271,7 @@ def translate_closure(span: ModuleSpan) -> ModuleSpan:
     result, and each of them has its generator translates inside, so the
     span is closed under left translation by G.
     """
-    G, m = span.group, span.ring.modulus
+    G = span.group
     gens = small_generators(G, G.elements())
     out = ModuleSpan(G, span.ring)
     queue = [list(row) for row in span.canonical()]
@@ -280,7 +280,7 @@ def translate_closure(span: ModuleSpan) -> ModuleSpan:
     while queue:
         row = queue.pop()
         for t in gens:
-            moved = row_translate(G, t, row, m)
+            moved = row_translate(G, t, row)
             if out.lattice.add(moved):
                 queue.append(moved)
     return out

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from math import lcm, prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,6 +193,19 @@ class FiniteGroup:
 
     def name(self, a: int) -> str:
         return self.names[a]
+
+    def summary(self) -> dict:
+        """Spec, order, exponent, generators, lower central sizes and (up
+        to 64) element names, as `dimfox group show` prints them."""
+        return {
+            "spec": self.spec,
+            "order": self.order,
+            "abelian": self.is_abelian(),
+            "exponent": self.exponent(),
+            "generators": [self.names[g] for g in self.generators],
+            "lower_central_sizes": [len(t) for t in lower_central_series(self).chain],
+            "elements": list(self.names) if self.order <= 64 else list(self.names[:64]) + ["..."],
+        }
 
     def index_of(self, token: str) -> int:
         if token in self._name_index:
@@ -757,31 +770,27 @@ def _elementary_abelian(p: int, k: int) -> _Table:
 _FAMILY_RE = re.compile(r"^([a-z0-9-]+):([0-9,]+)$")
 
 
-def _build_family(token: str, cap: int) -> _Table:
+def _family(token: str) -> tuple[int, Callable[[], _Table]]:
+    """A family token's order, read from its parameters, and the function
+    that fills its table, so the order cap is checked before any table is."""
     m = _FAMILY_RE.match(token.strip())
     if not m:
         raise GroupError(f"cannot parse group family {token!r}")
     fam, params = m.group(1), [int(x) for x in m.group(2).split(",")]
     if fam == "cyclic" and len(params) == 1:
-        G = _cyclic(params[0])
-    elif fam == "dihedral" and len(params) == 1:
-        G = _dihedral(params[0])
-    elif fam == "quaternion" and params == [8]:
-        G = _quaternion8()
-    elif fam == "class2" and len(params) == 2:
+        return params[0], partial(_cyclic, params[0])
+    if fam == "dihedral" and len(params) == 1:
+        return 2 * params[0], partial(_dihedral, params[0])
+    if fam == "quaternion" and params == [8]:
+        return 8, _quaternion8
+    if fam == "class2" and len(params) == 2:
         p, s = params
         if any(p % d == 0 for d in range(2, p)) or p < 2:
             raise GroupError("class2 parameter p must be prime")
-        if p ** (3 * (s + 1)) > cap:
-            raise GroupError(f"class2:{p},{s} exceeds the order cap {cap}")
-        G = _class2(p, s)
-    elif fam == "elementary-abelian" and len(params) == 2:
-        G = _elementary_abelian(*params)
-    else:
-        raise GroupError(f"unknown group family {token!r}")
-    if len(G.names) > cap:
-        raise GroupError(f"group order {len(G.names)} exceeds the cap {cap}")
-    return G
+        return p ** (3 * (s + 1)), partial(_class2, p, s)
+    if fam == "elementary-abelian" and len(params) == 2:
+        return params[0] ** params[1], partial(_elementary_abelian, *params)
+    raise GroupError(f"unknown group family {token!r}")
 
 
 def _parse_cycles(perm_spec: Sequence[Sequence[int]], npoints: int) -> tuple[int, ...]:
@@ -848,14 +857,17 @@ def build_group(spec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if isinstance(spec, str):
         text = spec.strip()
         if text.startswith("{"):
-            spec = json.loads(text)
+            try:
+                spec = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise GroupError(f"cannot parse group spec {text!r}: {exc}") from None
         else:
             parts = [p for p in re.split(r"\s+x\s+|(?<=\d)x(?=[a-z])", text) if p] or [text]
-            factors = [_build_family(p, max_order) for p in parts]
-            order = prod(len(t.names) for t in factors)
+            families = [_family(p) for p in parts]
+            order = prod(n for n, _ in families)
             if order > max_order:
                 raise GroupError(f"group order {order} exceeds the cap {max_order}")
-            return _group(reduce(_direct_product, factors))
+            return _group(reduce(_direct_product, [build() for _, build in families]))
     if isinstance(spec, dict):
         if "table" in spec:
             table = spec["table"]
@@ -878,7 +890,7 @@ def make_counterexample(p: int, r: int, s: int, max_order: int = DEFAULT_ORDER_C
     """
     if not (0 < r <= s):
         raise GroupError("need 0 < r <= s")
-    G = _group(_build_family(f"class2:{p},{s}", max_order))
+    G = build_group(f"class2:{p},{s}", max_order)
     q = p ** (s + 1)
 
     def enc(i, j, k):

@@ -42,6 +42,7 @@ from .groupring import (
     span_product,  # no longer called here; kept bound for code that reads verify.span_product
 )
 from .groups import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     GroupError,
     NSeries,
@@ -65,13 +66,17 @@ from .intlinalg import intersect_lattices, lattice_from_rows, preimage_lattice
 
 SCHEMA_VERSION = 1
 
+FOX_FAMILY_CAP = 8  # largest |H| whose generator family a weight-2 Fox report enumerates
+DERIVATION_SAMPLES = 100  # seeded pairs (a, b) on which the derivation law is checked
+DERIVATION_SEED = 0
+
 
 @dataclass
 class Report:
-    case: dict
     lhs: list[str]
     rhs: list[str]
     equal: bool
+    case: dict = field(default_factory=dict)  # stamped by run_case
     counterexample: bool = False
     containments: dict = field(default_factory=dict)
     witnesses: list[str] = field(default_factory=list)
@@ -110,12 +115,10 @@ def verify_dim3(
     K: Subgroup,
     N: NSeries,
     ring: CoeffRing,
-    case: dict | None = None,
     max_order: int = DEFAULT_BRUTE_CAP,
     check_reduction: bool = False,
 ) -> Report:
     """Brute third dimension subgroup against the closed formula."""
-    t0 = time.perf_counter()
     brute = dim_subgroup_brute(G, K, N, 3, ring, max_order=max_order)
     formula = dim3_formula(FormulaContext(G, K, ring, N))
     k2n3 = join(G, [commutator_subgroup(G, K, K), N.term(3)])
@@ -124,8 +127,7 @@ def verify_dim3(
     extra = {"exceeds_k2n3": exceeds}
     if check_reduction:
         extra["reduction_agrees"] = _dim3_reduction_agrees(G, K, N, ring, brute)
-    report = Report(
-        case=case or {},
+    return Report(
         lhs=_names(G, brute.members),
         rhs=_names(G, formula.result.members),
         equal=equal,
@@ -139,10 +141,8 @@ def verify_dim3(
             "sigma_route_agrees": formula.routes_agree,
         },
         witnesses=_sym_diff_names(G, brute, formula.result),
+        extra=extra,
     )
-    report.extra = extra
-    report.ms = int((time.perf_counter() - t0) * 1000)
-    return report
 
 
 def _dim3_reduction_agrees(G, K, N, ring, brute) -> bool:
@@ -163,12 +163,9 @@ def verify_fox(
     K: Subgroup,
     n: int,
     ring: CoeffRing,
-    case: dict | None = None,
     max_order: int = DEFAULT_BRUTE_CAP,
-    family_cap: int = 8,
 ) -> Report:
     """Brute Fox subgroup against the closed formula for its weight."""
-    t0 = time.perf_counter()
     ctx = FormulaContext(G, K, ring, H=H)
     prefixed, plain = fox_modules(G, H, K, n, ring, max_order=max_order)
     brute = group_slice(G, prefixed)
@@ -183,18 +180,16 @@ def verify_fox(
         lb = remark_lower_bound(ctx)
         containments["lower_bound_in_brute"] = brute.contains_subgroup(lb)
         try:
-            fam = fox2_generator_family(ctx, cap=family_cap)
+            fam = fox2_generator_family(ctx, cap=FOX_FAMILY_CAP)
             containments["generator_family_agrees"] = fam == brute
         except EnumerationCapError as exc:
             extra["generator_family_skipped"] = str(exc)
     if n in (1, 2):
         containments["module_forms_agree"] = group_slice(G, plain) == brute
-    equal = brute == formula
-    report = Report(
-        case=case or {},
+    return Report(
         lhs=_names(G, brute.members),
         rhs=_names(G, formula.members),
-        equal=equal,
+        equal=brute == formula,
         containments={
             "formula_in_brute": brute.contains_subgroup(formula),
             "brute_in_formula": formula.contains_subgroup(brute),
@@ -203,8 +198,6 @@ def verify_fox(
         witnesses=_sym_diff_names(G, brute, formula),
         extra=extra,
     )
-    report.ms = int((time.perf_counter() - t0) * 1000)
-    return report
 
 
 # -- exact sequence checks -----------------------------------------------------
@@ -264,7 +257,6 @@ def verify_four_term(
     G: FiniteGroup,
     K: Subgroup,
     N: NSeries,
-    case: dict | None = None,
 ) -> Report:
     """Exactness of Tor -> KN_3/K_2N_3 -> P_2 -> P_2(G/K) -> 0 over Z.
 
@@ -273,7 +265,6 @@ def verify_four_term(
     the commutator quotient (element sets), the middle polynomial group
     (integer lattices), and the right end (lattice surjectivity).
     """
-    t0 = time.perf_counter()
     if not K.is_normal():
         raise GroupError("four-term check needs a normal subgroup")
     ring = CoeffRing.integers()
@@ -299,8 +290,7 @@ def verify_four_term(
     kernel = {a for a in kn3.members if mspan.contains_row(elem_minus_one(G, a))}
     left_exact = image.members == kernel
     middle_exact, surjective = _exact_middle_and_right(G, K, N, ring, ig, mspan, kn3)
-    report = Report(
-        case=case or {},
+    return Report(
         lhs=_names(G, kernel),
         rhs=_names(G, image.members),
         equal=left_exact and middle_exact and surjective,
@@ -311,8 +301,6 @@ def verify_four_term(
         },
         witnesses=sorted(G.names[g] for g in image.members ^ kernel),
     )
-    report.ms = int((time.perf_counter() - t0) * 1000)
-    return report
 
 
 def verify_polynomial_sequence(
@@ -320,9 +308,6 @@ def verify_polynomial_sequence(
     K: Subgroup,
     N: NSeries,
     ring: CoeffRing,
-    case: dict | None = None,
-    samples: int = 100,
-    seed: int = 0,
 ) -> Report:
     """Exactness and the derivation law for the relative polynomial group.
 
@@ -330,13 +315,11 @@ def verify_polynomial_sequence(
     P_2 -> P_2(G/K), that the latter map is onto, and that the
     canonical map satisfies the exact product expansions
     ab - 1 = a(b - 1) + (a - 1)  and  ab - 1 = (a - 1)b + (b - 1)
-    through the quotient presentation on sampled pairs.
+    through the quotient presentation on DERIVATION_SAMPLES sampled pairs.
     """
-    t0 = time.perf_counter()
     if not K.is_normal():
         raise GroupError("polynomial sequence check needs a normal subgroup")
     n = G.order
-    m = ring.modulus
     kn3 = join(G, [K, N.term(3)])
     ig, mspan = dim_modules(G, K, N, 3, ring)
     middle_exact, surjective = _exact_middle_and_right(G, K, N, ring, ig, mspan, kn3)
@@ -344,35 +327,26 @@ def verify_polynomial_sequence(
     # canonical map p(a) = (a - 1) + module satisfies the two exact
     # product expansions p(ab) = a.p(b) + p(a) and p(ab) = p(a).b + p(b)
     _, coords = module_quotient_presentation(mspan, ig)
-    rng = random.Random(seed)
+    rng = random.Random(DERIVATION_SEED)
     derivation_ok = True
     failures = []
-    for _ in range(samples):
+    for _ in range(DERIVATION_SAMPLES):
         a = rng.randrange(n)
         b = rng.randrange(n)
         p_ab = coords(elem_minus_one(G, G.mul(a, b)))
         left_vec = [
-            x + y
-            for x, y in zip(
-                row_translate(G, a, elem_minus_one(G, b), m), elem_minus_one(G, a)
-            )
+            x + y for x, y in zip(row_translate(G, a, elem_minus_one(G, b)), elem_minus_one(G, a))
         ]
         right_vec = [
-            x + y
-            for x, y in zip(
-                row_translate_right(G, elem_minus_one(G, a), b, m),
-                elem_minus_one(G, b),
-            )
+            x + y for x, y in zip(row_translate_right(G, elem_minus_one(G, a), b), elem_minus_one(G, b))
         ]
         if coords(left_vec) != p_ab or coords(right_vec) != p_ab:
             derivation_ok = False
             failures.append((G.names[a], G.names[b]))
-    equal = middle_exact and surjective and derivation_ok
-    report = Report(
-        case=case or {},
+    return Report(
         lhs=[],
         rhs=[],
-        equal=equal,
+        equal=middle_exact and surjective and derivation_ok,
         containments={
             "exact_at_middle": middle_exact,
             "surjective_at_right": surjective,
@@ -380,8 +354,6 @@ def verify_polynomial_sequence(
         },
         witnesses=[f"{a}*{b}" for a, b in failures[:4]],
     )
-    report.ms = int((time.perf_counter() - t0) * 1000)
-    return report
 
 
 # -- corpus --------------------------------------------------------------------
@@ -424,7 +396,8 @@ DEFAULT_GROUPS = [
 DEFAULT_MODULI = [0, 2, 3, 4]
 
 
-# the corpus config fields whose type validate() checks; bool never passes for int
+# the type validate() requires of each corpus config field (subgroup_policy
+# is checked by value); a bool passes only for a bool field, never for an int one
 _FIELD_TYPES = {
     "groups": list,
     "explicit_subgroups": dict,
@@ -433,6 +406,8 @@ _FIELD_TYPES = {
     "fox_weights": list,
     "max_group_order": int,
     "jobs": (int, type(None)),
+    "include_counterexample": bool,
+    "extra_series": bool,
 }
 
 
@@ -451,6 +426,8 @@ class CorpusConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "CorpusConfig":
+        if not isinstance(data, dict):
+            raise GroupError(f"corpus config is not a JSON object: {data!r}")
         cfg = CorpusConfig()
         for key, value in data.items():
             if not hasattr(cfg, key):
@@ -463,8 +440,11 @@ class CorpusConfig:
         """Reject a bad field, naming it and its value, before any case runs."""
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
                 raise GroupError(f"corpus config: {name} has the wrong type: {value!r}")
+        for spec in self.groups:
+            if not isinstance(spec, str):
+                raise GroupError(f"corpus config: groups entry {spec!r} is not a string")
         if self.max_group_order <= 0 or (self.jobs is not None and self.jobs < 1):
             raise GroupError("corpus caps must be positive")
         for t in self.theorems:
@@ -510,8 +490,31 @@ def _series_tags(G: FiniteGroup) -> list[str]:
     return tags
 
 
+def _generated(G: FiniteGroup, tokens) -> Subgroup:
+    """The subgroup generated by the elements that tokens name: a list of
+    element names and indices, or one comma-separated string of names.
+    "1" is the identity, and an empty name is skipped."""
+    if isinstance(tokens, str):
+        tokens = tokens.split(",")
+    gens = []
+    for t in tokens:
+        if isinstance(t, str):
+            t = t.strip()
+            if t:
+                gens.append(G.identity if t == "1" else G.index_of(t))
+        elif isinstance(t, int) and not isinstance(t, bool):
+            gens.append(G.index_of(t))
+        else:
+            raise GroupError(f"{t!r} is neither an element name nor an index")
+    return generated_subgroup(G, gens)
+
+
 def resolve_series(G: FiniteGroup, tag: str) -> NSeries:
-    if tag == "gamma":
+    """The N-series a tag names: `gamma` (also the empty tag), `double`,
+    `powP`, or a chain of levels `N_2;N_3;...` such as `r2;1`, each level
+    a comma-separated list of element names generating it."""
+    tag = tag.strip()
+    if tag in ("", "gamma"):
         return lower_central_series(G)
     if tag == "double":
         gamma = lower_central_series(G)
@@ -528,22 +531,13 @@ def resolve_series(G: FiniteGroup, tag: str) -> NSeries:
                 chain.append(nxt)
             return validate_nseries(G, chain)
         return nseries_from_level2(G, join(G, [power_subgroup(G, whole_group(G), p)]))
-    if tag.startswith("chain:"):
-        levels = tag[len("chain:"):].split(";")
-        chain = [whole_group(G)]
-        for level in levels:
-            toks = [t for t in level.split(",") if t and t != "1"]
-            chain.append(generated_subgroup(G, [G.index_of(t) for t in toks]))
-        return validate_nseries(G, chain)
-    raise GroupError(f"unknown series tag {tag!r}")
+    levels = [_generated(G, level) for level in tag.split(";")]
+    return validate_nseries(G, [whole_group(G)] + levels)
 
 
 def _explicit_subgroups(G: FiniteGroup, cfg: CorpusConfig, spec: str) -> list[Subgroup]:
     try:
-        return [
-            generated_subgroup(G, [G.index_of(t) for t in gens])
-            for gens in cfg.explicit_subgroups.get(spec, [])
-        ]
+        return [_generated(G, gens) for gens in cfg.explicit_subgroups.get(spec, [])]
     except GroupError as exc:
         raise GroupError(f"corpus config: explicit_subgroups entry for {spec!r}: {exc}") from exc
 
@@ -614,39 +608,50 @@ def build_cases(cfg: CorpusConfig) -> list[dict]:
     return cases
 
 
-def _ring_for(m: int) -> CoeffRing:
-    return CoeffRing.integers() if m == 0 else CoeffRing.mod(m)
+def run_case(case: dict, max_order: int = DEFAULT_ORDER_CAP, slow: bool = False) -> dict:
+    """Run one case and return its report as a dict, stamped with the case
+    and the milliseconds it took, so a report's case can be run again.
 
-
-def run_case(case: dict) -> dict:
+    A case names its `kind` and inputs: `group`, the generators `K` and `H`
+    (see _generated), `series` (see resolve_series), the modulus `m`
+    (0 or absent for Z), the weight `n` of a Fox case, and optionally
+    `check_reduction` for dim3; a counterexample case names `p`, `r`, `s`.
+    Groups are capped at `max_order`; `slow` lifts the brute-force cap of
+    dim3, fox and counterexample cases from DEFAULT_BRUTE_CAP to |G|.
+    """
+    t0 = time.perf_counter()
     kind = case["kind"]
+    if kind not in ("dim3", "fox", "four_term", "polynomial", "counterexample"):
+        raise GroupError(f"unknown case kind {kind!r}")
     if kind == "counterexample":
-        G, K, z = make_counterexample(case["p"], case["r"], case["s"])
-        N = lower_central_series(G)
-        report = verify_dim3(G, K, N, CoeffRing.integers(), case=case)
-        report.extra["z"] = G.names[z]
-        report.extra["z_in_brute"] = G.names[z] in report.lhs
-        return report.to_dict()
-    G = build_group(case["group"])
-    if kind == "dim3":
-        K = generated_subgroup(G, case["K"])
-        N = resolve_series(G, case.get("series", "gamma"))
-        return verify_dim3(G, K, N, _ring_for(case["m"]), case=case).to_dict()
+        G, K, z = make_counterexample(case["p"], case["r"], case["s"], max_order=max_order)
+    else:
+        G = build_group(case["group"], max_order=max_order)
+        K = _generated(G, case["K"])
+    ring = CoeffRing.parse(case.get("m", 0))
+    brute_cap = G.order if slow else DEFAULT_BRUTE_CAP
     if kind == "fox":
-        H = generated_subgroup(G, case["H"])
-        K = generated_subgroup(G, case["K"])
-        return verify_fox(G, H, K, case["n"], _ring_for(case["m"]), case=case).to_dict()
-    if kind == "four_term":
-        K = generated_subgroup(G, case["K"])
-        N = resolve_series(G, case.get("series", "gamma"))
-        return verify_four_term(G, K, N, case=case).to_dict()
-    if kind == "polynomial":
-        K = generated_subgroup(G, case["K"])
-        N = resolve_series(G, case.get("series", "gamma"))
-        return verify_polynomial_sequence(
-            G, K, N, _ring_for(case["m"]), case=case
-        ).to_dict()
-    raise GroupError(f"unknown case kind {kind!r}")
+        H = _generated(G, case["H"])
+        report = verify_fox(G, H, K, case["n"], ring, max_order=brute_cap)
+    else:
+        N = resolve_series(G, case.get("series", ""))
+        if kind == "four_term":
+            report = verify_four_term(G, K, N)
+        elif kind == "polynomial":
+            report = verify_polynomial_sequence(G, K, N, ring)
+        else:
+            check = case.get("check_reduction", False)
+            report = verify_dim3(G, K, N, ring, max_order=brute_cap, check_reduction=check)
+    if kind == "counterexample":
+        # Example 2.4: z lies in the slice, which strictly exceeds K_2G_3.  The
+        # verdict is in the containments; extra keeps z and z_in_brute, which
+        # perfbench/workloads.py reads.
+        z_in_brute = G.names[z] in report.lhs
+        report.extra.update(z=G.names[z], z_in_brute=z_in_brute)
+        report.containments.update(z_in_brute=z_in_brute, strictly_exceeds_k2n3=report.counterexample)
+    report.case = case
+    report.ms = int((time.perf_counter() - t0) * 1000)
+    return report.to_dict()
 
 
 @dataclass
@@ -674,7 +679,7 @@ class CorpusResult:
         return json.dumps(data, sort_keys=True, indent=1)
 
 
-def _report_ok(r: dict) -> bool:
+def report_ok(r: dict) -> bool:
     return bool(r["equal"]) and all(r["containments"].values())
 
 
@@ -684,7 +689,7 @@ def _run_case_or_fail(case: dict) -> dict:
         return run_case(case)
     except Exception as exc:  # one bad case must not end the campaign
         extra = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
-        return Report(case=case, lhs=[], rhs=[], equal=False, extra=extra).to_dict()
+        return Report(lhs=[], rhs=[], equal=False, case=case, extra=extra).to_dict()
 
 
 def run_corpus(cfg: CorpusConfig) -> CorpusResult:
@@ -697,6 +702,6 @@ def run_corpus(cfg: CorpusConfig) -> CorpusResult:
     else:
         results = [_run_case_or_fail(c) for c in cases]
     results.sort(key=lambda r: r["case"]["id"])
-    failures = [r for r in results if not _report_ok(r)]
-    ordered = failures + [r for r in results if _report_ok(r)]
+    failures = [r for r in results if not report_ok(r)]
+    ordered = failures + [r for r in results if report_ok(r)]
     return CorpusResult(ordered, failures)

@@ -130,7 +130,7 @@ def _series_for_criterion_3(spec, G):
         tags.append("pow3")
     series = [(t, resolve_series(G, t)) for t in tags]
     if spec == "quaternion:8":
-        series.append(("chain:x;x2;1", resolve_series(G, "chain:x;x2;1")))
+        series.append(("x;x2;1", resolve_series(G, "x;x2;1")))
     return series
 
 

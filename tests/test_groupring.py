@@ -54,7 +54,6 @@ def ideal_power_naive(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> Mo
     g * product * h.  Exponentially slower than the composition
     construction; only for validating it on small groups.
     """
-    m = ring.modulus
     out = ModuleSpan(G, ring)
     tuples: list[tuple[int, ...]] = []
 
@@ -79,13 +78,13 @@ def ideal_power_naive(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> Mo
         def rec(i, acc):
             if i == len(pools):
                 for g in G.elements():
-                    left = row_translate(G, g, acc, m)
+                    left = row_translate(G, g, acc)
                     out.lattice.add(left)
                     for h in G.elements():
-                        out.lattice.add(row_translate_right(G, left, h, m))
+                        out.lattice.add(row_translate_right(G, left, h))
                 return
             for a in pools[i]:
-                rec(i + 1, row_multiply(G, acc, elem_minus_one(G, a), m))
+                rec(i + 1, row_multiply(G, acc, elem_minus_one(G, a)))
 
         one = [0] * G.order
         one[G.identity] = 1
@@ -95,12 +94,12 @@ def ideal_power_naive(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> Mo
 
 def translate_closure_naive(span: ModuleSpan) -> ModuleSpan:
     """R-span of all left G-translates of the given span."""
-    G, m = span.group, span.ring.modulus
+    G = span.group
     out = ModuleSpan(G, span.ring)
     base = span.canonical()
     for g in G.elements():
         for row in base:
-            out.lattice.add(row_translate(G, g, row, m))
+            out.lattice.add(row_translate(G, g, row))
     return out
 
 

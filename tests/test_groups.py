@@ -84,6 +84,8 @@ def test_build_group_cap_and_errors():
         build_group("nosuch:3")
     with pytest.raises(GroupError):
         build_group("")
+    with pytest.raises(GroupError, match="cannot parse group spec"):
+        build_group('{"perm_gens": [[[0, 1]]]')  # JSON cut short
     with pytest.raises(GroupError):
         build_group({"table": [[0, 1], [1, 1]]})  # not Latin
     # associativity violation: Latin square that is not a group
@@ -96,6 +98,29 @@ def test_build_group_cap_and_errors():
     ]
     with pytest.raises(GroupError):
         build_group({"table": bad})
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        ("cyclic:30000", 30000),
+        ("cyclic:1000 x cyclic:1000", 1000000),
+        ("dihedral:600", 1200),
+        ("elementary-abelian:2,11", 2048),
+        ("class2:2,3", 4096),
+        ("cyclic:2 x class2:2,2 x quaternion:8", 8192),
+    ],
+)
+def test_order_cap_is_checked_before_any_table_is_built(monkeypatch, spec, order):
+    import dimfox.groups as groups
+
+    def no_table(*args):
+        raise AssertionError(f"a table was built for {spec}")
+
+    for family in ("_cyclic", "_dihedral", "_quaternion8", "_class2", "_elementary_abelian"):
+        monkeypatch.setattr(groups, family, no_table)
+    with pytest.raises(GroupError, match=f"group order {order} exceeds the cap 1024"):
+        build_group(spec)
 
 
 PRODUCT_NAMES = ["((1,1),1)", "((1,1),x)", "((1,x),1)", "((1,x),x)", "((x,1),1)", "((x,1),x)", "((x,x),1)", "((x,x),x)"]

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dimfox.cli import main as cli_main
 from dimfox.groupring import CoeffRing
@@ -17,6 +18,7 @@ from dimfox.groups import (
 )
 from dimfox.verify import (
     CorpusConfig,
+    Report,
     build_cases,
     resolve_series,
     run_case,
@@ -93,7 +95,7 @@ def test_verify_polynomial_sequence_cases():
 
 def test_dim3_reduction_crosscheck():
     """D_3 for a custom series against the lower-central D_3 of G/N_3."""
-    for spec, tag, m in [("cyclic:4", "pow2", 2), ("cyclic:6", "double", 0), ("quaternion:8", "chain:x;x2;1", 2)]:
+    for spec, tag, m in [("cyclic:4", "pow2", 2), ("cyclic:6", "double", 0), ("quaternion:8", "x;x2;1", 2)]:
         G = build_group(spec)
         N = resolve_series(G, tag)
         ring = Z if m == 0 else CoeffRing.mod(m)
@@ -135,12 +137,13 @@ def test_resolve_series_variants():
     C6 = build_group("cyclic:6")
     g = resolve_series(C6, "gamma")
     assert [len(t) for t in g.chain] == [6, 1]
+    assert resolve_series(C6, "") == g
     d = resolve_series(C6, "double")
     assert [len(t) for t in d.chain] == [6, 6, 1, 1]
     p = resolve_series(C6, "pow2")
     assert [len(t) for t in p.chain] == [6, 3]
     D4 = build_group("dihedral:4")
-    ch = resolve_series(D4, "chain:r2;1")
+    ch = resolve_series(D4, "r2;1")
     assert [len(t) for t in ch.chain] == [8, 2, 1]
 
 
@@ -370,6 +373,10 @@ def test_cli_corpus_config(tmp_path, capsys):
             },
             "explicit_subgroups entry for 'cyclic:32': unknown element 'x99'",
         ),
+        ({"include_counterexample": "false"}, "include_counterexample has the wrong type"),
+        ({"extra_series": "no"}, "extra_series has the wrong type"),
+        ({"groups": [{"perm_gens": [[[0, 1]]]}]}, "groups entry {'perm_gens'"),
+        (["cyclic:4"], "corpus config is not a JSON object"),
     ],
 )
 def test_cli_corpus_rejects_bad_config(tmp_path, capsys, monkeypatch, bad, named):
@@ -419,3 +426,144 @@ def test_cli_nseries_argument(capsys):
     # invalid chain: [G, G] ceases to be descending-with-commutators at (1, 2)
     code3 = cli_main(["dim3", "--group", "dihedral:4", "--K", "", "--nseries", "r,f;1"])
     assert code3 == 2
+
+
+def test_case_elements_are_names_indices_or_one_string():
+    D4 = build_group("dihedral:4")
+    r2, f = D4.index_of("r2"), D4.index_of("f")
+    base = {"kind": "dim3", "group": "dihedral:4", "series": "gamma", "m": 0}
+    same = [run_case({**base, "K": K}) for K in (["r2", "f"], [r2, f], "r2, f", "r2,f,1,", [" r2", "f", "1"])]
+    assert all(r["lhs"] == same[0]["lhs"] and r["rhs"] == same[0]["rhs"] for r in same)
+    assert run_case({**base, "K": "1"})["lhs"] == run_case({**base, "K": []})["lhs"]
+    # "1" is the identity even where no element is named "1" (element 1 is p1 here)
+    C2 = '{"perm_gens": [[[0, 1]]]}'
+    assert run_case({"kind": "fox", "group": C2, "H": "1", "K": [], "n": 0, "m": 0})["lhs"] == ["p0"]
+    dim3 = {"kind": "dim3", "group": C2, "K": [], "m": 0}
+    assert run_case({**dim3, "series": "1"})["lhs"] == run_case({**dim3, "series": "p0"})["lhs"] == ["p0"]
+    assert run_case({**dim3, "series": "p1"})["lhs"] == ["p0", "p1"]
+    for bad in ([True], [1.0], [[0]], ["zzz"], [99]):
+        with pytest.raises(GroupError):
+            run_case({**base, "K": bad})
+
+
+def test_run_case_takes_the_cli_caps():
+    case = {"kind": "dim3", "group": "dihedral:4", "K": [], "series": "gamma", "m": 0}
+    with pytest.raises(GroupError, match="exceeds the cap 4"):
+        run_case(case, max_order=4)
+    flagship = {"kind": "counterexample", "p": 3, "r": 1, "s": 1}
+    with pytest.raises(GroupError, match="capped at order"):
+        run_case(flagship)
+    with pytest.raises(GroupError, match="group order 729 exceeds the cap 512"):
+        run_case(flagship, max_order=512, slow=True)
+
+
+# The `dimfox` examples of the README whose verbs run a case.
+README_CASE_COMMANDS = [
+    ["dim3", "--group", "cyclic:2 x cyclic:4", "--K", "", "--ring", "Z/4"],
+    ["dim3", "--group", "quaternion:8", "--K", "x2", "--nseries", "x;x2;1", "--ring", "Z", "--check-reduction"],
+    ["fox", "--group", "dihedral:4", "--H", "r,f", "--K", "r2", "--n", "2", "--ring", "Z/2"],
+    ["homology", "thm2.6", "--group", "class2:2,1", "--K", "c"],
+    ["homology", "lemma2.5", "--group", "dihedral:4", "--K", "r2", "--ring", "Z/2"],
+    ["example-2-4", "--p", "2", "--r", "1", "--s", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", README_CASE_COMMANDS, ids=lambda a: " ".join(a[:2]))
+def test_cli_verb_runs_its_case_through_run_case_once(monkeypatch, capsys, argv):
+    import dimfox.cli as cli
+
+    calls = []
+
+    def counted(case, **caps):
+        calls.append(case)
+        return run_case(case, **caps)
+
+    monkeypatch.setattr(cli, "run_case", counted)
+    assert cli_main(argv) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", README_CASE_COMMANDS, ids=lambda a: " ".join(a[:2]))
+def test_cli_report_case_replays_through_run_case(capsys, argv):
+    assert cli_main(argv + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    replay = run_case(report["case"])
+    for key in ("lhs", "rhs", "equal", "containments"):
+        assert replay[key] == report[key], key
+
+
+def test_counterexample_verdict_needs_z_in_the_slice(monkeypatch):
+    """A z outside the brute slice fails the counterexample case, in the
+    corpus and on the command line alike."""
+    import dimfox.verify as verify
+
+    real = verify.make_counterexample
+
+    def wrong_z(*args, **kwargs):
+        G, K, _ = real(*args, **kwargs)
+        return G, K, G.generators[0]  # x lies outside D_3 = {1, [x,y]^2}
+
+    monkeypatch.setattr(verify, "make_counterexample", wrong_z)
+    cfg = CorpusConfig(groups=["cyclic:2"], moduli=[0], theorems=["dim3"], extra_series=False)
+    result = run_corpus(cfg)
+    assert [f["case"]["kind"] for f in result.failures] == ["counterexample"]
+    failed = result.failures[0]
+    assert failed["containments"]["z_in_brute"] is False and failed["extra"]["z_in_brute"] is False
+    assert failed["containments"]["strictly_exceeds_k2n3"] is True
+    assert cli_main(["example-2-4", "--p", "2", "--r", "1", "--s", "1"]) == 1
+
+
+# -- fuzz of campaign configs ---------------------------------------------------
+
+_FUZZ_KEYS = [
+    "groups", "subgroup_policy", "explicit_subgroups", "moduli", "theorems", "fox_weights",
+    "include_counterexample", "extra_series", "max_group_order", "jobs", "bogus",
+]
+_FUZZ_VALUES = [
+    None, True, False, 0, 1, 2, 16, -1, "", "false", "no", "cyclic", "all", "explicit", "dim3",
+    "cyclic:4", "cyclc:4", "cyclic:3000", '{"perm_gens": [[[0, 1]]]}', '{"perm_gens"',
+    [], [0], [0, 2], [0, 1], [True], [3], ["dim3"], ["fox", "dim3"], ["x"], [["x"]],
+    ["cyclic:4"], ["cyclic:4", "dihedral:3"], ['{"perm_gens": [[[0, 1, 2]]]}'], [{"perm_gens": [[[0, 1]]]}],
+    [["cyclic:4"]], {}, {"cyclic:4": [["x"]]}, {"cyclic:4": [["zzz"]]}, {"cyclic:4": ["x"]},
+    {"perm_gens": [[[0, 1]]]},
+]
+_fuzz_value = st.sampled_from(_FUZZ_VALUES)
+_fuzz_config = st.one_of(
+    st.dictionaries(st.sampled_from(_FUZZ_KEYS), _fuzz_value, max_size=5),
+    _fuzz_value,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_fuzz_config)
+def test_corpus_config_fuzz(data):
+    """A config either yields cases whose every field has its declared type,
+    or is refused with a GroupError; no other exception escapes."""
+    try:
+        cases = build_cases(CorpusConfig.from_dict(data))
+    except GroupError:
+        return
+    assert cases
+    cfg = CorpusConfig.from_dict(data)
+    assert isinstance(cfg.include_counterexample, bool) and isinstance(cfg.extra_series, bool)
+    assert all(isinstance(spec, str) for spec in cfg.groups)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=list(HealthCheck))
+@given(data=_fuzz_config)
+def test_cli_corpus_config_fuzz(tmp_path, monkeypatch, capsys, data):
+    """The CLI answers every config with exit 0 or 2, never a traceback;
+    with every case stubbed to pass, exit 0 means the config was valid."""
+    import dimfox.verify as verify
+
+    monkeypatch.setattr(verify, "run_case", lambda case: Report([], [], True, case=case).to_dict())
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(data))
+    code = cli_main(["corpus", "--config", str(path)])
+    capsys.readouterr()
+    try:
+        build_cases(CorpusConfig.from_dict(data))
+        valid = True
+    except GroupError:
+        valid = False
+    assert code == (0 if valid else 2)
