@@ -11,6 +11,7 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .groups import (
@@ -187,10 +188,25 @@ def zero_span(G: FiniteGroup, ring: CoeffRing) -> ModuleSpan:
 
 
 def augmentation_ideal(G: FiniteGroup, S: Subgroup, ring: CoeffRing) -> ModuleSpan:
-    """R-span of {s - 1 : s in S} inside R(G)."""
+    """R-span of {s - 1 : s in S} inside R(G).
+
+    With top = max(S), the rows e_c - e_top (c in S, c != top) span the
+    same module as the rows s - 1: both span the coefficient rows that are
+    supported on S and sum to zero, since s - 1 = (e_s - e_top) -
+    (e_1 - e_top) and e_c - e_top = (c - 1) - (top - 1).  Each of them
+    leads in its own column c, so they enter the echelon form without
+    elimination, where every row s - 1 leads in the identity's column.
+    """
     if S.parent is not G:
         raise GroupError("subgroup of a different group")
-    rows = [elem_minus_one(G, s) for s in S.sorted_members() if s != G.identity]
+    members = S.sorted_members()
+    top = members[-1]
+    rows = []
+    for c in members[:-1]:
+        row = [0] * G.order
+        row[c] = 1
+        row[top] = -1
+        rows.append(row)
     return ModuleSpan(G, ring, rows)
 
 
@@ -334,6 +350,43 @@ def dim_modules(
     return ig, span_sum([left_ideal_product(K, ig), nseries_ideal_power(G, N, n, ring)])
 
 
+def _check_brute(G: FiniteGroup, ring: CoeffRing, max_order: int) -> None:
+    if G.order > max_order:
+        raise GroupError(f"brute force capped at order {max_order}")
+    if not ring.is_concrete:
+        raise GroupError("brute force needs a concrete ring")
+
+
+def slice_ring(G: FiniteGroup, ring: CoeffRing, w: int) -> CoeffRing | None:
+    """The ring a brute slice is computed over: Z stays Z, and Z/m becomes
+    Z/d with d = gcd(m, |G|^w), or None when d = 1.
+
+    The modules M sliced here lie between two lattices of Z^|G|, with
+    |G|^w*L <= M <= L: L = I(G) and w = n - 1 for I(K)I(G) + J_n, and
+    L = R(G)I(H) and w = max(n, 1) for the Fox modules of weight n.
+    Proof of the lower bounds: |G|*I^k <= I^(k+1) for k >= 1, because
+    I^k/I^(k+1) is an image of G_ab^(tensor k), which |G| kills; and
+    |G|*R(G)I(H) <= I(G)I(H), because R(G)I(H)/I(G)I(H) is
+    Z tensor_Z(H) I(H) = H_ab.  So |G|^(n-1)*I(G) <= I^n(G) <= J_n (as
+    N_1 = G), and |G|^n*R(G)I(H) <= I^n(G)I(H) <= M, which gives
+    w = max(n, 1) also for n = 0, where M = L.
+
+    Over Z/m the preimage of the module is M + m*Z^|G|, since every
+    construction is the image of the one over Z.  L is saturated (it is
+    the kernel of Z(G) -> Z(G/H), with H = G for I(G)), so
+    (M + m*Z^|G|) meet L = M + m*L, and m*L <= M + d*L <= M + m*L by
+    d = a*m + b*|G|^w.  A slice element g has g - 1 in L: for L = I(G)
+    always, and for L = R(G)I(H) because g - 1 in L + m*Z^|G| maps to
+    e_gH - e_H in m*Z(G/H), so gH = H once m >= 2.  So the slice over
+    Z/m is {g : g - 1 in M + d*L}, the slice over Z/d when d >= 2, and
+    the slice of L itself (G, or H) when d = 1.
+    """
+    if ring.kind != "mod":
+        return ring
+    d = gcd(ring.modulus, G.order**w)
+    return CoeffRing.mod(d) if d > 1 else None
+
+
 def dim_subgroup_brute(
     G: FiniteGroup,
     K: Subgroup,
@@ -342,12 +395,21 @@ def dim_subgroup_brute(
     ring: CoeffRing,
     max_order: int = DEFAULT_BRUTE_CAP,
 ) -> Subgroup:
-    """G cut along I(K)I(G) + (weight-n filtration ideal)."""
-    if G.order > max_order:
-        raise GroupError(f"brute force capped at order {max_order}")
-    if not ring.is_concrete:
-        raise GroupError("brute force needs a concrete ring")
-    return group_slice(G, dim_modules(G, K, N, n, ring)[1])
+    """G cut along I(K)I(G) + (weight-n filtration ideal), over the
+    `slice_ring` of weight n - 1."""
+    _check_brute(G, ring, max_order)
+    if n < 1:
+        raise GroupError("ideal weight must be >= 1")
+    R = slice_ring(G, ring, n - 1)
+    if R is None:
+        return whole_group(G)
+    return group_slice(G, dim_modules(G, K, N, n, R)[1])
+
+
+def _check_fox(G: FiniteGroup, ring: CoeffRing, n: int, max_order: int) -> None:
+    _check_brute(G, ring, max_order)
+    if n not in (0, 1, 2):
+        raise GroupError("fox subgroup implemented for n in {0, 1, 2}")
 
 
 def fox_modules(
@@ -366,12 +428,7 @@ def fox_modules(
     ideal; I(K)I(H) stays a `span_product`, as neither factor is stable
     under the other subgroup.
     """
-    if G.order > max_order:
-        raise GroupError(f"brute force capped at order {max_order}")
-    if not ring.is_concrete:
-        raise GroupError("brute force needs a concrete ring")
-    if n not in (0, 1, 2):
-        raise GroupError("fox subgroup implemented for n in {0, 1, 2}")
+    _check_fox(G, ring, n, max_order)
     ih = augmentation_ideal(G, H, ring)
     if n == 0:
         rg_ih = translate_closure(ih)
@@ -385,6 +442,25 @@ def fox_modules(
     return span_sum([translate_closure(ik_ih), power_ih]), span_sum([ik_ih, power_ih])
 
 
+def fox_slices(
+    G: FiniteGroup,
+    H: Subgroup,
+    K: Subgroup,
+    n: int,
+    ring: CoeffRing,
+    max_order: int = DEFAULT_BRUTE_CAP,
+) -> tuple[Subgroup, Subgroup]:
+    """G cut along the two `fox_modules`, over the `slice_ring` of weight
+    max(n, 1); for n = 0 the one module is sliced once."""
+    _check_fox(G, ring, n, max_order)
+    R = slice_ring(G, ring, max(n, 1))
+    if R is None:
+        return H, H
+    prefixed, plain = fox_modules(G, H, K, n, R, max_order)
+    first = group_slice(G, prefixed)
+    return first, first if plain is prefixed else group_slice(G, plain)
+
+
 def fox_subgroup_brute(
     G: FiniteGroup,
     H: Subgroup,
@@ -394,7 +470,7 @@ def fox_subgroup_brute(
     max_order: int = DEFAULT_BRUTE_CAP,
 ) -> Subgroup:
     """G cut along R(G)I(K)I(H) + I^n(G)I(H); n = 0 uses R(G)I(H)."""
-    return group_slice(G, fox_modules(G, H, K, n, ring, max_order)[0])
+    return fox_slices(G, H, K, n, ring, max_order)[0]
 
 
 def quotient_invariants(sub: ModuleSpan, sup: ModuleSpan) -> tuple[int, ...]:

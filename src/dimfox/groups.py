@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -770,13 +770,28 @@ def _elementary_abelian(p: int, k: int) -> _Table:
 _FAMILY_RE = re.compile(r"^([a-z0-9-]+):([0-9,]+)$")
 
 
-def _family(token: str) -> tuple[int, Callable[[], _Table]]:
+def is_prime(p: int) -> bool:
+    """Trial division, for the small primes of family parameters and series tags."""
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def _capped_power(p: int, k: int, max_order: int) -> int:
+    """p^k, refused without building it when it exceeds max_order by far."""
+    if k * (p.bit_length() - 1) >= 64 + max_order.bit_length():
+        raise GroupError(f"group order {p}^{k} exceeds the cap {max_order}")
+    return p**k
+
+
+def _family(token: str, max_order: int) -> tuple[int, Callable[[], _Table]]:
     """A family token's order, read from its parameters, and the function
     that fills its table, so the order cap is checked before any table is."""
     m = _FAMILY_RE.match(token.strip())
     if not m:
         raise GroupError(f"cannot parse group family {token!r}")
-    fam, params = m.group(1), [int(x) for x in m.group(2).split(",")]
+    try:  # int() refuses an empty parameter and one of over 4300 digits
+        fam, params = m.group(1), [int(x) for x in m.group(2).split(",")]
+    except ValueError:
+        raise GroupError(f"cannot parse group family {token!r}") from None
     if fam == "cyclic" and len(params) == 1:
         return params[0], partial(_cyclic, params[0])
     if fam == "dihedral" and len(params) == 1:
@@ -785,11 +800,12 @@ def _family(token: str) -> tuple[int, Callable[[], _Table]]:
         return 8, _quaternion8
     if fam == "class2" and len(params) == 2:
         p, s = params
-        if any(p % d == 0 for d in range(2, p)) or p < 2:
+        order = _capped_power(p, 3 * (s + 1), max_order)
+        if not is_prime(p):
             raise GroupError("class2 parameter p must be prime")
-        return p ** (3 * (s + 1)), partial(_class2, p, s)
+        return order, partial(_class2, p, s)
     if fam == "elementary-abelian" and len(params) == 2:
-        return params[0] ** params[1], partial(_elementary_abelian, *params)
+        return _capped_power(*params, max_order), partial(_elementary_abelian, *params)
     raise GroupError(f"unknown group family {token!r}")
 
 
@@ -863,10 +879,11 @@ def build_group(spec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
                 raise GroupError(f"cannot parse group spec {text!r}: {exc}") from None
         else:
             parts = [p for p in re.split(r"\s+x\s+|(?<=\d)x(?=[a-z])", text) if p] or [text]
-            families = [_family(p) for p in parts]
+            families = [_family(p, max_order) for p in parts]
             order = prod(n for n, _ in families)
             if order > max_order:
-                raise GroupError(f"group order {order} exceeds the cap {max_order}")
+                shown = order if order.bit_length() < 10000 else "past 2^10000"
+                raise GroupError(f"group order {shown} exceeds the cap {max_order}")
             return _group(reduce(_direct_product, [build() for _, build in families]))
     if isinstance(spec, dict):
         if "table" in spec:

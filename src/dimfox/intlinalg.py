@@ -14,7 +14,7 @@ membership over Z/m come for free from the integer machinery.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from typing import Iterable, Sequence
 
 
@@ -46,7 +46,7 @@ class IntLattice:
     are equal.
     """
 
-    __slots__ = ("ncols", "modulus", "rows", "pivcols", "_dirty", "_canonical", "_changes")
+    __slots__ = ("ncols", "modulus", "rows", "pivcols", "_stale", "_canonical", "_changes")
 
     # structural changes tolerated before entries are re-reduced; keeps
     # intermediate integer growth bounded during long insertion runs
@@ -61,7 +61,9 @@ class IntLattice:
         self.modulus = modulus
         self.rows: list[list[int]] = []
         self.pivcols: list[int] = []
-        self._dirty = False
+        # pivot columns of the rows inserted or rewritten since the last
+        # normalization; every other pair of rows is still reduced
+        self._stale: set[int] = set()
         self._canonical: tuple[tuple[int, ...], ...] | None = None
         self._changes = 0
         if modulus:
@@ -98,29 +100,33 @@ class IntLattice:
                 self.rows.insert(bisect_left(self.pivcols, j), v)
                 # insort + insert must agree on position; pivcols was
                 # updated first so bisect_left finds the new slot.
+                self._stale.add(j)
                 self._touch()
                 return True
             row = self.rows[i]
             a = row[j]
             b = v[j]
+            # v and row both vanish left of the pivot column j
             if b % a == 0:
                 q = b // a
                 if m:
-                    v = [(x - q * y) % m for x, y in zip(v, row)]
+                    v[j:] = [(x - q * y) % m for x, y in zip(v[j:], row[j:])]
                 else:
-                    v = [x - q * y for x, y in zip(v, row)]
+                    v[j:] = [x - q * y for x, y in zip(v[j:], row[j:])]
             else:
                 g, s, t = xgcd(a, b)
                 qa = a // g
                 qb = b // g
+                tail, vt = row[j:], v[j:]
                 if m:
-                    new_row = [(s * x + t * y) % m for x, y in zip(row, v)]
-                    new_row[j] = g
-                    v = [(qa * y - qb * x) % m for x, y in zip(row, v)]
+                    new_row = [(s * x + t * y) % m for x, y in zip(tail, vt)]
+                    new_row[0] = g
+                    v[j:] = [(qa * y - qb * x) % m for x, y in zip(tail, vt)]
                 else:
-                    new_row = [s * x + t * y for x, y in zip(row, v)]
-                    v = [qa * y - qb * x for x, y in zip(row, v)]
-                self.rows[i] = new_row
+                    new_row = [s * x + t * y for x, y in zip(tail, vt)]
+                    v[j:] = [qa * y - qb * x for x, y in zip(tail, vt)]
+                self.rows[i] = row[:j] + new_row
+                self._stale.add(j)
                 changed = True
             # v[j] is now 0 in both branches
         if changed:
@@ -128,7 +134,6 @@ class IntLattice:
         return changed
 
     def _touch(self) -> None:
-        self._dirty = True
         self._canonical = None
         self._changes += 1
         if self._changes >= self.NORMALIZE_EVERY:
@@ -150,9 +155,9 @@ class IntLattice:
             q = v[j] // row[j]
             if q:
                 if m:
-                    v = [(x - q * y) % m for x, y in zip(v, row)]
+                    v[j:] = [(x - q * y) % m for x, y in zip(v[j:], row[j:])]
                 else:
-                    v = [x - q * y for x, y in zip(v, row)]
+                    v[j:] = [x - q * y for x, y in zip(v[j:], row[j:])]
         return v
 
     def reduce_with_coeffs(self, vec: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -174,31 +179,50 @@ class IntLattice:
             if q:
                 coeffs[i] = q
                 if m:
-                    v = [(x - q * y) % m for x, y in zip(v, row)]
+                    v[j:] = [(x - q * y) % m for x, y in zip(v[j:], row[j:])]
                 else:
-                    v = [x - q * y for x, y in zip(v, row)]
+                    v[j:] = [x - q * y for x, y in zip(v[j:], row[j:])]
         return v, coeffs
 
     def contains(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce(vec))
 
     def _normalize(self) -> None:
-        if not self._dirty:
+        """Reduce every entry above a pivot into [0, pivot).
+
+        A pair of rows that neither changed since the last normalization
+        is still reduced, so a row that did not change is checked only
+        against the changed rows below it, until one of them rewrites it.
+        """
+        stale = self._stale
+        if not stale:
             return
         m = self.modulus
         rows = self.rows
         piv = self.pivcols
-        for i in range(len(rows)):
-            for k in range(i + 1, len(rows)):
+        stale_rows = sorted(bisect_left(piv, c) for c in stale)
+        for i, ri in enumerate(rows):
+            if piv[i] in stale:
+                start = i + 1
+            else:
+                # the first changed row below that rewrites row i, if any
+                later = stale_rows[bisect_right(stale_rows, i):]
+                start = next((k for k in later if ri[piv[k]] // rows[k][piv[k]]), None)
+                if start is None:
+                    continue
+            for k in range(start, len(rows)):
                 c = piv[k]
-                a = rows[k][c]
-                q = rows[i][c] // a
+                if not ri[c]:
+                    continue
+                rk = rows[k]
+                q = ri[c] // rk[c]
                 if q:
+                    # rows[k] vanishes left of its pivot column c
                     if m:
-                        rows[i] = [(x - q * y) % m for x, y in zip(rows[i], rows[k])]
+                        ri[c:] = [(x - q * y) % m for x, y in zip(ri[c:], rk[c:])]
                     else:
-                        rows[i] = [x - q * y for x, y in zip(rows[i], rows[k])]
-        self._dirty = False
+                        ri[c:] = [x - q * y for x, y in zip(ri[c:], rk[c:])]
+        stale.clear()
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
         """Unique reduced basis; over Z/m the Howell-form rows."""

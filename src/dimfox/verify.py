@@ -33,8 +33,7 @@ from .groupring import (
     dim_modules,
     dim_subgroup_brute,
     elem_minus_one,
-    fox_modules,
-    group_slice,
+    fox_slices,
     module_quotient_presentation,
     nseries_ideal_power,
     row_translate,
@@ -53,6 +52,7 @@ from .groups import (
     commutator_subgroup,
     cyclic_subgroups,
     generated_subgroup,
+    is_prime,
     join,
     lower_central_series,
     make_counterexample,
@@ -167,8 +167,7 @@ def verify_fox(
 ) -> Report:
     """Brute Fox subgroup against the closed formula for its weight."""
     ctx = FormulaContext(G, K, ring, H=H)
-    prefixed, plain = fox_modules(G, H, K, n, ring, max_order=max_order)
-    brute = group_slice(G, prefixed)
+    brute, plain = fox_slices(G, H, K, n, ring, max_order=max_order)
     extra: dict = {}
     containments: dict = {}
     if n == 0:
@@ -185,7 +184,7 @@ def verify_fox(
         except EnumerationCapError as exc:
             extra["generator_family_skipped"] = str(exc)
     if n in (1, 2):
-        containments["module_forms_agree"] = group_slice(G, plain) == brute
+        containments["module_forms_agree"] = plain == brute
     return Report(
         lhs=_names(G, brute.members),
         rhs=_names(G, formula.members),
@@ -511,8 +510,9 @@ def _generated(G: FiniteGroup, tokens) -> Subgroup:
 
 def resolve_series(G: FiniteGroup, tag: str) -> NSeries:
     """The N-series a tag names: `gamma` (also the empty tag), `double`,
-    `powP`, or a chain of levels `N_2;N_3;...` such as `r2;1`, each level
-    a comma-separated list of element names generating it."""
+    `powP` for a prime P, or a chain of levels `N_2;N_3;...` such as
+    `r2;1`, each level a comma-separated list of element names generating
+    it."""
     tag = tag.strip()
     if tag in ("", "gamma"):
         return lower_central_series(G)
@@ -521,7 +521,11 @@ def resolve_series(G: FiniteGroup, tag: str) -> NSeries:
         chain = [gamma.term((i + 1) // 2) for i in range(1, 2 * len(gamma.chain) + 1)]
         return validate_nseries(G, chain)
     if tag.startswith("pow"):
-        p = int(tag[3:])
+        digits = tag[3:]
+        # trial division stays quick on the up to 12 digits accepted
+        p = int(digits) if digits.isdecimal() and len(digits) <= 12 else 0
+        if not is_prime(p):
+            raise GroupError(f"series tag {tag!r}: powP needs a prime P of at most 12 digits")
         if G.is_abelian():
             chain = [whole_group(G)]
             while True:

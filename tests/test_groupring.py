@@ -1,7 +1,9 @@
 """Group-algebra spans, ideals, and brute-force subgroup slices."""
 
 import random
+from collections import Counter
 from itertools import product as iproduct
+from math import gcd
 
 import pytest
 
@@ -9,9 +11,11 @@ from dimfox.groupring import (
     CoeffRing,
     ModuleSpan,
     augmentation_ideal,
+    dim_modules,
     dim_subgroup_brute,
     elem_minus_one,
     fox_modules,
+    fox_slices,
     fox_subgroup_brute,
     group_slice,
     membership,
@@ -23,6 +27,7 @@ from dimfox.groupring import (
     row_multiply,
     row_translate,
     row_translate_right,
+    slice_ring,
     span_product,
     span_sum,
     translate_closure,
@@ -42,6 +47,7 @@ from dimfox.groups import (
     trivial_subgroup,
     whole_group,
 )
+from dimfox.verify import DEFAULT_GROUPS, CorpusConfig, build_cases, resolve_series
 
 Z = CoeffRing.integers()
 
@@ -454,3 +460,94 @@ def test_dim_subgroup_brute_never_calls_span_product(monkeypatch):
     K = generated_subgroup(G, [G.index_of("f")])
     for ring in (Z, CoeffRing.mod(4)):
         dim_subgroup_brute(G, K, lower_central_series(G), 3, ring)
+
+
+# -- brute slices over Z/gcd(m, |G|^w) against direct builds over Z/m ----------
+
+
+def _direct_slices(case: dict, G: FiniteGroup) -> tuple:
+    """(the new slice or slices, the same read from modules built over Z/m)."""
+    ring = CoeffRing.mod(case["m"])
+    K = generated_subgroup(G, case["K"])
+    if case["kind"] == "dim3":
+        N = resolve_series(G, case["series"])
+        direct = group_slice(G, dim_modules(G, K, N, 3, ring)[1])
+        return dim_subgroup_brute(G, K, N, 3, ring), direct
+    H = generated_subgroup(G, case["H"])
+    prefixed, plain = fox_modules(G, H, K, case["n"], ring)
+    return fox_slices(G, H, K, case["n"], ring), (group_slice(G, prefixed), group_slice(G, plain))
+
+
+def _check_default_corpus_slices(keep) -> None:
+    """Every default-corpus Z/m case that keep(case) selects; the selection
+    must include the coprime d = 1 and the proper 1 < d < m reductions."""
+    groups: dict = {}
+    moduli = Counter()
+    for case in build_cases(CorpusConfig()):
+        if case["kind"] not in ("dim3", "fox") or not case["m"] or not keep(case):
+            continue
+        G = groups.setdefault(case["group"], build_group(case["group"]))
+        new, direct = _direct_slices(case, G)
+        assert new == direct, case
+        w = 2 if case["kind"] == "dim3" else max(case["n"], 1)
+        d = gcd(case["m"], G.order**w)
+        moduli["coprime" if d == 1 else "reduced" if d < case["m"] else "kept"] += 1
+    assert min(moduli.values()) > 0 and len(moduli) == 3, moduli
+
+
+def test_slices_over_reduced_modulus_match_direct_builds_sample():
+    _check_default_corpus_slices(lambda case: case["id"] % 7 == 0)
+
+
+@pytest.mark.slow
+def test_slices_over_reduced_modulus_match_direct_builds_full_corpus():
+    _check_default_corpus_slices(lambda case: True)
+
+
+def test_slice_modulus_examples():
+    """cyclic:6 over Z/4 at Fox weight 1 is sliced over Z/2; over Z/5 nothing
+    is built and the slices are G (dim3) and H (Fox)."""
+    C6 = build_group("cyclic:6")
+    assert slice_ring(C6, CoeffRing.mod(4), 1) == CoeffRing.mod(2)
+    assert slice_ring(C6, CoeffRing.mod(5), 2) is None
+    assert slice_ring(C6, Z, 2) == Z
+    case = {"kind": "fox", "K": [], "H": [C6.index_of("x2")], "n": 1, "m": 4}
+    new, direct = _direct_slices(case, C6)
+    assert new == direct
+    H = generated_subgroup(C6, [C6.index_of("x2")])
+    N = lower_central_series(C6)
+    K = trivial_subgroup(C6)
+    assert fox_slices(C6, H, K, 2, CoeffRing.mod(5)) == (H, H)
+    assert dim_subgroup_brute(C6, K, N, 3, CoeffRing.mod(5)) == whole_group(C6)
+    # the caps and the ring are still checked when nothing is built
+    with pytest.raises(GroupError, match="capped at order 4"):
+        fox_slices(C6, H, K, 1, CoeffRing.mod(5), max_order=4)
+    with pytest.raises(GroupError, match="capped at order 4"):
+        dim_subgroup_brute(C6, K, N, 3, CoeffRing.mod(5), max_order=4)
+    with pytest.raises(GroupError, match="concrete ring"):
+        fox_slices(C6, H, K, 1, CoeffRing.abstract({}, 5))
+    with pytest.raises(GroupError, match="n in"):
+        fox_slices(C6, H, K, 3, CoeffRing.mod(5))
+
+
+@pytest.mark.parametrize("spec", ["class2:2,1", "dihedral:32"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_order64_slices_over_reduced_modulus_match_direct_builds(spec, m):
+    G = build_group(spec)
+    whole = list(G.generators)
+    for gens in ([], [G.generators[0]], whole):
+        new, direct = _direct_slices({"kind": "dim3", "K": gens, "series": "gamma", "m": m}, G)
+        assert new == direct, gens
+    for H, n in ((whole, 1), ([G.generators[1]], 2), (whole, 2)):
+        new, direct = _direct_slices({"kind": "fox", "K": [G.generators[0]], "H": H, "n": n, "m": m}, G)
+        assert new == direct, (H, n)
+
+
+def test_augmentation_ideal_matches_elem_minus_one_span():
+    """The rows e_c - e_top span the same module as the rows s - 1."""
+    for spec in DEFAULT_GROUPS:
+        G = build_group(spec)
+        for S in cyclic_subgroups(G) + [whole_group(G)]:
+            rows = [elem_minus_one(G, s) for s in S.sorted_members()]
+            for ring in (Z, CoeffRing.mod(4), CoeffRing.mod(6)):
+                assert augmentation_ideal(G, S, ring).canonical() == ModuleSpan(G, ring, rows).canonical()

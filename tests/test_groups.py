@@ -4,11 +4,13 @@ import re
 from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd, prod
+from time import perf_counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dimfox.cli import main as cli_main
 from dimfox.groups import (
     ClosureError,
     FiniteGroup,
@@ -688,3 +690,24 @@ def test_subgroup_from_members_names_an_escaping_pair(key, data):
         subgroup_from_members(G, members)
     a, b = re.fullmatch(r"set is not closed: (.+) \* (.+) escapes", str(err.value)).groups()
     assert (G.index_of(a), G.index_of(b)) in escaping
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("class2:2,3000000", "group order 2\\^9000003 exceeds the cap 1024"),
+        ("elementary-abelian:2,100000000", "group order 2\\^100000000 exceeds the cap 1024"),
+        ("cyclic:" + "9" * 3000 + " x cyclic:" + "9" * 3000, "group order past 2\\^10000 exceeds the cap"),
+        ("cyclic:" + "9" * 5000, "cannot parse group family"),
+    ],
+    ids=["class2", "elementary-abelian", "product-of-huge-cyclics", "5000-digit-cyclic"],
+)
+def test_huge_family_parameters_are_refused_quickly(capsys, spec, message):
+    """Orders and parameters too large to print are refused with a
+    GroupError, without building the huge integer, and the CLI exits 2."""
+    t0 = perf_counter()
+    with pytest.raises(GroupError, match=message):
+        build_group(spec)
+    assert cli_main(["group", "show", spec]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert perf_counter() - t0 < 1.0

@@ -3,8 +3,8 @@
 import random
 
 from hypothesis import given, settings, strategies as st
-from sympy import Matrix
-from sympy.matrices.normalforms import invariant_factors
+from sympy import Matrix, eye
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 from sympy import ZZ
@@ -123,6 +123,27 @@ def test_smith_transform_diagonalizes(rows):
             v[i] = d
             dlat.add(v)
     assert lat.canonical() == dlat.canonical()
+
+
+def sympy_canonical_mod(rows, ncols, m):
+    """The Hermite form of rows plus m*I through sympy, read modulo m.
+
+    sympy's form of the column span of A^T, transposed, is lower
+    triangular with each column reduced below its pivot; reversing the
+    coordinates and then the rows turns it into the upper echelon form
+    with each column reduced above its pivot that IntLattice keeps.
+    """
+    A = Matrix([list(r)[::-1] for r in rows] + (m * eye(ncols)).tolist())
+    H = hermite_normal_form(A.T).T
+    out = [tuple(int(x) % m for x in H.row(i))[::-1] for i in range(H.rows)][::-1]
+    return tuple(r for r in out if any(r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_matrix(max_rows=5, max_cols=6), st.sampled_from([4, 6, 9, 12]))
+def test_canonical_mod_m_matches_sympy_hermite(rows, m):
+    cols = len(rows[0])
+    assert lattice_from_rows(rows, cols, m).canonical() == sympy_canonical_mod(rows, cols, m)
 
 
 def test_howell_saturation_example():

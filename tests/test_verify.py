@@ -567,3 +567,48 @@ def test_cli_corpus_config_fuzz(tmp_path, monkeypatch, capsys, data):
     except GroupError:
         valid = False
     assert code == (0 if valid else 2)
+
+
+# -- fuzz of the case verbs' arguments -------------------------------------------
+
+_VERB_NAMES = {spec: build_group(spec).names for spec in ["cyclic:4", "dihedral:4", "cyclic:2 x cyclic:2"]}
+_BAD_K = ["zzz", ",", "r2,,", "99", "x;1", "x,zzz"]
+_BAD_POW = ["pow0", "pow1", "pow4", "pow6", "pow", "powx", "pow-2", "pow 2", "pow2.0", "pow" + "7" * 13]
+_SERIES_TAGS = ["gamma", "", "double", "pow2", "pow3", "pow5", "x2;1", "r2;1", "r,f;1", "zzz;1", "1", *_BAD_POW]
+_RINGS = ["Z", "Z/2", "Z/3", "Z/4", "Z/6", "4", "0", "Z/1", "Z/0", "Z/x", "Q", "Z/-2", ""]
+
+
+@st.composite
+def _verb_argv(draw):
+    group = draw(st.sampled_from(sorted(_VERB_NAMES)))
+    names = st.lists(st.sampled_from(_VERB_NAMES[group]), max_size=2).map(",".join)
+    tokens = st.one_of(names, names, st.sampled_from(_BAD_K))
+    K, ring = draw(tokens), draw(st.sampled_from(_RINGS))
+    verb = draw(st.sampled_from(["dim3", "fox", "lemma2.5"]))
+    if verb == "fox":
+        H, n = draw(tokens), draw(st.sampled_from(["0", "1", "2", "3"]))
+        return ["fox", "--group", group, "--H", H, "--K", K, "--n", n, "--ring", ring]
+    tag = draw(st.sampled_from(_SERIES_TAGS))
+    head = ["dim3"] if verb == "dim3" else ["homology", "lemma2.5"]
+    return head + ["--group", group, "--K", K, "--nseries", tag, "--ring", ring]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=list(HealthCheck))
+@given(argv=_verb_argv())
+def test_case_verb_argument_fuzz(capsys, argv):
+    """Every dim3, fox and lemma2.5 command exits 0, 1 or 2 with no
+    exception escaping main, and a powP tag whose P is not a prime exits 2."""
+    code = cli_main(argv)
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    if "--nseries" in argv and argv[argv.index("--nseries") + 1] in _BAD_POW:
+        assert code == 2
+
+
+def test_resolve_series_refuses_a_pow_tag_without_a_prime():
+    C6 = build_group("cyclic:6")
+    assert [len(t) for t in resolve_series(C6, "pow3").chain] == [6, 2]
+    for tag in _BAD_POW:
+        with pytest.raises(GroupError, match="powP needs a prime"):
+            resolve_series(C6, tag)
+    assert cli_main(["dim3", "--group", "cyclic:4", "--K", "", "--nseries", "pow"]) == 2
