@@ -33,7 +33,6 @@ from .formulas import (
     remark_lower_bound,
 )
 from .groupring import (
-    CoeffRing,
     ModuleSpan,
     augmentation_ideal,
     dim_subgroup_brute,
@@ -47,6 +46,7 @@ from .groupring import (
 )
 from .groups import (
     ClosureError,
+    CoeffRing,
     FiniteGroup,
     GroupError,
     NSeries,

@@ -15,8 +15,7 @@ from .abelian import (
     check_torsion_square_kernel,
     check_wedge_kernel_identity,
 )
-from .groupring import CoeffRing
-from .groups import GroupError, build_group
+from .groups import CoeffRing, GroupError, build_group
 from .verify import CorpusConfig, report_ok, run_case, run_corpus
 
 OK, MISMATCH, BAD_INPUT = 0, 1, 2

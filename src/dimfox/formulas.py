@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from .abelian import Presentation, diagonal_rows
 from .groups import (
     AbelianSection,
+    CoeffRing,
     FiniteGroup,
     GroupError,
     NSeries,
@@ -43,7 +44,6 @@ from .groups import (
     trivial_subgroup,
     whole_group,
 )
-from .groupring import CoeffRing
 
 # budgets of the fox2 enumerations: fox2_formula enumerates at most
 # FOX2_TUPLE_CAP exponent tuples, over at most FOX2_BUDGET_BITS bits of basis
@@ -91,6 +91,8 @@ class FormulaContext:
 
     @property
     def m(self) -> int:
+        if not self.ring.is_concrete:
+            raise GroupError(f"this formula needs Z or Z/m, not sigma {dict(self.ring.sigma)}")
         return self.ring.modulus
 
     @_memoized
@@ -238,8 +240,6 @@ def dim3_sigma_route(ctx: FormulaContext, literal_z2: bool = False) -> Subgroup:
 
 def dim3_per_modulus(ctx: FormulaContext) -> Subgroup:
     """The specialization to Z (m = 0) and Z/m coefficients."""
-    if not ctx.ring.is_concrete:
-        raise GroupError("per-modulus route needs Z or Z/m")
     G = ctx.G
     m = ctx.m
     n3 = ctx.N.term(3)
@@ -257,7 +257,7 @@ def dim3_per_modulus(ctx: FormulaContext) -> Subgroup:
 def dim3_formula(ctx: FormulaContext) -> Dim3Formula:
     """Evaluate the closed formula along both routes and cross-check.
 
-    Abstract rings have only the sigma route, which is then the result.
+    A sigma ring has only the sigma route, which is then the result.
     """
     sigma = dim3_sigma_route(ctx)
     if ctx.ring.is_concrete:
@@ -276,14 +276,11 @@ def fox0_formula(ctx: FormulaContext) -> Subgroup:
 
 def fox1_formula(ctx: FormulaContext) -> Subgroup:
     """H_2 * (p^e-th powers of the p-torsion of H mod H_2), or H_2 H^char."""
+    if ctx.ring.modulus:
+        return ctx.H2Hm(ctx.ring.modulus)
     G = ctx.G
     h2 = ctx.H2()
-    n_r = ctx.ring.characteristic
-    if n_r > 0:
-        return ctx.H2Hm(n_r)
     parts = [h2]
-    if ctx.ring.kind == "integers":
-        return h2
     for p in _primes_dividing(G.order):
         e = ctx.ring.sigma_exponent(p)
         if e is None:
@@ -315,8 +312,6 @@ def fox2_formula(
     G = ctx.G
     H = ctx.H
     m = ctx.m
-    if not ctx.ring.is_concrete:
-        raise GroupError("fox2 needs Z or Z/m")
     if decomposition is None:
         decomposition = abelian_quotient(G, H, ctx.H2Hm(m))
     d = decomposition.invariants

@@ -10,12 +10,12 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .groups import (
     ClosureError,
+    CoeffRing,
     FiniteGroup,
     GroupError,
     NSeries,
@@ -28,78 +28,6 @@ from .intlinalg import IntLattice
 from .abelian import Presentation
 
 DEFAULT_BRUTE_CAP = 256
-
-
-@dataclass(frozen=True)
-class CoeffRing:
-    """Coefficient ring descriptor.
-
-    kind "integers" (modulus 0), "mod" (Z/m, modulus m >= 2), or
-    "abstract": a (sigma, characteristic) descriptor that supports
-    formula evaluation but no group-algebra computation.  sigma maps a
-    prime p to the stabilization exponent e(p) of the chain p^n R.
-    """
-
-    kind: str
-    modulus: int = 0
-    sigma: tuple[tuple[int, int], ...] = ()
-
-    @staticmethod
-    def integers() -> "CoeffRing":
-        return CoeffRing("integers", 0)
-
-    @staticmethod
-    def mod(m: int) -> "CoeffRing":
-        if m < 2:
-            raise GroupError("modulus must be >= 2")
-        return CoeffRing("mod", m)
-
-    @staticmethod
-    def abstract(sigma: dict[int, int], characteristic: int) -> "CoeffRing":
-        return CoeffRing("abstract", characteristic, tuple(sorted(sigma.items())))
-
-    @staticmethod
-    def parse(text: str | int) -> "CoeffRing":
-        """A ring from "Z", "Z/m" or a modulus m (0 for Z), as text or an int."""
-        t = str(text).strip()
-        if t in ("Z", "Z/0", "0"):
-            return CoeffRing.integers()
-        if t.startswith("Z/"):
-            return CoeffRing.mod(int(t[2:]))
-        if t.isdigit():
-            m = int(t)
-            return CoeffRing.integers() if m == 0 else CoeffRing.mod(m)
-        raise GroupError(f"cannot parse ring {text!r}")
-
-    @property
-    def is_concrete(self) -> bool:
-        return self.kind in ("integers", "mod")
-
-    @property
-    def characteristic(self) -> int:
-        return self.modulus
-
-    def sigma_exponent(self, p: int) -> int | None:
-        """e(p) if p is in sigma(R), else None."""
-        if self.kind == "integers":
-            return None
-        if self.kind == "mod":
-            m, e = self.modulus, 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            return e
-        for q, e in self.sigma:
-            if q == p:
-                return e
-        return None
-
-    def __str__(self):
-        if self.kind == "integers":
-            return "Z"
-        if self.kind == "mod":
-            return f"Z/{self.modulus}"
-        return f"abstract(char={self.modulus})"
 
 
 # -- ring element rows --------------------------------------------------------
@@ -152,7 +80,7 @@ class ModuleSpan:
 
     def __init__(self, group: FiniteGroup, ring: CoeffRing, rows: Sequence[Sequence[int]] = ()):
         if not ring.is_concrete:
-            raise GroupError("group-algebra spans need a concrete ring")
+            raise GroupError(f"group-algebra spans need a concrete ring, not sigma {dict(ring.sigma)}")
         self.group = group
         self.ring = ring
         self.lattice = IntLattice(group.order, ring.modulus)
@@ -332,7 +260,12 @@ def membership(G: FiniteGroup, v: Sequence[int], span: ModuleSpan) -> bool:
 
 def group_slice(G: FiniteGroup, span: ModuleSpan) -> Subgroup:
     """{g : g - 1 in span}, with subgroup closure asserted."""
-    hits = [g for g in G.elements() if span.contains_row(elem_minus_one(G, g))]
+    return _slice_of(G, G.elements(), span)
+
+
+def _slice_of(G: FiniteGroup, candidates: Iterable[int], span: ModuleSpan) -> Subgroup:
+    """{g in candidates : g - 1 in span}, with subgroup closure asserted."""
+    hits = [g for g in candidates if span.contains_row(elem_minus_one(G, g))]
     try:
         return subgroup_from_members(G, hits)
     except ClosureError as exc:
@@ -350,16 +283,14 @@ def dim_modules(
     return ig, span_sum([left_ideal_product(K, ig), nseries_ideal_power(G, N, n, ring)])
 
 
-def _check_brute(G: FiniteGroup, ring: CoeffRing, max_order: int) -> None:
+def _check_brute(G: FiniteGroup, max_order: int) -> None:
     if G.order > max_order:
         raise GroupError(f"brute force capped at order {max_order}")
-    if not ring.is_concrete:
-        raise GroupError("brute force needs a concrete ring")
 
 
 def slice_ring(G: FiniteGroup, ring: CoeffRing, w: int) -> CoeffRing | None:
-    """The ring a brute slice is computed over: Z stays Z, and Z/m becomes
-    Z/d with d = gcd(m, |G|^w), or None when d = 1.
+    """The ring a brute slice is computed over: Z/m becomes Z/d with
+    d = gcd(m, |G|^w), or None when d = 1; characteristic 0 stays as is.
 
     The modules M sliced here lie between two lattices of Z^|G|, with
     |G|^w*L <= M <= L: L = I(G) and w = n - 1 for I(K)I(G) + J_n, and
@@ -381,7 +312,7 @@ def slice_ring(G: FiniteGroup, ring: CoeffRing, w: int) -> CoeffRing | None:
     Z/m is {g : g - 1 in M + d*L}, the slice over Z/d when d >= 2, and
     the slice of L itself (G, or H) when d = 1.
     """
-    if ring.kind != "mod":
+    if not ring.modulus:
         return ring
     d = gcd(ring.modulus, G.order**w)
     return CoeffRing.mod(d) if d > 1 else None
@@ -397,7 +328,7 @@ def dim_subgroup_brute(
 ) -> Subgroup:
     """G cut along I(K)I(G) + (weight-n filtration ideal), over the
     `slice_ring` of weight n - 1."""
-    _check_brute(G, ring, max_order)
+    _check_brute(G, max_order)
     if n < 1:
         raise GroupError("ideal weight must be >= 1")
     R = slice_ring(G, ring, n - 1)
@@ -406,8 +337,8 @@ def dim_subgroup_brute(
     return group_slice(G, dim_modules(G, K, N, n, R)[1])
 
 
-def _check_fox(G: FiniteGroup, ring: CoeffRing, n: int, max_order: int) -> None:
-    _check_brute(G, ring, max_order)
+def _check_fox(G: FiniteGroup, n: int, max_order: int) -> None:
+    _check_brute(G, max_order)
     if n not in (0, 1, 2):
         raise GroupError("fox subgroup implemented for n in {0, 1, 2}")
 
@@ -428,7 +359,7 @@ def fox_modules(
     ideal; I(K)I(H) stays a `span_product`, as neither factor is stable
     under the other subgroup.
     """
-    _check_fox(G, ring, n, max_order)
+    _check_fox(G, n, max_order)
     ih = augmentation_ideal(G, H, ring)
     if n == 0:
         rg_ih = translate_closure(ih)
@@ -451,14 +382,19 @@ def fox_slices(
     max_order: int = DEFAULT_BRUTE_CAP,
 ) -> tuple[Subgroup, Subgroup]:
     """G cut along the two `fox_modules`, over the `slice_ring` of weight
-    max(n, 1); for n = 0 the one module is sliced once."""
-    _check_fox(G, ring, n, max_order)
+    max(n, 1); for n = 0 the one module is sliced once.
+
+    Only the members of H are tested: both modules lie in L = R(G)I(H),
+    and over Z/d (d = 0 for Z) g - 1 in L + d*Z^|G| maps to e_gH - e_H,
+    which lies in d*Z(G/H), so gH = H.
+    """
+    _check_fox(G, n, max_order)
     R = slice_ring(G, ring, max(n, 1))
     if R is None:
         return H, H
     prefixed, plain = fox_modules(G, H, K, n, R, max_order)
-    first = group_slice(G, prefixed)
-    return first, first if plain is prefixed else group_slice(G, plain)
+    first = _slice_of(G, H.members, prefixed)
+    return first, first if plain is prefixed else _slice_of(G, H.members, plain)
 
 
 def fox_subgroup_brute(

@@ -31,6 +31,80 @@ class ClosureError(GroupError):
     """A set that was asserted to be a subgroup failed closure."""
 
 
+def is_prime(p: int) -> bool:
+    """Trial division, for the small primes of family parameters, series
+    tags and sigma descriptors."""
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+@dataclass(frozen=True)
+class CoeffRing:
+    """A commutative coefficient ring R, as the closed formulas read it: its
+    characteristic `modulus` (0, or n >= 2), and, in characteristic 0, the
+    pairs (p, e(p)) in `sigma` for the primes p whose chain pR >= p^2R >= ...
+    stops falling, at p^e(p)R.  Z has an empty sigma, and only Z and Z/m
+    have group algebras that the brute side builds.
+
+    In characteristic n > 0, e(p) = v_p(n) for every prime p, so Z/n
+    stands for every ring of characteristic n.  Proof: write n = p^a*u
+    with p not dividing u.  As p^a and u are coprime and nR = 0,
+    R = A x B with A = R/p^aR and B = R/uR; p is a unit on B, and A has
+    characteristic p^a, as n = lcm(char A, char B) and char B divides u.
+    So p^kR = p^kA x B is constant from k = a on.  For k < a,
+    p^kA = p^(k+1)A would give p^k = p^(k+1)r in A, so p^k(1 - pr) = 0
+    with 1 - pr a unit (pr is nilpotent), and p^k = 0 in A.
+    """
+
+    modulus: int = 0
+    sigma: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        if self.modulus < 0 or self.modulus == 1:
+            raise GroupError(f"ring characteristic {self.modulus} is neither 0 nor >= 2")
+        if self.sigma and self.modulus:
+            raise GroupError(f"sigma {dict(self.sigma)} needs characteristic 0, not {self.modulus}")
+        for p, e in self.sigma:  # trial division stays quick on keys of up to 12 digits
+            if not (p < 10**12 and is_prime(p)) or e < 0:
+                raise GroupError(f"sigma entry e({p}) = {e} needs a prime p of at most 12 digits and e >= 0")
+
+    @staticmethod
+    def integers() -> "CoeffRing":
+        return CoeffRing(0)
+
+    @staticmethod
+    def mod(m: int) -> "CoeffRing":
+        return CoeffRing(m)
+
+    @staticmethod
+    def abstract(sigma: dict[int, int]) -> "CoeffRing":
+        """The characteristic-0 ring with e(p) = sigma[p], and no finite e(p)
+        for a prime not in sigma."""
+        return CoeffRing(0, tuple(sorted(sigma.items())))
+
+    @staticmethod
+    def parse(text: str | int) -> "CoeffRing":
+        """A ring from "Z", "Z/m" or a modulus m (0 for Z), as text or an int."""
+        t = str(text).strip()
+        digits = "0" if t == "Z" else t[2:] if t.startswith("Z/") else t
+        if not digits.isdecimal() or len(digits) > 4300:  # int() refuses longer strings
+            raise GroupError(f"cannot parse ring {text!r}")
+        return CoeffRing(int(digits))
+
+    @property
+    def is_concrete(self) -> bool:
+        return not self.sigma
+
+    def sigma_exponent(self, p: int) -> int | None:
+        """e(p) if the chain p^k R stops falling, else None."""
+        if not self.modulus:
+            return dict(self.sigma).get(p)
+        m, e = self.modulus, 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        return e
+
+
 class FiniteGroup:
     """A finite group given by its Cayley table.
 
@@ -768,11 +842,6 @@ def _elementary_abelian(p: int, k: int) -> _Table:
 
 
 _FAMILY_RE = re.compile(r"^([a-z0-9-]+):([0-9,]+)$")
-
-
-def is_prime(p: int) -> bool:
-    """Trial division, for the small primes of family parameters and series tags."""
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _capped_power(p: int, k: int, max_order: int) -> int:

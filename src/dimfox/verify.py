@@ -27,7 +27,6 @@ from .formulas import (
 )
 from .groupring import (
     DEFAULT_BRUTE_CAP,
-    CoeffRing,
     ModuleSpan,
     augmentation_ideal,
     dim_modules,
@@ -42,6 +41,7 @@ from .groupring import (
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
+    CoeffRing,
     FiniteGroup,
     GroupError,
     NSeries,
@@ -81,7 +81,7 @@ class Report:
     containments: dict = field(default_factory=dict)
     witnesses: list[str] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
-    ms: int = 0
+    ms: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -133,7 +133,7 @@ def verify_dim3(
         equal=equal,
         # strictness over Z is the noteworthy event; over Z/m the slice
         # exceeding K_2 N_3 is generic
-        counterexample=ring.kind == "integers" and exceeds,
+        counterexample=ring.modulus == 0 and exceeds,
         containments={
             "k2n3_in_formula": formula.result.contains_subgroup(k2n3),
             "formula_in_brute": brute.contains_subgroup(formula.result),
@@ -654,7 +654,7 @@ def run_case(case: dict, max_order: int = DEFAULT_ORDER_CAP, slow: bool = False)
         report.extra.update(z=G.names[z], z_in_brute=z_in_brute)
         report.containments.update(z_in_brute=z_in_brute, strictly_exceeds_k2n3=report.counterexample)
     report.case = case
-    report.ms = int((time.perf_counter() - t0) * 1000)
+    report.ms = round((time.perf_counter() - t0) * 1000, 3)
     return report.to_dict()
 
 

@@ -51,9 +51,6 @@ MODULE_T0 = time.time()
 Z = CoeffRing.integers()
 
 
-def ring_for(m: int) -> CoeffRing:
-    return Z if m == 0 else CoeffRing.mod(m)
-
 
 def corpus_groups():
     out = []
@@ -106,7 +103,7 @@ def test_criterion_02_trivial_k_specialization():
         N = lower_central_series(G)
         K = trivial_subgroup(G)
         for m in (0, 2, 3, 4, 6):
-            ring = ring_for(m)
+            ring = CoeffRing.parse(m)
             brute = dim_subgroup_brute(G, K, N, 3, ring)
             formula = dim3_formula(FormulaContext(G, K, ring, N)).result
             if brute != formula:
@@ -148,7 +145,7 @@ def test_criterion_03_general_brute_equals_formula():
                 nongamma.add((spec, tag))
             for K in cyclic_subgroups(G):
                 for m in (0, 2, 3, 4):
-                    ring = ring_for(m)
+                    ring = CoeffRing.parse(m)
                     brute = dim_subgroup_brute(G, K, N, 3, ring)
                     formula = dim3_formula(FormulaContext(G, K, ring, N)).result
                     if brute != formula:
@@ -172,7 +169,7 @@ def test_criterion_04_sigma_route_crosscheck():
     for spec, G in corpus_groups():
         for K in cyclic_subgroups(G):
             for m in (2, 3, 4, 6):
-                f = dim3_formula(FormulaContext(G, K, ring_for(m)))
+                f = dim3_formula(FormulaContext(G, K, CoeffRing.parse(m)))
                 if not f.routes_agree:
                     ok = False
                 checked += 1
@@ -252,7 +249,7 @@ def test_criterion_07_fox_weight_2():
         for H in hs:
             for K in subs:
                 for m in (0, 2, 3, 4):
-                    ring = ring_for(m)
+                    ring = CoeffRing.parse(m)
                     ctx = FormulaContext(G, K, ring, H=H)
                     brute = fox_subgroup_brute(G, H, K, 2, ring)
                     formula = fox2_formula(ctx)
@@ -419,7 +416,7 @@ def test_criterion_12_property_suite():
         N = lower_central_series(G)
         for K in cyclic_subgroups(G)[:4]:
             for m in (0, 2, 3):
-                ring = ring_for(m)
+                ring = CoeffRing.parse(m)
                 ctx = FormulaContext(G, K, ring, N)
                 formula = dim3_formula(ctx).result
                 brute = dim_subgroup_brute(G, K, N, 3, ring)
@@ -436,7 +433,7 @@ def test_criterion_12_property_suite():
             if not K.is_normal():
                 continue
             for m in (0, 2, 3):
-                ring = ring_for(m)
+                ring = CoeffRing.parse(m)
                 ctx = FormulaContext(G, K, ring, H=whole_group(G))
                 if fox2_formula(ctx) != dim_subgroup_brute(G, K, N, 3, ring):
                     ok = False
@@ -447,7 +444,7 @@ def test_criterion_12_property_suite():
         G = build_group(spec)
         H = whole_group(G)
         K = trivial_subgroup(G)
-        ctx = FormulaContext(G, K, ring_for(m), H=H)
+        ctx = FormulaContext(G, K, CoeffRing.parse(m), H=H)
         base = fox2_formula(ctx)
         from dimfox.groups import abelian_quotient
 

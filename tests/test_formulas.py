@@ -16,6 +16,7 @@ from dimfox.formulas import (
     Z2_subgroup,
     corollary_hypotheses,
     dim3_formula,
+    dim3_per_modulus,
     dim3_sigma_route,
     fox0_formula,
     fox1_formula,
@@ -45,9 +46,6 @@ from dimfox.verify import DEFAULT_GROUPS
 
 Z = CoeffRing.integers()
 
-
-def ring_for(m):
-    return Z if m == 0 else CoeffRing.mod(m)
 
 
 def test_U_subgroup_examples():
@@ -123,7 +121,7 @@ def test_Z2_subgroup_examples():
 @pytest.mark.parametrize("m", [0, 2, 3, 4, 6])
 def test_dim3_formula_vs_brute(spec, m):
     G = build_group(spec)
-    ring = ring_for(m)
+    ring = CoeffRing.parse(m)
     for K in cyclic_subgroups(G):
         ctx = FormulaContext(G, K, ring)
         f = dim3_formula(ctx)
@@ -144,7 +142,7 @@ def test_dim3_counterexample():
 def test_dim3_abstract_ring():
     # localization-style descriptor: sigma = {3} with e(3) = 0
     C6 = build_group("cyclic:6")
-    ring = CoeffRing.abstract({3: 0}, 0)
+    ring = CoeffRing.abstract({3: 0})
     ctx = FormulaContext(C6, trivial_subgroup(C6), ring)
     f = dim3_formula(ctx)
     assert f.result == dim3_sigma_route(ctx)  # the only route for abstract rings
@@ -157,7 +155,7 @@ def test_k2n3_always_inside_formula():
         G = build_group(spec)
         for K in cyclic_subgroups(G):
             for m in (0, 2, 3, 4):
-                ctx = FormulaContext(G, K, ring_for(m))
+                ctx = FormulaContext(G, K, CoeffRing.parse(m))
                 k2n3 = join(
                     G, [commutator_subgroup(G, K, K), ctx.N.term(3)]
                 )
@@ -184,20 +182,43 @@ def test_fox0_and_fox1():
 
 def test_fox1_abstract_ring():
     C6 = build_group("cyclic:6")
-    ring = CoeffRing.abstract({2: 1}, 0)  # p = 2 stabilizes at exponent 1
+    ring = CoeffRing.abstract({2: 1})  # p = 2 stabilizes at exponent 1
     ctx = FormulaContext(C6, trivial_subgroup(C6), ring, H=whole_group(C6))
     # H_2 * (2-torsion of C6)^2 = squares of {0, 3} = trivial
     assert fox1_formula(ctx).is_trivial()
-    ring0 = CoeffRing.abstract({2: 0}, 0)
+    ring0 = CoeffRing.abstract({2: 0})
     ctx0 = FormulaContext(C6, trivial_subgroup(C6), ring0, H=whole_group(C6))
     assert fox1_formula(ctx0).members == frozenset({0, 3})
+
+
+def test_modulus_formulas_refuse_a_sigma_ring():
+    """FormulaContext.m is the one check in front of every formula that
+    reads a modulus m."""
+    D4 = build_group("dihedral:4")
+    W = whole_group(D4)
+    ctx = FormulaContext(D4, trivial_subgroup(D4), CoeffRing.abstract({2: 1}), H=W)
+    for formula in (dim3_per_modulus, fox2_formula, fox2_generator_family, remark_lower_bound):
+        with pytest.raises(GroupError, match=r"needs Z or Z/m, not sigma \{2: 1\}"):
+            formula(ctx)
+    # the sigma route and fox1 read sigma only
+    assert dim3_formula(ctx).result == dim3_sigma_route(ctx)
+    assert fox1_formula(ctx).contains_subgroup(ctx.H2())
+
+
+def test_fox1_over_Z_is_H2():
+    """Over Z no e(p) is finite, so fox1 is H_2."""
+    for spec in ["dihedral:4", "quaternion:8", "class2:3,1"]:
+        G = build_group(spec)
+        for H in cyclic_subgroups(G) + [whole_group(G)]:
+            ctx = FormulaContext(G, trivial_subgroup(G), Z, H=H)
+            assert fox1_formula(ctx) == commutator_subgroup(G, H, H)
 
 
 @pytest.mark.parametrize("spec", ["cyclic:4", "cyclic:6", "dihedral:4", "quaternion:8", "cyclic:2 x cyclic:2"])
 @pytest.mark.parametrize("m", [0, 2, 3, 4])
 def test_fox2_formula_vs_brute(spec, m):
     G = build_group(spec)
-    ring = ring_for(m)
+    ring = CoeffRing.parse(m)
     subs = cyclic_subgroups(G)
     for H in subs:
         for K in subs:
@@ -223,7 +244,7 @@ def test_fox2_basis_independence():
         G = build_group(spec)
         H = whole_group(G)
         K = trivial_subgroup(G)
-        ctx = FormulaContext(G, K, ring_for(m), H=H)
+        ctx = FormulaContext(G, K, CoeffRing.parse(m), H=H)
         base = fox2_formula(ctx)
         h2 = commutator_subgroup(G, H, H)
         h2hm = join(G, [h2, power_subgroup(G, H, m)])
@@ -294,9 +315,9 @@ def test_fox2_generator_family_matches_brute():
                 continue
             for K in subs[:4]:
                 for m in (0, 2, 3):
-                    ctx = FormulaContext(G, K, ring_for(m), H=H)
+                    ctx = FormulaContext(G, K, CoeffRing.parse(m), H=H)
                     fam = fox2_generator_family(ctx)
-                    brute = fox_subgroup_brute(G, H, K, 2, ring_for(m))
+                    brute = fox_subgroup_brute(G, H, K, 2, CoeffRing.parse(m))
                     assert fam == brute, (spec, len(H), m)
 
 
@@ -308,7 +329,7 @@ def test_fox2_generator_family_matches_literal_enumeration():
         for H in subs:
             for K in subs:
                 for m in mods:
-                    ctx = FormulaContext(G, K, ring_for(m), H=H)
+                    ctx = FormulaContext(G, K, CoeffRing.parse(m), H=H)
                     assert fox2_generator_family(ctx) == _literal_family(ctx), (
                         spec,
                         sorted(H.members),
@@ -364,7 +385,7 @@ def test_fox2_generator_family_order_invariance():
     H = whole_group(G)
     for K in cyclic_subgroups(G)[:3]:
         for m in (0, 2):
-            ctx = FormulaContext(G, K, ring_for(m), H=H)
+            ctx = FormulaContext(G, K, CoeffRing.parse(m), H=H)
             base = fox2_generator_family(ctx)
             alt_order = sorted(H.members, reverse=True)
             alt = fox2_generator_family(ctx, elem_order=alt_order)
@@ -388,7 +409,7 @@ def test_fox2_generator_family_needs_commuting_letters():
 
 def test_fox2_generator_family_builds_no_group(monkeypatch):
     contexts = [
-        FormulaContext(G, K, ring_for(m), H=whole_group(G))
+        FormulaContext(G, K, CoeffRing.parse(m), H=whole_group(G))
         for G in (build_group("dihedral:4"), build_group("quaternion:8"))
         for K in cyclic_subgroups(G)[:3]
         for m in (0, 2)
@@ -428,7 +449,7 @@ def test_dim3_formula_builds_each_U_once(monkeypatch):
     for spec, m in [("cyclic:4", 4), ("cyclic:2 x cyclic:4", 2), ("dihedral:6", 6), ("cyclic:8", 0)]:
         G = build_group(spec)
         calls.clear()
-        dim3_formula(FormulaContext(G, trivial_subgroup(G), ring_for(m)))
+        dim3_formula(FormulaContext(G, trivial_subgroup(G), CoeffRing.parse(m)))
         assert calls and len(calls) == len(set(calls)), (spec, m, calls)
         if spec == "cyclic:4":
             assert sorted(calls) == [0, 4]
@@ -459,7 +480,7 @@ def _commutator_built_members(m):
     G = build_group("class2:2,1")
     x, y = G.generators
     K = generated_subgroup(G, [G.power(x, 2), y])
-    ctx = FormulaContext(G, K, ring_for(m), H=generated_subgroup(G, [x, G.power(y, 2)]))
+    ctx = FormulaContext(G, K, CoeffRing.parse(m), H=generated_subgroup(G, [x, G.power(y, 2)]))
     subs = [commutator_subgroup(G, whole_group(G), K), *lower_central_series(G).chain]
     subs += [U_subgroup(ctx, m), remark_lower_bound(ctx)]
     return [s.members for s in subs]

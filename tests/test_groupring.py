@@ -120,9 +120,42 @@ def test_coeffring_parse_and_sigma():
     assert R12.sigma_exponent(2) == 2
     assert R12.sigma_exponent(3) == 1
     assert R12.sigma_exponent(5) == 0
-    ab = CoeffRing.abstract({3: 1}, 0)
+    ab = CoeffRing.abstract({3: 1})
     assert ab.sigma_exponent(3) == 1 and ab.sigma_exponent(2) is None
     assert not ab.is_concrete
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: CoeffRing(1), "characteristic 1 "),
+        (lambda: CoeffRing(-3), "characteristic -3 "),
+        (lambda: CoeffRing.parse("Z/1"), "characteristic 1 "),
+        (lambda: CoeffRing(2, ((2, 1),)), r"sigma \{2: 1\} needs characteristic 0, not 2"),
+        (lambda: CoeffRing.abstract({4: 1}), r"e\(4\) = 1 "),
+        (lambda: CoeffRing.abstract({3: -1}), r"e\(3\) = -1 "),
+        (lambda: CoeffRing.abstract({2**61 - 1: 1}), r"e\(2305843009213693951\) = 1 needs a prime p of at most 12"),
+        (lambda: CoeffRing.parse("Z/" + "7" * 5000), "cannot parse ring 'Z/777"),
+    ],
+    ids=[
+        "char-1", "char-negative", "parse-Z/1", "sigma-in-char-2", "sigma-key-4",
+        "sigma-exponent-negative", "sigma-key-too-long", "modulus-too-long",
+    ],
+)
+def test_coeffring_refuses_impossible_descriptors(build, named):
+    with pytest.raises(GroupError, match=named):
+        build()
+
+
+def test_coeffring_has_one_descriptor_per_ring():
+    """Z is the sigma ring with no finite e(p), and Z/n reads e(p) = v_p(n)."""
+    assert CoeffRing.abstract({}) == CoeffRing.integers() == CoeffRing.parse("Z/0")
+    assert hash(CoeffRing.abstract({})) == hash(Z)
+    assert CoeffRing.abstract({3: 1, 2: 0}) == CoeffRing.abstract({2: 0, 3: 1})
+    R12 = CoeffRing.mod(12)
+    assert [R12.sigma_exponent(p) for p in (2, 3, 5, 7, 11, 13)] == [2, 1, 0, 0, 0, 0]
+    assert CoeffRing.mod(2**5 * 3).sigma_exponent(2) == 5
+    assert R12.is_concrete and Z.is_concrete and not CoeffRing.abstract({2: 1}).is_concrete
 
 
 def test_augmentation_ideal_basics():
@@ -284,7 +317,7 @@ def test_dim_subgroup_brute_examples():
     D = dim_subgroup_brute(D4, whole_group(D4), ND, 3, Z)
     assert D == ND.term(2)
     with pytest.raises(GroupError):
-        dim_subgroup_brute(D4, whole_group(D4), ND, 3, CoeffRing.abstract({}, 0))
+        dim_subgroup_brute(D4, whole_group(D4), ND, 3, CoeffRing.abstract({2: 1}))
     with pytest.raises(GroupError):
         G, K, _ = make_counterexample(2, 1, 1)
         dim_subgroup_brute(G, K, lower_central_series(G), 3, Z, max_order=32)
@@ -525,9 +558,32 @@ def test_slice_modulus_examples():
     with pytest.raises(GroupError, match="capped at order 4"):
         dim_subgroup_brute(C6, K, N, 3, CoeffRing.mod(5), max_order=4)
     with pytest.raises(GroupError, match="concrete ring"):
-        fox_slices(C6, H, K, 1, CoeffRing.abstract({}, 5))
+        fox_slices(C6, H, K, 1, CoeffRing.abstract({2: 1}))
     with pytest.raises(GroupError, match="n in"):
         fox_slices(C6, H, K, 3, CoeffRing.mod(5))
+
+
+def test_fox_slices_within_H_match_slices_over_G_sample():
+    """fox_slices tests only the members of H; over every 7th default-corpus
+    Fox case, its slices equal `group_slice` over all of G of the same
+    modules."""
+    groups: dict = {}
+    checked = Counter()
+    for case in build_cases(CorpusConfig()):
+        if case["kind"] != "fox" or case["id"] % 7:
+            continue
+        G = groups.setdefault(case["group"], build_group(case["group"]))
+        H, K, n = generated_subgroup(G, case["H"]), generated_subgroup(G, case["K"]), case["n"]
+        ring = CoeffRing.parse(case["m"])
+        R = slice_ring(G, ring, max(n, 1))
+        if R is None:
+            continue
+        prefixed, plain = fox_modules(G, H, K, n, R)
+        over_G = (group_slice(G, prefixed), group_slice(G, plain))
+        assert fox_slices(G, H, K, n, ring) == over_G, case
+        checked["Z" if R == Z else "Z/d"] += 1
+        checked["H < G"] += len(H) < G.order
+    assert min(checked.values()) > 0 and len(checked) == 3, checked
 
 
 @pytest.mark.parametrize("spec", ["class2:2,1", "dihedral:32"])

@@ -15,8 +15,6 @@ from dimfox.groups import (
 )
 from dimfox.verify import verify_dim3, verify_four_term, verify_fox
 
-Z = CoeffRing.integers()
-
 
 def alternating4():
     """A4 on four points: non-nilpotent, stabilizing lower central series."""
@@ -24,9 +22,6 @@ def alternating4():
         {"perm_gens": [[[0, 1, 2]], [[0, 1], [2, 3]]]}
     )
 
-
-def ring_for(m):
-    return Z if m == 0 else CoeffRing.mod(m)
 
 
 def test_a4_shape():
@@ -42,7 +37,7 @@ def test_a4_dim3(m):
     G = alternating4()
     N = lower_central_series(G)
     for K in cyclic_subgroups(G):
-        r = verify_dim3(G, K, N, ring_for(m))
+        r = verify_dim3(G, K, N, CoeffRing.parse(m))
         assert r.equal and all(r.containments.values()), (m, sorted(K.members))
 
 
@@ -53,7 +48,7 @@ def test_a4_fox(n, m):
     subs = [s for s in cyclic_subgroups(G) if len(s) <= 3]
     for H in subs:
         for K in subs[:3]:
-            r = verify_fox(G, H, K, n, ring_for(m))
+            r = verify_fox(G, H, K, n, CoeffRing.parse(m))
             assert r.equal and all(r.containments.values()), (n, m)
 
 
@@ -79,9 +74,9 @@ def test_random_abelian_tables():
         G = build_group({"table": table})
         assert G.order == n and G.is_abelian()
         for m in (0, 2, 3):
-            ctx = FormulaContext(G, trivial_subgroup(G), ring_for(m))
-            brute = dim_subgroup_brute(G, trivial_subgroup(G), ctx.N, 3, ring_for(m))
+            ctx = FormulaContext(G, trivial_subgroup(G), CoeffRing.parse(m))
+            brute = dim_subgroup_brute(G, trivial_subgroup(G), ctx.N, 3, CoeffRing.parse(m))
             assert brute == dim3_formula(ctx).result
-            ctx2 = FormulaContext(G, trivial_subgroup(G), ring_for(m), H=whole_group(G))
-            assert fox_subgroup_brute(G, whole_group(G), trivial_subgroup(G), 1, ring_for(m)) == fox1_formula(ctx2)
-            assert fox_subgroup_brute(G, whole_group(G), trivial_subgroup(G), 2, ring_for(m)) == fox2_formula(ctx2)
+            ctx2 = FormulaContext(G, trivial_subgroup(G), CoeffRing.parse(m), H=whole_group(G))
+            assert fox_subgroup_brute(G, whole_group(G), trivial_subgroup(G), 1, CoeffRing.parse(m)) == fox1_formula(ctx2)
+            assert fox_subgroup_brute(G, whole_group(G), trivial_subgroup(G), 2, CoeffRing.parse(m)) == fox2_formula(ctx2)

@@ -16,8 +16,6 @@ from dimfox.verify import (
     verify_polynomial_sequence,
 )
 
-Z = CoeffRing.integers()
-
 
 @pytest.fixture(scope="module")
 def big():
@@ -25,14 +23,11 @@ def big():
     return G, K, z
 
 
-def ring_for(m):
-    return Z if m == 0 else CoeffRing.mod(m)
-
 
 @pytest.mark.parametrize("m", [0, 2, 4])
 def test_dim3_counterexample_all_rings(big, m):
     G, K, z = big
-    r = verify_dim3(G, K, lower_central_series(G), ring_for(m), max_order=64)
+    r = verify_dim3(G, K, lower_central_series(G), CoeffRing.parse(m), max_order=64)
     assert r.equal and all(r.containments.values())
     if m == 0:
         assert r.counterexample and G.names[z] in r.lhs
@@ -45,7 +40,7 @@ def test_dim3_other_subgroups(big, m):
     c = G.comm(x, y)
     for gens in ([], [c], [G.power(x, 2)], [x], [G.mul(x, y)]):
         Ksub = generated_subgroup(G, gens)
-        r = verify_dim3(G, Ksub, lower_central_series(G), ring_for(m), max_order=64)
+        r = verify_dim3(G, Ksub, lower_central_series(G), CoeffRing.parse(m), max_order=64)
         assert r.equal and all(r.containments.values()), (m, gens)
 
 
@@ -54,7 +49,7 @@ def test_fox_weight2_h_equals_g(big, m):
     G, K, z = big
     from dimfox.groups import whole_group
 
-    r = verify_fox(G, whole_group(G), K, 2, ring_for(m), max_order=64)
+    r = verify_fox(G, whole_group(G), K, 2, CoeffRing.parse(m), max_order=64)
     assert r.equal and all(r.containments.values())
     if m == 0:
         assert G.names[z] in r.lhs

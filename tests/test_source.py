@@ -67,3 +67,23 @@ def test_every_public_function_is_referenced():
         readers += list(_parse(folder.glob("*.py")).values())
     unused = _unreferenced(trees, readers, private=False)
     assert not unused, f"public functions with no reference outside their own body: {unused}"
+
+
+def _import_names(tree: ast.Module) -> set[str]:
+    """Every dotted-name part that an import statement in tree names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(part for alias in node.names for part in alias.name.split("."))
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found.update(node.module.split("."))
+    return found
+
+
+def test_brute_and_formula_sides_do_not_import_each_other():
+    """groupring (brute force in R(G)) and formulas (closed formulas) meet
+    only in the shared base modules, so each verdict compares two
+    independent computations."""
+    trees = _parse(SRC.glob("*.py"))
+    assert "groupring" not in _import_names(trees["formulas.py"])
+    assert "formulas" not in _import_names(trees["groupring.py"])

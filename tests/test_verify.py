@@ -513,6 +513,15 @@ def test_counterexample_verdict_needs_z_in_the_slice(monkeypatch):
     assert cli_main(["example-2-4", "--p", "2", "--r", "1", "--s", "1"]) == 1
 
 
+def test_every_report_of_a_small_corpus_has_a_positive_time():
+    cfg = CorpusConfig(groups=["cyclic:2", "cyclic:4", "dihedral:4"], moduli=[0, 2], fox_weights=[0, 1])
+    result = run_corpus(cfg)
+    assert result.ok and len(result.reports) > 50
+    for r in result.reports:
+        assert isinstance(r["ms"], float) and r["ms"] > 0, r["case"]
+    assert not any("ms" in r for r in json.loads(result.to_json(include_timings=False))["reports"])
+
+
 # -- fuzz of campaign configs ---------------------------------------------------
 
 _FUZZ_KEYS = [
