@@ -42,7 +42,6 @@ from .groupring import (
     nseries_ideal_power,
     quotient_invariants,
     span_product,
-    span_sum,
 )
 from .groups import (
     ClosureError,

@@ -10,6 +10,7 @@ assumed.
 
 from __future__ import annotations
 
+import copy
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -90,6 +91,12 @@ class ModuleSpan:
     def canonical(self):
         return self.lattice.canonical()
 
+    def copy(self) -> "ModuleSpan":
+        """The same span, with its own lattice to add rows to."""
+        out = copy.copy(self)
+        out.lattice = self.lattice.copy()
+        return out
+
     def basis_rows(self):
         return self.lattice.basis_rows()
 
@@ -115,6 +122,20 @@ def zero_span(G: FiniteGroup, ring: CoeffRing) -> ModuleSpan:
     return ModuleSpan(G, ring)
 
 
+def _to_top_span(G: FiniteGroup, ring: CoeffRing, pairs: Iterable[tuple[int, int]]) -> ModuleSpan:
+    """The span of the rows e_c - e_t for (c, t) in pairs, where each c is
+    below its t and no t is a c: every row leads in its own column c and
+    meets no other row's pivot, so it enters the echelon form without
+    elimination."""
+    rows = []
+    for c, t in pairs:
+        row = [0] * G.order
+        row[c] = 1
+        row[t] = -1
+        rows.append(row)
+    return ModuleSpan(G, ring, rows)
+
+
 def augmentation_ideal(G: FiniteGroup, S: Subgroup, ring: CoeffRing) -> ModuleSpan:
     """R-span of {s - 1 : s in S} inside R(G).
 
@@ -129,27 +150,7 @@ def augmentation_ideal(G: FiniteGroup, S: Subgroup, ring: CoeffRing) -> ModuleSp
         raise GroupError("subgroup of a different group")
     members = S.sorted_members()
     top = members[-1]
-    rows = []
-    for c in members[:-1]:
-        row = [0] * G.order
-        row[c] = 1
-        row[top] = -1
-        rows.append(row)
-    return ModuleSpan(G, ring, rows)
-
-
-def span_sum(parts: Sequence[ModuleSpan]) -> ModuleSpan:
-    if not parts:
-        raise GroupError("span_sum needs at least one span")
-    first = parts[0]
-    for p in parts[1:]:
-        if p.group is not first.group or p.ring != first.ring:
-            raise GroupError("span_sum: group/ring mismatch")
-    out = ModuleSpan(first.group, first.ring)
-    for p in parts:
-        for row in p.canonical():
-            out.lattice.add(list(row))
-    return out
+    return _to_top_span(G, ring, ((c, top) for c in members[:-1]))
 
 
 def span_product(A: ModuleSpan, B: ModuleSpan) -> ModuleSpan:
@@ -164,13 +165,12 @@ def span_product(A: ModuleSpan, B: ModuleSpan) -> ModuleSpan:
     return out
 
 
-def _generator_product(M: ModuleSpan, S: Subgroup, shifts: list[list[int]]) -> ModuleSpan:
-    """R-span of the rows b*t - b (shifts = G.mul_cols()) or t*b - b
+def _add_generator_product(out: ModuleSpan, M: ModuleSpan, S: Subgroup, shifts: list[list[int]]) -> None:
+    """Add to `out` the rows b*t - b (shifts = G.mul_cols()) or t*b - b
     (shifts = G.mul_rows()) for b in basis(M) and t in a small generating
     set of S."""
     if S.parent is not M.group:
         raise GroupError("subgroup of a different group")
-    out = ModuleSpan(M.group, M.ring)
     basis = M.canonical()
     for t in small_generators(M.group, S.members):
         perm = shifts[t]
@@ -180,7 +180,6 @@ def _generator_product(M: ModuleSpan, S: Subgroup, shifts: list[list[int]]) -> M
                 if c:
                     row[perm[j]] += c
             out.lattice.add(row)
-    return out
 
 
 def right_ideal_product(M: ModuleSpan, S: Subgroup) -> ModuleSpan:
@@ -193,7 +192,9 @@ def right_ideal_product(M: ModuleSpan, S: Subgroup) -> ModuleSpan:
     words in T reach every s.  A product then costs rank(M)*|T| row
     translates instead of rank(M)*(|S| - 1) row products.
     """
-    return _generator_product(M, S, M.group.mul_cols())
+    out = ModuleSpan(M.group, M.ring)
+    _add_generator_product(out, M, S, M.group.mul_cols())
+    return out
 
 
 def left_ideal_product(S: Subgroup, M: ModuleSpan) -> ModuleSpan:
@@ -203,30 +204,39 @@ def left_ideal_product(S: Subgroup, M: ModuleSpan) -> ModuleSpan:
     gives I(S)*M = R-span{(t - 1)b : b in basis(M), t in T} for any T
     generating S.
     """
-    return _generator_product(M, S, M.group.mul_rows())
+    out = ModuleSpan(M.group, M.ring)
+    _add_generator_product(out, M, S, M.group.mul_rows())
+    return out
 
 
-def translate_closure(span: ModuleSpan) -> ModuleSpan:
-    """R(G)*span: the R-span of all left G-translates of the given span.
+def _close_left(out: ModuleSpan, queue: list[list[int]]) -> None:
+    """Close `out` under left translation by G, given that every row of
+    `out` outside the queue already has its left G-translates in `out`.
 
-    Closes under left translates by a small generating set of G with a
-    worklist.  A translate is queued for further translation only when it
-    grew the span: the base rows and the rows that grew it span the
-    result, and each of them has its generator translates inside, so the
-    span is closed under left translation by G.
+    Translates by a small generating set of G are added, and a translate
+    is queued in turn only when it grew the span.  Then every row of a
+    spanning set of the result (the rows outside the queue, the queued
+    rows and the rows that grew it) has its generator translates inside,
+    so the result is closed under left translation by G.
     """
-    G = span.group
+    G = out.group
     gens = small_generators(G, G.elements())
-    out = ModuleSpan(G, span.ring)
-    queue = [list(row) for row in span.canonical()]
-    for row in queue:
-        out.lattice.add(row)
     while queue:
         row = queue.pop()
         for t in gens:
             moved = row_translate(G, t, row)
             if out.lattice.add(moved):
                 queue.append(moved)
+
+
+def translate_closure(span: ModuleSpan) -> ModuleSpan:
+    """R(G)*span: the R-span of all left G-translates of the given span,
+    closed by `_close_left` with every row of the span queued."""
+    out = ModuleSpan(span.group, span.ring)
+    queue = [list(row) for row in span.canonical()]
+    for row in queue:
+        out.lattice.add(row)
+    _close_left(out, queue)
     return out
 
 
@@ -239,16 +249,20 @@ def nseries_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> 
     (x - 1)(y - 1) = (xy - 1) - (x - 1) - (y - 1)), so J_n absorbs a
     factor g - 1 on either side and is a two-sided ideal.  Splitting off
     the last factor gives J_n = I(N_n) + sum_{j<n} J_{n-j}*I(N_j), and
-    each J_{n-j}*I(N_j) is a `right_ideal_product`.  Validated against
-    the no-shortcut generator set in the test suite.
+    each J_{n-j}*I(N_j) is spanned by the `right_ideal_product` rows
+    b(t - 1), b in basis(J_{n-j}) and t in a small generating set of N_j.
+    So each J_k is one lattice: I(N_k) with those rows added for every
+    j < k.  Validated against the no-shortcut generator set in the test
+    suite.
     """
     if n < 1:
         raise GroupError("ideal weight must be >= 1")
+    cols = G.mul_cols()
     J: dict[int, ModuleSpan] = {}
     for k in range(1, n + 1):
-        parts = [augmentation_ideal(G, N.term(k), ring)]
-        parts += [right_ideal_product(J[k - j], N.term(j)) for j in range(1, k)]
-        J[k] = span_sum(parts)
+        J[k] = augmentation_ideal(G, N.term(k), ring)
+        for j in range(1, k):
+            _add_generator_product(J[k], J[k - j], N.term(j), cols)
     return J[n]
 
 
@@ -277,10 +291,13 @@ def dim_modules(
 ) -> tuple[ModuleSpan, ModuleSpan]:
     """I(G) and I(K)I(G) + (weight-n filtration ideal), in that order.
 
-    I(K)I(G) is a `left_ideal_product`: I(G) is a left ideal.
+    I(K)I(G) is a `left_ideal_product`, as I(G) is a left ideal, so its
+    rows (t - 1)b go straight into the filtration ideal's lattice.
     """
     ig = augmentation_ideal(G, whole_group(G), ring)
-    return ig, span_sum([left_ideal_product(K, ig), nseries_ideal_power(G, N, n, ring)])
+    module = nseries_ideal_power(G, N, n, ring)
+    _add_generator_product(module, ig, K, G.mul_rows())
+    return ig, module
 
 
 def _check_brute(G: FiniteGroup, max_order: int) -> None:
@@ -353,24 +370,56 @@ def fox_modules(
 ) -> tuple[ModuleSpan, ModuleSpan]:
     """R(G)I(K)I(H) + I^n(G)I(H) and I(K)I(H) + I^n(G)I(H), in that order.
 
-    Both forms share I(H), I(K)I(H) and I^n(G)I(H), which are built once.
-    For n = 0 both are R(G)I(H), which contains R(G)I(K)I(H).  I^n(G) and
-    I^n(G)I(H) are `right_ideal_product`s, since I^(n-1)(G) is a two-sided
-    ideal; I(K)I(H) stays a `span_product`, as neither factor is stable
-    under the other subgroup.
+    Every module is built inside L = R(G)I(H), of rank |G| - |G:H|.
+
+    n = 0: both are R(G)I(H), which contains R(G)I(K)I(H).  It is the
+    span of the rows x(h - 1) = e_xh - e_x, which is the span of the
+    rows supported on one left coset and summing to zero on it:
+    e_y - e_t = -y(h - 1) for t = yh, and
+    e_xh - e_x = (e_xh - e_t) - (e_x - e_t).  So the rows e_y - e_top(yH),
+    for every y that is not the largest element top(yH) of its coset, are
+    a basis (no translate closure is needed).
+
+    n >= 1: I(G)I(H) is the `right_ideal_product` of I(G) by H, as
+    I(G)h lies in I(G); and I^(k+1)(G)I(H) = I(G)*I^k(G)I(H) is the
+    `left_ideal_product` by G of I^k(G)I(H), a left ideal.  I^2(G) is
+    never built.  The R-span of the rows (k - 1)(h - 1) is I(K)I(H), and
+    those rows are added to I^n(G)I(H)'s lattice to give the plain
+    module.  The prefixed one starts from a copy of the plain one and is
+    closed under left translation by `_close_left`, with only the product
+    rows that grew the plain module queued: I^n(G)I(H) is a left ideal,
+    and a product row that did not grow the plain module lies in the span
+    of I^n(G)I(H) and the product rows queued, so its translates follow.
     """
     _check_fox(G, n, max_order)
-    ih = augmentation_ideal(G, H, ring)
+    if H.parent is not G or K.parent is not G:
+        raise GroupError("subgroup of a different group")
+    rows = G.mul_rows()
     if n == 0:
-        rg_ih = translate_closure(ih)
+        members = list(H.members)
+        tops = (max(rows[y][h] for h in members) for y in G.elements())
+        rg_ih = _to_top_span(G, ring, ((y, t) for y, t in enumerate(tops) if y != t))
         return rg_ih, rg_ih
-    ik_ih = span_product(augmentation_ideal(G, K, ring), ih)
     whole = whole_group(G)
-    power = augmentation_ideal(G, whole, ring)
+    plain = right_ideal_product(augmentation_ideal(G, whole, ring), H)
     for _ in range(n - 1):
-        power = right_ideal_product(power, whole)
-    power_ih = right_ideal_product(power, H)
-    return span_sum([translate_closure(ik_ih), power_ih]), span_sum([ik_ih, power_ih])
+        plain = left_ideal_product(whole, plain)
+    one = G.identity
+    grew = []
+    for k in K.sorted_members():
+        for h in H.sorted_members():
+            if k == one or h == one:
+                continue
+            row = [0] * G.order
+            row[rows[k][h]] += 1
+            row[k] -= 1
+            row[h] -= 1
+            row[one] += 1
+            if plain.lattice.add(row):
+                grew.append(row)
+    prefixed = plain.copy()
+    _close_left(prefixed, grew)
+    return prefixed, plain
 
 
 def fox_slices(

@@ -161,15 +161,16 @@ class IntLattice:
         return v
 
     def reduce_with_coeffs(self, vec: Sequence[int]) -> tuple[list[int], list[int]]:
-        """Residual plus the coefficients used against each stored row.
+        """Residual plus the coefficients used against each stored row, in
+        exact integer arithmetic: vec == coeffs . rows + residual.
 
-        vec == coeffs . rows + residual (modulo m*Z^n when a modulus is
-        set).  Rows should be normalized first if deterministic
-        coefficients matter; callers that build presentations include
-        modulus relations anyway.
+        The rows are a basis of the (preimage) lattice, so the residual is
+        zero iff vec lies in it.  Nothing is reduced modulo m on the way:
+        that would drop multiples of m*e_j that the coefficients do not
+        record.  Rows should be normalized first if deterministic
+        coefficients matter.
         """
-        m = self.modulus
-        v = [x % m for x in vec] if m else list(vec)
+        v = list(vec)
         coeffs = [0] * len(self.rows)
         for i, j in enumerate(self.pivcols):
             if v[j] == 0:
@@ -178,10 +179,7 @@ class IntLattice:
             q = v[j] // row[j]
             if q:
                 coeffs[i] = q
-                if m:
-                    v[j:] = [(x - q * y) % m for x, y in zip(v[j:], row[j:])]
-                else:
-                    v[j:] = [x - q * y for x, y in zip(v[j:], row[j:])]
+                v[j:] = [x - q * y for x, y in zip(v[j:], row[j:])]
         return v, coeffs
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -230,15 +228,10 @@ class IntLattice:
             return self._canonical
         self._normalize()
         m = self.modulus
-        if m:
-            out = []
-            for row in self.rows:
-                disp = tuple(x % m for x in row)
-                if any(disp):
-                    out.append(disp)
-            self._canonical = tuple(out)
-        else:
-            self._canonical = tuple(tuple(row) for row in self.rows)
+        # over Z/m every entry is already in [0, m): `add` and `_normalize`
+        # reduce what they write, and every pivot they write is below m.  So
+        # a row with pivot m is an untouched seed row m*e_j, zero modulo m.
+        self._canonical = tuple(tuple(row) for j, row in zip(self.pivcols, self.rows) if row[j] != m)
         return self._canonical
 
     def basis_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -248,6 +241,17 @@ class IntLattice:
 
     def rank(self) -> int:
         return len(self.rows)
+
+    def copy(self) -> "IntLattice":
+        """An independent lattice with the same rows and pending state."""
+        out = IntLattice(self.ncols)
+        out.modulus = self.modulus
+        out.rows = [list(row) for row in self.rows]
+        out.pivcols = list(self.pivcols)
+        out._stale = set(self._stale)
+        out._canonical = self._canonical
+        out._changes = self._changes
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntLattice):

@@ -15,6 +15,7 @@ import traceback
 from dataclasses import dataclass, field
 from math import gcd
 
+from .abelian import FgAb
 from .formulas import (
     EnumerationCapError,
     FormulaContext,
@@ -314,34 +315,17 @@ def verify_polynomial_sequence(
     P_2 -> P_2(G/K), that the latter map is onto, and that the
     canonical map satisfies the exact product expansions
     ab - 1 = a(b - 1) + (a - 1)  and  ab - 1 = (a - 1)b + (b - 1)
-    through the quotient presentation on DERIVATION_SAMPLES sampled pairs.
+    through the quotient presentation on DERIVATION_SAMPLES sampled pairs
+    (`_derivation_law_failures`).
     """
     if not K.is_normal():
         raise GroupError("polynomial sequence check needs a normal subgroup")
-    n = G.order
     kn3 = join(G, [K, N.term(3)])
     ig, mspan = dim_modules(G, K, N, 3, ring)
     middle_exact, surjective = _exact_middle_and_right(G, K, N, ring, ig, mspan, kn3)
-    # derivation law spot-check through the quotient presentation: the
-    # canonical map p(a) = (a - 1) + module satisfies the two exact
-    # product expansions p(ab) = a.p(b) + p(a) and p(ab) = p(a).b + p(b)
-    _, coords = module_quotient_presentation(mspan, ig)
-    rng = random.Random(DERIVATION_SEED)
-    derivation_ok = True
-    failures = []
-    for _ in range(DERIVATION_SAMPLES):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        p_ab = coords(elem_minus_one(G, G.mul(a, b)))
-        left_vec = [
-            x + y for x, y in zip(row_translate(G, a, elem_minus_one(G, b)), elem_minus_one(G, a))
-        ]
-        right_vec = [
-            x + y for x, y in zip(row_translate_right(G, elem_minus_one(G, a), b), elem_minus_one(G, b))
-        ]
-        if coords(left_vec) != p_ab or coords(right_vec) != p_ab:
-            derivation_ok = False
-            failures.append((G.names[a], G.names[b]))
+    pres, coords = module_quotient_presentation(mspan, ig)
+    failures = _derivation_law_failures(G, coords, pres.group)
+    derivation_ok = not failures
     return Report(
         lhs=[],
         rhs=[],
@@ -351,8 +335,31 @@ def verify_polynomial_sequence(
             "surjective_at_right": surjective,
             "derivation_law": derivation_ok,
         },
-        witnesses=[f"{a}*{b}" for a, b in failures[:4]],
+        witnesses=[f"{G.names[a]}*{G.names[b]}" for a, b in failures[:4]],
     )
+
+
+def _derivation_law_failures(G: FiniteGroup, coords, group: FgAb) -> list[tuple[int, int]]:
+    """The sampled pairs (a, b) at which the canonical map
+    p(g) = coords(g - 1) breaks p(ab) = coords(a(b - 1)) + p(a) or
+    p(ab) = coords((a - 1)b) + p(b), the sums taken in `group`.
+
+    Each product row goes through coords on its own.  Adding the rows
+    first would test nothing: a(b - 1) + (a - 1) and (a - 1)b + (b - 1)
+    are both exactly ab - 1 in Z(G).
+    """
+    p = [coords(elem_minus_one(G, g)) for g in G.elements()]
+    rng = random.Random(DERIVATION_SEED)
+    failures = []
+    for _ in range(DERIVATION_SAMPLES):
+        a = rng.randrange(G.order)
+        b = rng.randrange(G.order)
+        p_ab = p[G.mul(a, b)]
+        left = group.add(coords(row_translate(G, a, elem_minus_one(G, b))), p[a])
+        right = group.add(coords(row_translate_right(G, elem_minus_one(G, a), b)), p[b])
+        if left != p_ab or right != p_ab:
+            failures.append((a, b))
+    return failures
 
 
 # -- corpus --------------------------------------------------------------------

@@ -29,7 +29,6 @@ from dimfox.groupring import (
     row_translate_right,
     slice_ring,
     span_product,
-    span_sum,
     translate_closure,
     zero_span,
 )
@@ -96,6 +95,50 @@ def ideal_power_naive(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> Mo
         one[G.identity] = 1
         rec(0, one)
     return out
+
+
+def span_sum(parts) -> ModuleSpan:
+    """The sum of spans of one group and ring, from their canonical rows."""
+    out = ModuleSpan(parts[0].group, parts[0].ring)
+    for part in parts:
+        assert part.group is out.group and part.ring == out.ring
+        for row in part.canonical():
+            out.lattice.add(list(row))
+    return out
+
+
+def composed_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> ModuleSpan:
+    """J_n as the sum I(N_n) + sum_{j<n} J_{n-j}*I(N_j) of separately built
+    spans, each product a `right_ideal_product`."""
+    J: dict[int, ModuleSpan] = {}
+    for k in range(1, n + 1):
+        parts = [augmentation_ideal(G, N.term(k), ring)]
+        parts += [right_ideal_product(J[k - j], N.term(j)) for j in range(1, k)]
+        J[k] = span_sum(parts)
+    return J[n]
+
+
+def composed_dim_modules(G, K, N, n, ring) -> tuple[ModuleSpan, ModuleSpan]:
+    """I(G) and I(K)I(G) + J_n from separately built spans."""
+    ig = augmentation_ideal(G, whole_group(G), ring)
+    return ig, span_sum([left_ideal_product(K, ig), composed_ideal_power(G, N, n, ring)])
+
+
+def composed_fox_modules(G, H, K, n, ring) -> tuple[ModuleSpan, ModuleSpan]:
+    """R(G)I(K)I(H) + I^n(G)I(H) and I(K)I(H) + I^n(G)I(H) from separately
+    built spans: I^n(G) as right products by G, then by H; I(K)I(H) as a
+    `span_product`; the R(G) prefix as a `translate_closure`."""
+    ih = augmentation_ideal(G, H, ring)
+    if n == 0:
+        rg_ih = translate_closure(ih)
+        return rg_ih, rg_ih
+    ik_ih = span_product(augmentation_ideal(G, K, ring), ih)
+    whole = whole_group(G)
+    power = augmentation_ideal(G, whole, ring)
+    for _ in range(n - 1):
+        power = right_ideal_product(power, whole)
+    power_ih = right_ideal_product(power, H)
+    return span_sum([translate_closure(ik_ih), power_ih]), span_sum([ik_ih, power_ih])
 
 
 def translate_closure_naive(span: ModuleSpan) -> ModuleSpan:
@@ -401,6 +444,13 @@ def test_quotient_invariants_examples():
     assert quotient_invariants(I2C4, IC4) == (4,)
     with pytest.raises(GroupError):
         quotient_invariants(IC4, I2C4)  # containment violated
+    # over Z/m the quotient is finite: I/I^3 of C2 is Z/4 over Z, so
+    # Z/gcd(4, m) over Z/m
+    N = lower_central_series(C2)
+    for m, invariants in ((2, (2,)), (4, (4,)), (8, (4,)), (3, ())):
+        R = CoeffRing.mod(m)
+        ideal = augmentation_ideal(C2, whole_group(C2), R)
+        assert quotient_invariants(nseries_ideal_power(C2, N, 3, R), ideal) == invariants, m
 
 
 def test_augmentation_quotient_is_abelianization():
@@ -526,6 +576,46 @@ def _check_default_corpus_slices(keep) -> None:
         d = gcd(case["m"], G.order**w)
         moduli["coprime" if d == 1 else "reduced" if d < case["m"] else "kept"] += 1
     assert min(moduli.values()) > 0 and len(moduli) == 3, moduli
+
+
+def _check_modules_match_compositions(keep) -> None:
+    """For every default-corpus dim3 and Fox case that keep(case) selects,
+    over its `slice_ring`, the one-lattice `nseries_ideal_power`,
+    `dim_modules` and `fox_modules` have the canonical forms of the
+    compositions of separately built spans; R(G)I(H) from its coset basis
+    is the translate closure of I(H)."""
+    groups: dict = {}
+    checked = Counter()
+    for case in build_cases(CorpusConfig()):
+        if case["kind"] not in ("dim3", "fox") or not keep(case):
+            continue
+        G = groups.setdefault(case["group"], build_group(case["group"]))
+        K = generated_subgroup(G, case["K"])
+        w = 2 if case["kind"] == "dim3" else max(case["n"], 1)
+        R = slice_ring(G, CoeffRing.parse(case["m"]), w)
+        if R is None:
+            continue
+        if case["kind"] == "dim3":
+            N = resolve_series(G, case["series"])
+            assert nseries_ideal_power(G, N, 3, R).canonical() == composed_ideal_power(G, N, 3, R).canonical()
+            new, old = dim_modules(G, K, N, 3, R), composed_dim_modules(G, K, N, 3, R)
+        else:
+            H = generated_subgroup(G, case["H"])
+            new, old = fox_modules(G, H, K, case["n"], R), composed_fox_modules(G, H, K, case["n"], R)
+            cosets = fox_modules(G, H, K, 0, R)[0]
+            assert cosets.canonical() == translate_closure(augmentation_ideal(G, H, R)).canonical(), case
+        assert [s.canonical() for s in new] == [s.canonical() for s in old], case
+        checked[case["kind"], case.get("n"), "Z" if R == Z else "Z/d"] += 1
+    assert len(checked) == 8 and min(checked.values()) > 0, checked
+
+
+def test_modules_match_compositions_sample():
+    _check_modules_match_compositions(lambda case: case["id"] % 7 == 0)
+
+
+@pytest.mark.slow
+def test_modules_match_compositions_full_corpus():
+    _check_modules_match_compositions(lambda case: True)
 
 
 def test_slices_over_reduced_modulus_match_direct_builds_sample():

@@ -221,3 +221,10 @@ def test_reduce_with_coeffs_reconstructs():
         sum(c * b[j] for c, b in zip(coeffs, basis)) + residual[j] for j in range(3)
     ]
     assert recon == v
+    # over Z/m the coefficients are exact too, not only modulo m
+    lat = lattice_from_rows([[1, 1]], 2, modulus=4)
+    basis = lat.basis_rows()
+    v = [3, 7]
+    residual, coeffs = lat.reduce_with_coeffs(v)
+    assert not any(residual)
+    assert [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(2)] == v

@@ -1,6 +1,7 @@
 """Verification drivers, corpus runs, and the command-line interface."""
 
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -91,6 +92,40 @@ def test_verify_polynomial_sequence_cases():
         ring = Z if m == 0 else CoeffRing.mod(m)
         r = verify_polynomial_sequence(G, K, lower_central_series(G), ring)
         assert r.equal, (spec, m)
+
+
+def test_derivation_law_reads_each_product_row_through_coords():
+    """A coords that is not additive breaks the derivation law.  Adding the
+    rows before coords sees them would hide it: a(b - 1) + (a - 1) and
+    (a - 1)b + (b - 1) are both ab - 1."""
+    from dimfox.groupring import (
+        dim_modules,
+        elem_minus_one,
+        module_quotient_presentation,
+        row_translate,
+        row_translate_right,
+    )
+    from dimfox.verify import DERIVATION_SAMPLES, DERIVATION_SEED, _derivation_law_failures
+
+    G = build_group("cyclic:4")
+    ig, mspan = dim_modules(G, trivial_subgroup(G), lower_central_series(G), 3, Z)
+    pres, coords = module_quotient_presentation(mspan, ig)
+    assert pres.group.invariants and not _derivation_law_failures(G, coords, pres.group)
+
+    def broken(row):
+        """coords on the rows that meet the identity's column, zero elsewhere."""
+        return coords(row) if row[G.identity] else pres.group.zero()
+
+    assert _derivation_law_failures(G, broken, pres.group)
+    rng = random.Random(DERIVATION_SEED)
+    for _ in range(DERIVATION_SAMPLES):
+        a, b = rng.randrange(G.order), rng.randrange(G.order)
+        am, bm = elem_minus_one(G, a), elem_minus_one(G, b)
+        summed = [
+            [x + y for x, y in zip(row_translate(G, a, bm), am)],
+            [x + y for x, y in zip(row_translate_right(G, am, b), bm)],
+        ]
+        assert all(broken(v) == broken(elem_minus_one(G, G.mul(a, b))) for v in summed)
 
 
 def test_dim3_reduction_crosscheck():
