@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .intlinalg import IntLattice, lattice_from_rows, preimage_lattice, smith_normal_form
 
@@ -204,6 +204,30 @@ class Presentation:
         ]
 
 
+def quotient_presentation(
+    lattice: IntLattice, sub_rows: Iterable[Sequence[int]]
+) -> tuple[Presentation, Callable[[Sequence[int]], tuple[int, ...]]]:
+    """L/S presented on the normalized basis of the lattice L, with its
+    coordinate map.
+
+    The relations are the `reduce_with_coeffs` coefficients of the rows of
+    S against that basis.  coords(v) reduces a vector v of L the same way,
+    checks that nothing is left over and pushes the coefficients to the
+    invariant-factor coordinates of L/S.  A row of S, or a vector given to
+    coords, outside L raises AbelianError.
+    """
+    rank = len(lattice.basis_rows())  # normalizes, so the coefficients are deterministic
+
+    def coefficients(vec: Sequence[int]) -> list[int]:
+        residual, coeffs = lattice.reduce_with_coeffs(list(vec))
+        if any(residual):
+            raise AbelianError("vector is not in the lattice")
+        return coeffs
+
+    pres = Presentation([coefficients(row) for row in sub_rows], rank)
+    return pres, lambda vec: pres.push(coefficients(vec))
+
+
 def diagonal_rows(divisors: Sequence[int]) -> list[list[int]]:
     """The relation rows d * e_i of + Z/divisors[i], one per nonzero d, in order."""
     rows = []
@@ -261,26 +285,13 @@ class SubgroupData:
         ambient_rels = diagonal_rows(ambient.invariants)
         rows = [list(ambient.reduce(g)) for g in gens] + ambient_rels
         self._lattice = lattice_from_rows(rows, ambient.rank)
-        basis = self._lattice.basis_rows()
-        self._basis = basis
-        rels = []
-        for v in ambient_rels:
-            residual, coeffs = self._lattice.reduce_with_coeffs(v)
-            if any(residual):
-                raise AbelianError("ambient relations must lie in the subgroup lattice")
-            rels.append(coeffs)
-        self.presentation = Presentation(rels, len(basis))
+        self._basis = self._lattice.basis_rows()
+        # coords(vec): the coordinates in the subgroup of an ambient vector lying in it
+        self.presentation, self.coords = quotient_presentation(self._lattice, ambient_rels)
         self.group = self.presentation.group
 
     def contains(self, vec: Sequence[int]) -> bool:
         return self._lattice.contains(list(vec))
-
-    def coords(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates in the subgroup of an ambient vector lying in it."""
-        residual, coeffs = self._lattice.reduce_with_coeffs(list(vec))
-        if any(residual):
-            raise AbelianError("vector is not in the subgroup")
-        return self.presentation.push(coeffs)
 
     def inclusion(self) -> AbHom:
         rows = []

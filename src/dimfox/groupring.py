@@ -1,16 +1,16 @@
 """Exact linear algebra inside group algebras R(G), R = Z or Z/m.
 
 A span is an R-submodule of the free module R^|G| given by generator
-rows; its canonical lattice is computed eagerly, so span equality is
-canonical-form equality and membership is row reduction.  Dimension and
-Fox subgroups are computed by brute force as {g : g - 1 lies in the
-relevant span}, with subgroup closure of the slice asserted rather than
-assumed.
+rows, kept as an echelon lattice; its canonical form is computed on
+demand and cached, so span equality is canonical-form equality and
+membership is row reduction.  Dimension and Fox subgroups are computed
+by brute force as {g : g - 1 lies in the relevant span}, with subgroup
+closure of the slice, and the left-ideal property of the Fox module,
+asserted rather than assumed.
 """
 
 from __future__ import annotations
 
-import copy
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -26,7 +26,7 @@ from .groups import (
     whole_group,
 )
 from .intlinalg import IntLattice
-from .abelian import Presentation
+from .abelian import AbelianError, quotient_presentation
 
 DEFAULT_BRUTE_CAP = 256
 
@@ -77,7 +77,8 @@ def row_translate_right(G: FiniteGroup, v: Sequence[int], g: int) -> list[int]:
 
 
 class ModuleSpan:
-    """An R-submodule of R(G) with an eagerly canonicalized lattice."""
+    """An R-submodule of R(G), kept as an echelon lattice whose canonical
+    form is computed on demand and cached."""
 
     def __init__(self, group: FiniteGroup, ring: CoeffRing, rows: Sequence[Sequence[int]] = ()):
         if not ring.is_concrete:
@@ -90,12 +91,6 @@ class ModuleSpan:
 
     def canonical(self):
         return self.lattice.canonical()
-
-    def copy(self) -> "ModuleSpan":
-        """The same span, with its own lattice to add rows to."""
-        out = copy.copy(self)
-        out.lattice = self.lattice.copy()
-        return out
 
     def basis_rows(self):
         return self.lattice.basis_rows()
@@ -209,17 +204,21 @@ def left_ideal_product(S: Subgroup, M: ModuleSpan) -> ModuleSpan:
     return out
 
 
-def _close_left(out: ModuleSpan, queue: list[list[int]]) -> None:
-    """Close `out` under left translation by G, given that every row of
-    `out` outside the queue already has its left G-translates in `out`.
+def translate_closure(span: ModuleSpan) -> ModuleSpan:
+    """R(G)*span: the R-span of all left G-translates of the given span.
 
-    Translates by a small generating set of G are added, and a translate
-    is queued in turn only when it grew the span.  Then every row of a
-    spanning set of the result (the rows outside the queue, the queued
-    rows and the rows that grew it) has its generator translates inside,
-    so the result is closed under left translation by G.
+    Every row of the span is queued; the translates of a queued row by a
+    small generating set of G are added, and a translate is queued in turn
+    only when it grew the span.  Then every row of a spanning set of the
+    result (the rows of the span and the rows that grew it) has its
+    generator translates inside, so the result is closed under left
+    translation by G.
     """
-    G = out.group
+    G = span.group
+    out = ModuleSpan(G, span.ring)
+    queue = [list(row) for row in span.canonical()]
+    for row in queue:
+        out.lattice.add(row)
     gens = small_generators(G, G.elements())
     while queue:
         row = queue.pop()
@@ -227,16 +226,6 @@ def _close_left(out: ModuleSpan, queue: list[list[int]]) -> None:
             moved = row_translate(G, t, row)
             if out.lattice.add(moved):
                 queue.append(moved)
-
-
-def translate_closure(span: ModuleSpan) -> ModuleSpan:
-    """R(G)*span: the R-span of all left G-translates of the given span,
-    closed by `_close_left` with every row of the span queued."""
-    out = ModuleSpan(span.group, span.ring)
-    queue = [list(row) for row in span.canonical()]
-    for row in queue:
-        out.lattice.add(row)
-    _close_left(out, queue)
     return out
 
 
@@ -360,36 +349,40 @@ def _check_fox(G: FiniteGroup, n: int, max_order: int) -> None:
         raise GroupError("fox subgroup implemented for n in {0, 1, 2}")
 
 
-def fox_modules(
+def fox_module(
     G: FiniteGroup,
     H: Subgroup,
     K: Subgroup,
     n: int,
     ring: CoeffRing,
     max_order: int = DEFAULT_BRUTE_CAP,
-) -> tuple[ModuleSpan, ModuleSpan]:
-    """R(G)I(K)I(H) + I^n(G)I(H) and I(K)I(H) + I^n(G)I(H), in that order.
+) -> ModuleSpan:
+    """R(G)I(K)I(H) + I^n(G)I(H), built inside L = R(G)I(H), of rank
+    |G| - |G:H|.
 
-    Every module is built inside L = R(G)I(H), of rank |G| - |G:H|.
-
-    n = 0: both are R(G)I(H), which contains R(G)I(K)I(H).  It is the
-    span of the rows x(h - 1) = e_xh - e_x, which is the span of the
+    n = 0: the module is R(G)I(H), which contains R(G)I(K)I(H).  It is
+    the span of the rows x(h - 1) = e_xh - e_x, which is the span of the
     rows supported on one left coset and summing to zero on it:
     e_y - e_t = -y(h - 1) for t = yh, and
     e_xh - e_x = (e_xh - e_t) - (e_x - e_t).  So the rows e_y - e_top(yH),
     for every y that is not the largest element top(yH) of its coset, are
     a basis (no translate closure is needed).
 
-    n >= 1: I(G)I(H) is the `right_ideal_product` of I(G) by H, as
+    n = 1, 2: I(G)I(H) is the `right_ideal_product` of I(G) by H, as
     I(G)h lies in I(G); and I^(k+1)(G)I(H) = I(G)*I^k(G)I(H) is the
     `left_ideal_product` by G of I^k(G)I(H), a left ideal.  I^2(G) is
     never built.  The R-span of the rows (k - 1)(h - 1) is I(K)I(H), and
-    those rows are added to I^n(G)I(H)'s lattice to give the plain
-    module.  The prefixed one starts from a copy of the plain one and is
-    closed under left translation by `_close_left`, with only the product
-    rows that grew the plain module queued: I^n(G)I(H) is a left ideal,
-    and a product row that did not grow the plain module lies in the span
-    of I^n(G)I(H) and the product rows queued, so its translates follow.
+    those rows are added to I^n(G)I(H)'s lattice, giving
+    M = I(K)I(H) + I^n(G)I(H).  M is then asserted to be a left ideal: the
+    left translate by every t in a small generating set of G of every
+    product row that grew M must lie in M.  That is enough: I^n(G)I(H) is
+    a left ideal, and M is spanned by I^n(G)I(H) and the rows that grew
+    it (a row that did not grow M lies in the span of those before it), so
+    tM lies in M for each t, and gM in M for every g, a product of the t
+    (G is finite).  A left ideal containing I(K)I(H) contains
+    R(G)I(K)I(H), so M is the prefixed module itself.  For n <= 2 the
+    assertion holds by g(k - 1)(h - 1) = (k - 1)(h - 1) +
+    (g - 1)(k - 1)(h - 1), the last term in I^2(G)I(H).
     """
     _check_fox(G, n, max_order)
     if H.parent is not G or K.parent is not G:
@@ -398,12 +391,11 @@ def fox_modules(
     if n == 0:
         members = list(H.members)
         tops = (max(rows[y][h] for h in members) for y in G.elements())
-        rg_ih = _to_top_span(G, ring, ((y, t) for y, t in enumerate(tops) if y != t))
-        return rg_ih, rg_ih
+        return _to_top_span(G, ring, ((y, t) for y, t in enumerate(tops) if y != t))
     whole = whole_group(G)
-    plain = right_ideal_product(augmentation_ideal(G, whole, ring), H)
+    module = right_ideal_product(augmentation_ideal(G, whole, ring), H)
     for _ in range(n - 1):
-        plain = left_ideal_product(whole, plain)
+        module = left_ideal_product(whole, module)
     one = G.identity
     grew = []
     for k in K.sorted_members():
@@ -415,35 +407,13 @@ def fox_modules(
             row[k] -= 1
             row[h] -= 1
             row[one] += 1
-            if plain.lattice.add(row):
+            if module.lattice.add(row):
                 grew.append(row)
-    prefixed = plain.copy()
-    _close_left(prefixed, grew)
-    return prefixed, plain
-
-
-def fox_slices(
-    G: FiniteGroup,
-    H: Subgroup,
-    K: Subgroup,
-    n: int,
-    ring: CoeffRing,
-    max_order: int = DEFAULT_BRUTE_CAP,
-) -> tuple[Subgroup, Subgroup]:
-    """G cut along the two `fox_modules`, over the `slice_ring` of weight
-    max(n, 1); for n = 0 the one module is sliced once.
-
-    Only the members of H are tested: both modules lie in L = R(G)I(H),
-    and over Z/d (d = 0 for Z) g - 1 in L + d*Z^|G| maps to e_gH - e_H,
-    which lies in d*Z(G/H), so gH = H.
-    """
-    _check_fox(G, n, max_order)
-    R = slice_ring(G, ring, max(n, 1))
-    if R is None:
-        return H, H
-    prefixed, plain = fox_modules(G, H, K, n, R, max_order)
-    first = _slice_of(G, H.members, prefixed)
-    return first, first if plain is prefixed else _slice_of(G, H.members, plain)
+    for t in small_generators(G, G.elements()):
+        for row in grew:
+            if not module.contains_row(row_translate(G, t, row)):
+                raise GroupError(f"I(K)I(H) + I^{n}(G)I(H) is not a left ideal")
+    return module
 
 
 def fox_subgroup_brute(
@@ -454,8 +424,18 @@ def fox_subgroup_brute(
     ring: CoeffRing,
     max_order: int = DEFAULT_BRUTE_CAP,
 ) -> Subgroup:
-    """G cut along R(G)I(K)I(H) + I^n(G)I(H); n = 0 uses R(G)I(H)."""
-    return fox_slices(G, H, K, n, ring, max_order)[0]
+    """G cut along the `fox_module` of weight n, over the `slice_ring` of
+    weight max(n, 1).
+
+    Only the members of H are tested: the module lies in L = R(G)I(H),
+    and over Z/d (d = 0 for Z) g - 1 in L + d*Z^|G| maps to e_gH - e_H,
+    which lies in d*Z(G/H), so gH = H.
+    """
+    _check_fox(G, n, max_order)
+    R = slice_ring(G, ring, max(n, 1))
+    if R is None:
+        return H
+    return _slice_of(G, H.members, fox_module(G, H, K, n, R, max_order))
 
 
 def quotient_invariants(sub: ModuleSpan, sup: ModuleSpan) -> tuple[int, ...]:
@@ -468,26 +448,15 @@ def quotient_invariants(sub: ModuleSpan, sup: ModuleSpan) -> tuple[int, ...]:
 
 
 def module_quotient_presentation(sub: ModuleSpan, sup: ModuleSpan):
-    """Presentation of sup/sub on sup's lattice basis, with a coord map.
+    """Presentation of sup/sub on sup's lattice basis, with a coord map
+    (`abelian.quotient_presentation`).
 
     Returns (presentation, coords) where coords(row) are the canonical
     coordinates of an R(G)-row lying in sup.
     """
     if sub.group is not sup.group or sub.ring != sup.ring:
         raise GroupError("group/ring mismatch")
-    basis = sup.basis_rows()
-    relations = []
-    for row in sub.basis_rows():
-        residual, coeffs = sup.lattice.reduce_with_coeffs(list(row))
-        if any(residual):
-            raise GroupError("sub is not contained in sup")
-        relations.append(coeffs)
-    pres = Presentation(relations, len(basis))
-
-    def coords(row: Sequence[int]) -> tuple[int, ...]:
-        residual, c = sup.lattice.reduce_with_coeffs(list(row))
-        if any(residual):
-            raise GroupError("row is not in the ambient span")
-        return pres.push(c)
-
-    return pres, coords
+    try:
+        return quotient_presentation(sup.lattice, sub.basis_rows())
+    except AbelianError as exc:
+        raise GroupError(f"sub is not contained in sup: {exc}") from exc

@@ -242,17 +242,6 @@ class IntLattice:
     def rank(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "IntLattice":
-        """An independent lattice with the same rows and pending state."""
-        out = IntLattice(self.ncols)
-        out.modulus = self.modulus
-        out.rows = [list(row) for row in self.rows]
-        out.pivcols = list(self.pivcols)
-        out._stale = set(self._stale)
-        out._canonical = self._canonical
-        out._changes = self._changes
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntLattice):
             return NotImplemented

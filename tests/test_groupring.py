@@ -14,8 +14,7 @@ from dimfox.groupring import (
     dim_modules,
     dim_subgroup_brute,
     elem_minus_one,
-    fox_modules,
-    fox_slices,
+    fox_module,
     fox_subgroup_brute,
     group_slice,
     membership,
@@ -405,6 +404,9 @@ def test_fox_brute_examples():
 
 
 def test_fox_brute_prefix_forms_agree():
+    """R(G)I(K)I(H) + I^n(G)I(H) (with `translate_closure`) and
+    I(K)I(H) + I^n(G)I(H), each composed from separately built spans, are
+    both the one `fox_module`."""
     for spec in ["cyclic:6", "dihedral:4", "quaternion:8"]:
         G = build_group(spec)
         subs = cyclic_subgroups(G)
@@ -412,8 +414,23 @@ def test_fox_brute_prefix_forms_agree():
             for K in subs[:4]:
                 for n in (1, 2):
                     for ring in (Z, CoeffRing.mod(2), CoeffRing.mod(6)):
-                        prefixed, plain = fox_modules(G, H, K, n, ring)
-                        assert group_slice(G, prefixed) == group_slice(G, plain)
+                        module = fox_module(G, H, K, n, ring).canonical()
+                        prefixed, plain = composed_fox_modules(G, H, K, n, ring)
+                        assert prefixed.canonical() == module == plain.canonical(), (spec, n, ring)
+
+
+def test_fox_module_asserts_a_left_ideal(monkeypatch):
+    """A translate of a product row that falls outside the module is
+    refused; here every translate is the unit e_1, which no module inside
+    I(G) holds."""
+    import dimfox.groupring as groupring
+
+    G = build_group("dihedral:4")
+    W = whole_group(G)
+    fox_module(G, W, W, 2, Z)
+    monkeypatch.setattr(groupring, "row_translate", lambda G, g, v: [1] + [0] * (G.order - 1))
+    with pytest.raises(GroupError, match="not a left ideal"):
+        fox_module(G, W, W, 2, Z)
 
 
 def test_fox_equals_dim_when_h_is_g():
@@ -557,8 +574,7 @@ def _direct_slices(case: dict, G: FiniteGroup) -> tuple:
         direct = group_slice(G, dim_modules(G, K, N, 3, ring)[1])
         return dim_subgroup_brute(G, K, N, 3, ring), direct
     H = generated_subgroup(G, case["H"])
-    prefixed, plain = fox_modules(G, H, K, case["n"], ring)
-    return fox_slices(G, H, K, case["n"], ring), (group_slice(G, prefixed), group_slice(G, plain))
+    return fox_subgroup_brute(G, H, K, case["n"], ring), group_slice(G, fox_module(G, H, K, case["n"], ring))
 
 
 def _check_default_corpus_slices(keep) -> None:
@@ -580,10 +596,11 @@ def _check_default_corpus_slices(keep) -> None:
 
 def _check_modules_match_compositions(keep) -> None:
     """For every default-corpus dim3 and Fox case that keep(case) selects,
-    over its `slice_ring`, the one-lattice `nseries_ideal_power`,
-    `dim_modules` and `fox_modules` have the canonical forms of the
-    compositions of separately built spans; R(G)I(H) from its coset basis
-    is the translate closure of I(H)."""
+    over its `slice_ring`, the one-lattice `nseries_ideal_power` and
+    `dim_modules` have the canonical forms of the compositions of
+    separately built spans, and both composed Fox forms (with and without
+    the R(G) prefix) have the canonical form of `fox_module`; R(G)I(H) from
+    its coset basis is the translate closure of I(H)."""
     groups: dict = {}
     checked = Counter()
     for case in build_cases(CorpusConfig()):
@@ -601,8 +618,9 @@ def _check_modules_match_compositions(keep) -> None:
             new, old = dim_modules(G, K, N, 3, R), composed_dim_modules(G, K, N, 3, R)
         else:
             H = generated_subgroup(G, case["H"])
-            new, old = fox_modules(G, H, K, case["n"], R), composed_fox_modules(G, H, K, case["n"], R)
-            cosets = fox_modules(G, H, K, 0, R)[0]
+            module = fox_module(G, H, K, case["n"], R)
+            new, old = (module, module), composed_fox_modules(G, H, K, case["n"], R)
+            cosets = fox_module(G, H, K, 0, R)
             assert cosets.canonical() == translate_closure(augmentation_ideal(G, H, R)).canonical(), case
         assert [s.canonical() for s in new] == [s.canonical() for s in old], case
         checked[case["kind"], case.get("n"), "Z" if R == Z else "Z/d"] += 1
@@ -640,23 +658,23 @@ def test_slice_modulus_examples():
     H = generated_subgroup(C6, [C6.index_of("x2")])
     N = lower_central_series(C6)
     K = trivial_subgroup(C6)
-    assert fox_slices(C6, H, K, 2, CoeffRing.mod(5)) == (H, H)
+    assert fox_subgroup_brute(C6, H, K, 2, CoeffRing.mod(5)) == H
     assert dim_subgroup_brute(C6, K, N, 3, CoeffRing.mod(5)) == whole_group(C6)
     # the caps and the ring are still checked when nothing is built
     with pytest.raises(GroupError, match="capped at order 4"):
-        fox_slices(C6, H, K, 1, CoeffRing.mod(5), max_order=4)
+        fox_subgroup_brute(C6, H, K, 1, CoeffRing.mod(5), max_order=4)
     with pytest.raises(GroupError, match="capped at order 4"):
         dim_subgroup_brute(C6, K, N, 3, CoeffRing.mod(5), max_order=4)
     with pytest.raises(GroupError, match="concrete ring"):
-        fox_slices(C6, H, K, 1, CoeffRing.abstract({2: 1}))
+        fox_subgroup_brute(C6, H, K, 1, CoeffRing.abstract({2: 1}))
     with pytest.raises(GroupError, match="n in"):
-        fox_slices(C6, H, K, 3, CoeffRing.mod(5))
+        fox_subgroup_brute(C6, H, K, 3, CoeffRing.mod(5))
 
 
-def test_fox_slices_within_H_match_slices_over_G_sample():
-    """fox_slices tests only the members of H; over every 7th default-corpus
-    Fox case, its slices equal `group_slice` over all of G of the same
-    modules."""
+def test_fox_subgroup_brute_within_H_matches_slice_over_G_sample():
+    """fox_subgroup_brute tests only the members of H; over every 7th
+    default-corpus Fox case, its slice equals `group_slice` over all of G
+    of the same module."""
     groups: dict = {}
     checked = Counter()
     for case in build_cases(CorpusConfig()):
@@ -668,9 +686,7 @@ def test_fox_slices_within_H_match_slices_over_G_sample():
         R = slice_ring(G, ring, max(n, 1))
         if R is None:
             continue
-        prefixed, plain = fox_modules(G, H, K, n, R)
-        over_G = (group_slice(G, prefixed), group_slice(G, plain))
-        assert fox_slices(G, H, K, n, ring) == over_G, case
+        assert fox_subgroup_brute(G, H, K, n, ring) == group_slice(G, fox_module(G, H, K, n, R)), case
         checked["Z" if R == Z else "Z/d"] += 1
         checked["H < G"] += len(H) < G.order
     assert min(checked.values()) > 0 and len(checked) == 3, checked

@@ -63,7 +63,7 @@ def test_verify_fox_reports():
     r0 = verify_fox(G, H, K, 0, Z)
     assert r0.equal and set(r0.rhs) == set(G.names)
     r1 = verify_fox(G, H, K, 1, Z)
-    assert r1.equal and r1.containments["module_forms_agree"]
+    assert r1.equal and set(r1.containments) == {"formula_in_brute", "brute_in_formula"}
     r2 = verify_fox(G, H, K, 2, CoeffRing.mod(2))
     assert r2.equal
     assert r2.containments["lower_bound_in_brute"]
@@ -412,6 +412,9 @@ def test_cli_corpus_config(tmp_path, capsys):
         ({"extra_series": "no"}, "extra_series has the wrong type"),
         ({"groups": [{"perm_gens": [[[0, 1]]]}]}, "groups entry {'perm_gens'"),
         (["cyclic:4"], "corpus config is not a JSON object"),
+        # keys that name a CorpusConfig method rather than a field
+        ({"validate": 1}, "unknown corpus config key 'validate'"),
+        ({"from_dict": 0, "groups": ["cyclic:2"]}, "unknown corpus config key 'from_dict'"),
     ],
 )
 def test_cli_corpus_rejects_bad_config(tmp_path, capsys, monkeypatch, bad, named):
