@@ -38,9 +38,7 @@ from .groupring import (
     dim_subgroup_brute,
     fox_subgroup_brute,
     group_slice,
-    membership,
     nseries_ideal_power,
-    quotient_invariants,
     span_product,
 )
 from .groups import (

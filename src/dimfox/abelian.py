@@ -73,9 +73,9 @@ class FgAb:
         return out
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.rank:
+        if len(vec) != len(self.invariants):
             raise AbelianError("coordinate length mismatch")
-        return tuple(x % d if d else x for x, d in zip(vec, self.invariants))
+        return tuple([x % d if d else x for x, d in zip(vec, self.invariants)])
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
@@ -195,13 +195,8 @@ class Presentation:
         return self.group.reduce([sum(x * row[j] for x, row in nonzero) for j in self._keep])
 
     def lift(self, elem: Sequence[int]) -> list[int]:
-        full = [0] * self.rank
-        for c, i in zip(elem, self._keep):
-            full[i] = c
-        return [
-            sum(full[i] * self._Vinv[i][j] for i in range(self.rank))
-            for j in range(self.rank)
-        ]
+        nonzero = [(c, self._Vinv[i]) for c, i in zip(elem, self._keep) if c]
+        return [sum(c * row[j] for c, row in nonzero) for j in range(self.rank)]
 
 
 def quotient_presentation(
@@ -237,11 +232,6 @@ def diagonal_rows(divisors: Sequence[int]) -> list[list[int]]:
             row[i] = d
             rows.append(row)
     return rows
-
-
-def fgab_from_diagonal(divisors: Sequence[int]) -> Presentation:
-    """Presentation of + Z/divisors[i] on its natural generators."""
-    return Presentation(diagonal_rows(divisors), len(divisors))
 
 
 class AbHom:
@@ -309,29 +299,25 @@ class SubgroupData:
 
 
 class TensorProduct:
-    """A (x) B with the universal bilinear evaluator."""
+    """(A (x) B) / <extra_rows> with the universal bilinear evaluator.
 
-    def __init__(self, A: FgAb, B: FgAb):
+    Generated by the e_i (x) e_j, at index i * rank(B) + j, with the
+    relations gcd(d_i, e_j) * (e_i (x) e_j) followed by extra_rows.
+    """
+
+    def __init__(self, A: FgAb, B: FgAb, extra_rows: Sequence[Sequence[int]] = ()):
         self.A, self.B = A, B
-        divisors = [gcd(a, b) for a in A.invariants for b in B.invariants]
-        self.presentation = fgab_from_diagonal(divisors)
+        rels = diagonal_rows([gcd(a, b) for a in A.invariants for b in B.invariants])
+        self.presentation = Presentation(rels + list(extra_rows), A.rank * B.rank)
         self.group = self.presentation.group
 
     def pair(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        a = self.A.reduce(a)
         b = self.B.reduce(b)
-        vec = [a[i] * b[j] for i in range(self.A.rank) for j in range(self.B.rank)]
-        return self.presentation.push(vec)
+        return self.presentation.push([x * y for x in self.A.reduce(a) for y in b])
 
-    def hom_from_left(self, f: AbHom, target: "TensorProduct") -> AbHom:
-        """f (x) id : A (x) B -> A' (x) B for f : A -> A' (same B)."""
-        gen_images = []
-        for i in range(self.A.rank):
-            fa = f.rows[i]
-            for j in range(self.B.rank):
-                eb = [0] * self.B.rank
-                eb[j] = 1
-                gen_images.append(target.pair(fa, eb))
+    def hom(self, f: AbHom, g: AbHom, target: "TensorProduct") -> AbHom:
+        """f (x) g : a (x) b -> f(a) (x) g(b), into target = f.cod (x) g.cod / extra."""
+        gen_images = [target.pair(fa, gb) for fa in f.rows for gb in g.rows]
         return hom_on_generators(self.presentation, gen_images, self.group, target.group)
 
 
@@ -340,17 +326,15 @@ def tensor(A: FgAb, B: FgAb) -> TensorProduct:
 
 
 def hom_on_generators(pres: Presentation, gen_images: Sequence[Sequence[int]], dom: FgAb, cod: FgAb) -> AbHom:
-    """Build dom -> cod from images of the presentation's generators."""
+    """Build dom -> cod from images of the presentation's generators
+    (AbHom reduces the rows)."""
     rows = []
-    for k in range(dom.rank):
-        basis_vec = [0] * dom.rank
-        basis_vec[k] = 1
-        gen_coords = pres.lift(basis_vec)
+    for b in dom.basis():
         out = [0] * cod.rank
-        for c, img in zip(gen_coords, gen_images):
+        for c, img in zip(pres.lift(b), gen_images):
             if c:
                 out = [x + c * y for x, y in zip(out, img)]
-        rows.append(cod.reduce(out))
+        rows.append(out)
     return AbHom(dom, cod, rows)
 
 
@@ -373,7 +357,7 @@ class TorProduct:
             if B.invariants[j]
         ]
         divisors = [gcd(A.invariants[i], B.invariants[j]) for i, j in self.pairs]
-        self.presentation = fgab_from_diagonal(divisors)
+        self.presentation = Presentation(diagonal_rows(divisors), len(divisors))
         self.group = self.presentation.group
 
     def triple(self, a: Sequence[int], k: int, b: Sequence[int]) -> tuple[int, ...]:
@@ -415,44 +399,27 @@ def tor1(A: FgAb, B: FgAb) -> TorProduct:
     return TorProduct(A, B)
 
 
-class ExteriorSquare:
-    """A ^ A = (A (x) A) / <a (x) a>, with nu and the injective ell."""
+def _swap_rows(r: int, sign: int) -> list[list[int]]:
+    """The rows e_i (x) e_j + sign * e_j (x) e_i of A (x) A, for i < j < r."""
+    rows = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            row = [0] * (r * r)
+            row[i * r + j] = 1
+            row[j * r + i] = sign
+            rows.append(row)
+    return rows
+
+
+class ExteriorSquare(TensorProduct):
+    """A ^ A = (A (x) A) / <a (x) a>, with the injective ell."""
 
     def __init__(self, A: FgAb):
-        self.A = A
         r = A.rank
+        # e_i (x) e_i, then e_i (x) e_j + e_j (x) e_i
+        diagonal = diagonal_rows([int(i == j) for i in range(r) for j in range(r)])
+        super().__init__(A, A, diagonal + _swap_rows(r, 1))
         self.tensorAA = tensor(A, A)
-        # relations of A (x) A, then e_i (x) e_i, then e_i (x) e_j + e_j (x) e_i
-        rels = diagonal_rows([gcd(a, b) for a in A.invariants for b in A.invariants])
-        rels += diagonal_rows([int(i == j) for i in range(r) for j in range(r)])
-        for i in range(r):
-            for j in range(i + 1, r):
-                row = [0] * (r * r)
-                row[i * r + j] = 1
-                row[j * r + i] = 1
-                rels.append(row)
-        self.presentation = Presentation(rels, r * r)
-        self.group = self.presentation.group
-
-    def wedge(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        a = self.A.reduce(a)
-        b = self.A.reduce(b)
-        r = self.A.rank
-        vec = [a[i] * b[j] for i in range(r) for j in range(r)]
-        return self.presentation.push(vec)
-
-    def nu(self) -> AbHom:
-        """A (x) A -> A ^ A, a (x) b -> a ^ b."""
-        r = self.A.rank
-        gen_images = []
-        for i in range(r):
-            for j in range(r):
-                vec = [0] * (r * r)
-                vec[i * r + j] = 1
-                gen_images.append(self.presentation.push(vec))
-        return hom_on_generators(
-            self.tensorAA.presentation, gen_images, self.tensorAA.group, self.group
-        )
 
     def ell(self) -> AbHom:
         """A ^ A -> A (x) A, a ^ b -> a (x) b - b (x) a."""
@@ -474,28 +441,11 @@ def exterior_square(A: FgAb) -> ExteriorSquare:
     return ExteriorSquare(A)
 
 
-class SymmetricSquare:
-    """SP^2(A) = (A (x) A) / <a (x) b - b (x) a>, with the symmetrized pair."""
+class SymmetricSquare(TensorProduct):
+    """SP^2(A) = (A (x) A) / <a (x) b - b (x) a>."""
 
     def __init__(self, A: FgAb):
-        self.A = A
-        r = A.rank
-        rels = diagonal_rows([gcd(a, b) for a in A.invariants for b in A.invariants])
-        for i in range(r):
-            for j in range(i + 1, r):
-                row = [0] * (r * r)
-                row[i * r + j] = 1
-                row[j * r + i] = -1
-                rels.append(row)
-        self.presentation = Presentation(rels, r * r)
-        self.group = self.presentation.group
-
-    def pair(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        a = self.A.reduce(a)
-        b = self.A.reduce(b)
-        r = self.A.rank
-        vec = [a[i] * b[j] for i in range(r) for j in range(r)]
-        return self.presentation.push(vec)
+        super().__init__(A, A, _swap_rows(A.rank, -1))
 
 
 def symmetric_square(A: FgAb) -> SymmetricSquare:
@@ -624,31 +574,19 @@ def check_wedge_kernel_identity(A: FgAb, b_gens: Sequence[Sequence[int]]) -> Che
     if not A.is_finite:
         raise AbelianError("checker needs a finite group")
     ct = connecting_tau(A, b_gens)
-    Q = ct.Q
-    B = ct.B
+    B = ct.B.group
     wedge = exterior_square(A)
-    t_AA = wedge.tensorAA
-    t_QA = tensor(Q, A)
     qmap = ct.quotient_map()
-    q_tensor_id_AA = t_AA.hom_from_left(qmap, t_QA)
+    id_A = AbHom(A, A, A.basis())
+    q_tensor_id_AA = wedge.tensorAA.hom(qmap, id_A, tensor(ct.Q, A))
     composite = q_tensor_id_AA.compose(wedge.ell())
     lhs = hom_preimage_lattice(composite, relation_lattice(composite.cod))
 
     im_tau = subgroup_lattice(ct.target.group, ct.hom.rows)
-    t_AB = tensor(A, B.group)
-    q_tensor_id_AB = t_AB.hom_from_left(qmap, ct.target)
-    incl = B.inclusion()
+    t_AB = tensor(A, B)
+    q_tensor_id_AB = t_AB.hom(qmap, AbHom(B, B, B.basis()), ct.target)
     pre = hom_preimage_lattice(q_tensor_id_AB, im_tau)
-    # nu on A (x) B: a (x) b -> a ^ incl(b)
-    gen_images = []
-    for i in range(A.rank):
-        for j in range(B.group.rank):
-            ei = [0] * A.rank
-            ei[i] = 1
-            ej = [0] * B.group.rank
-            ej[j] = 1
-            gen_images.append(wedge.wedge(ei, incl(ej)))
-    nu_AB = hom_on_generators(t_AB.presentation, gen_images, t_AB.group, wedge.group)
+    nu_AB = t_AB.hom(id_A, ct.B.inclusion(), wedge)  # a (x) b -> a ^ incl(b)
     rhs = relation_lattice(wedge.group)
     for row in pre.basis_rows():
         rhs.add(list(nu_AB(t_AB.group.reduce(row))))

@@ -81,9 +81,8 @@ def _cmd_homology(args) -> int:
             print(("VERIFIED " if result.ok else "MISMATCH ") + str(payload))
         return OK if result.ok else MISMATCH
     case = {"group": args.group, "K": args.K, "series": args.nseries}
-    if check == "thm2.6":
-        return _run({"kind": "four_term", **case}, args)
-    return _run({"kind": "polynomial", **case, "m": _modulus(args.ring)}, args)
+    kind = "four_term" if check == "thm2.6" else "polynomial"
+    return _run({"kind": kind, **case, "m": _modulus(args.ring)}, args)
 
 
 def _cmd_example_2_4(args) -> int:

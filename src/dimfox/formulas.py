@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import product as iproduct
-from math import gcd, log2
+from math import gcd
 from typing import Iterable, Sequence
 
 from .abelian import Presentation, diagonal_rows
@@ -46,11 +46,11 @@ from .groups import (
 )
 
 # budgets of the fox2 enumerations: fox2_formula enumerates at most
-# FOX2_TUPLE_CAP exponent tuples, over at most FOX2_BUDGET_BITS bits of basis
-# (r * log2(exponent)); fox2_generator_family keeps at most FAMILY_STATE_CAP
-# scan states and obstruction classes
-FOX2_BUDGET_BITS = 20
+# FOX2_TUPLE_CAP exponent tuples; fox2_generator_family runs for |H| at most
+# FOX_FAMILY_CAP and keeps at most FAMILY_STATE_CAP scan states and
+# obstruction classes
 FOX2_TUPLE_CAP = 1 << 22
+FOX_FAMILY_CAP = 8
 FAMILY_STATE_CAP = 1 << 17
 
 
@@ -318,10 +318,6 @@ def fox2_formula(
     reps = decomposition.reps
     r = len(d)
     E = subgroup_exponent(H)
-    if r and r * log2(max(E, 2)) > FOX2_BUDGET_BITS:
-        raise EnumerationCapError(
-            f"fox2 enumeration budget exceeded: r={r}, exponent={E}"
-        )
     ntuples = E ** (r + r * (r - 1) // 2)
     if ntuples > FOX2_TUPLE_CAP:
         raise EnumerationCapError(f"fox2 enumeration needs {ntuples} tuples")
@@ -362,7 +358,6 @@ def fox2_formula(
 
 def fox2_generator_family(
     ctx: FormulaContext,
-    cap: int = 8,
     elem_order: Sequence[int] | None = None,
 ) -> Subgroup:
     """The element-indexed generator family for the second Fox subgroup.
@@ -378,20 +373,22 @@ def fox2_generator_family(
     the membership target K G_2 G^d is largest at d = d_k itself.
 
     The tuple space is astronomically large, but the generated subgroup
-    is computed exactly: [H, H] is abelian for |H| <= 8, so the
-    commutator-letter product is order-independent and a homomorphism
-    of the a-block, whose joint reachability with the acceptance words
-    is a single lattice; the b-block is folded by a forward scan over H
-    in a fixed order (elem_order), merging states with equal
-    (partial product, obstruction) pairs.  Every accepted tuple's value
-    is realized by some surviving state, so the value set is exact.
+    is computed exactly: the guard [H_2, H_2] = 1 (checked below; the
+    family is refused otherwise) makes the commutator-letter product
+    order-independent and a homomorphism of the a-block, whose joint
+    reachability with the acceptance words is a single lattice; the
+    b-block is folded by a forward scan over H in a fixed order
+    (elem_order), merging states with equal (partial product,
+    obstruction) pairs.  Every accepted tuple's value is realized by
+    some surviving state, so the value set is exact.  The enumeration
+    runs for |H| <= FOX_FAMILY_CAP only.
     """
     G = ctx.G
     H = ctx.H
     m = ctx.m
     helems = sorted(H.members)
-    if len(helems) > cap:
-        raise EnumerationCapError(f"generator family capped at |H| <= {cap}")
+    if len(helems) > FOX_FAMILY_CAP:
+        raise EnumerationCapError(f"generator family capped at |H| <= {FOX_FAMILY_CAP}")
     E = subgroup_exponent(H)
     C = _binom2(m)
     h2 = ctx.H2()

@@ -113,10 +113,6 @@ class ModuleSpan:
         return hash((id(self.group), self.ring, self.canonical()))
 
 
-def zero_span(G: FiniteGroup, ring: CoeffRing) -> ModuleSpan:
-    return ModuleSpan(G, ring)
-
-
 def _to_top_span(G: FiniteGroup, ring: CoeffRing, pairs: Iterable[tuple[int, int]]) -> ModuleSpan:
     """The span of the rows e_c - e_t for (c, t) in pairs, where each c is
     below its t and no t is a c: every row leads in its own column c and
@@ -253,12 +249,6 @@ def nseries_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> 
         for j in range(1, k):
             _add_generator_product(J[k], J[k - j], N.term(j), cols)
     return J[n]
-
-
-def membership(G: FiniteGroup, v: Sequence[int], span: ModuleSpan) -> bool:
-    if span.group is not G:
-        raise GroupError("membership: group mismatch")
-    return span.contains_row(v)
 
 
 def group_slice(G: FiniteGroup, span: ModuleSpan) -> Subgroup:
@@ -436,15 +426,6 @@ def fox_subgroup_brute(
     if R is None:
         return H
     return _slice_of(G, H.members, fox_module(G, H, K, n, R, max_order))
-
-
-def quotient_invariants(sub: ModuleSpan, sup: ModuleSpan) -> tuple[int, ...]:
-    """Invariant factors of sup/sub as an abelian group.
-
-    Verifies containment first.  Factors >= 2 come first (ascending by
-    divisibility), infinite cyclic factors are reported as trailing 0s.
-    """
-    return module_quotient_presentation(sub, sup)[0].group.invariants
 
 
 def module_quotient_presentation(sub: ModuleSpan, sup: ModuleSpan):

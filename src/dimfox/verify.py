@@ -63,11 +63,10 @@ from .groups import (
     validate_nseries,
     whole_group,
 )
-from .intlinalg import intersect_lattices, lattice_from_rows, preimage_lattice
+from .intlinalg import IntLattice, lattice_from_rows
 
 SCHEMA_VERSION = 1
 
-FOX_FAMILY_CAP = 8  # largest |H| whose generator family a weight-2 Fox report enumerates
 DERIVATION_SAMPLES = 100  # seeded pairs (a, b) on which the derivation law is checked
 DERIVATION_SEED = 0
 
@@ -180,7 +179,7 @@ def verify_fox(
         lb = remark_lower_bound(ctx)
         containments["lower_bound_in_brute"] = brute.contains_subgroup(lb)
         try:
-            fam = fox2_generator_family(ctx, cap=FOX_FAMILY_CAP)
+            fam = fox2_generator_family(ctx)
             containments["generator_family_agrees"] = fam == brute
         except EnumerationCapError as exc:
             extra["generator_family_skipped"] = str(exc)
@@ -212,43 +211,75 @@ def _pushforward_rows(G: FiniteGroup, Q: FiniteGroup, proj, rows) -> list[list[i
     return out
 
 
-def _exact_middle_and_right(
-    G: FiniteGroup,
-    K: Subgroup,
-    N: NSeries,
-    ring: CoeffRing,
-    ig: ModuleSpan,
-    mspan: ModuleSpan,
-    kn3: Subgroup,
-) -> tuple[bool, bool]:
-    """Exactness of KN_3 -> I(G)/mspan -> P_R(G/K) -> 0 at the middle and
-    at the right end, where P_R(G/K) = I(G/K)/(weight-3 ideal of G/K).
+def _middle_kernel(G: FiniteGroup, proj, reps: list[int], jq: ModuleSpan) -> IntLattice:
+    """I(G) ∩ π⁻¹(J) for π : R(G) -> R(G/K) and J = jq ⊆ I(G/K), built
+    directly as R(G)I(K) + λ(J), where λ places a row of R(G/K) on the
+    coset representatives reps (the section of `quotient_group`).
 
-    Middle: mspan plus the rows a - 1 (a in KN_3) span the kernel of the
-    projection, as lattices.  Right: the pushed-forward generators of
-    I(G) plus the target module fill I(G/K).
+    The rows are e_g - e_s(gK) for each g that is not its coset's
+    representative, and each basis row of J placed on the representatives.
+    - ε∘π = ε gives I(G) = π⁻¹(I(G/K)) ⊇ π⁻¹(J), so the intersection
+      is π⁻¹(J).
+    - πλ = id, so x - λπx lies in ker π for every x; hence
+      π⁻¹(J) = ker π + λ(J).
+    - The coset sums of an x in ker π vanish, so
+      x = Σ x_g (e_g - e_s(gK)), and ker π = R(G)I(K) is spanned by the
+      rows e_g - e_s.
+    - Over Z/m the lattice is the full preimage in Z^|G|, which holds
+      m·e_g = m(e_g - e_s) + m·e_s, so seeding mZ^|G| adds nothing.
     """
+    n = G.order
+    rows = []
+    for g in range(n):
+        s = reps[int(proj[g])]
+        if g != s:
+            row = [0] * n
+            row[g] = 1
+            row[s] = -1
+            rows.append(row)
+    for jrow in jq.basis_rows():
+        row = [0] * n
+        for c, x in enumerate(jrow):
+            row[reps[c]] = x
+        rows.append(row)
+    return lattice_from_rows(rows, n, jq.ring.modulus)
+
+
+def _exactness(
+    G: FiniteGroup, K: Subgroup, N: NSeries, ring: CoeffRing, check: str
+) -> tuple[Subgroup, ModuleSpan, ModuleSpan, dict]:
+    """The shared part of the exact-sequence checks: KN_3, I(G), the
+    module M = I(K)I(G) + (weight-3 ideal), and the exactness of
+    KN_3 -> I(G)/M -> P_R(G/K) -> 0 at the middle and at the right end,
+    where P_R(G/K) = I(G/K)/(weight-3 ideal of G/K).
+
+    Middle: M plus the rows a - 1 (a in KN_3) span the kernel of the
+    projection (`_middle_kernel`), as lattices.  Right: the
+    pushed-forward generators of I(G) plus the target module fill
+    I(G/K).  A non-normal K is refused, naming the check.
+    """
+    if not K.is_normal():
+        raise GroupError(f"{check} check needs a normal subgroup")
+    kn3 = join(G, [K, N.term(3)])
+    ig, mspan = dim_modules(G, K, N, 3, ring)
     n, m = G.order, ring.modulus
     im_lat = lattice_from_rows(
         list(mspan.basis_rows()) + [elem_minus_one(G, a) for a in sorted(kn3.members)], n, m
     )
-    Q, proj, _ = quotient_group(G, K)
+    Q, proj, reps = quotient_group(G, K)
     piN = validate_nseries(
         Q, [generated_subgroup(Q, [int(proj[a]) for a in t.members]) for t in N.chain]
     )
-    mprime = nseries_ideal_power(Q, piN, 3, ring)
-    unit_rows = []
-    for g in range(n):
-        v = [0] * Q.order
-        v[int(proj[g])] = 1
-        unit_rows.append(v)
-    pre = preimage_lattice(unit_rows, mprime.lattice)
-    ker_lat = lattice_from_rows(intersect_lattices(ig.lattice, pre).basis_rows(), n, m)
+    jq = nseries_ideal_power(Q, piN, 3, ring)
     push = lattice_from_rows(
-        _pushforward_rows(G, Q, proj, ig.basis_rows()) + list(mprime.basis_rows()), Q.order, m
+        _pushforward_rows(G, Q, proj, ig.basis_rows()) + list(jq.basis_rows()), Q.order, m
     )
     iq = augmentation_ideal(Q, whole_group(Q), ring).lattice
-    return im_lat.canonical() == ker_lat.canonical(), push.canonical() == iq.canonical()
+    exact = {
+        "exact_at_middle": im_lat.canonical() == _middle_kernel(G, proj, reps, jq).canonical(),
+        "surjective_at_right": push.canonical() == iq.canonical(),
+    }
+    return kn3, ig, mspan, exact
 
 
 def verify_four_term(
@@ -263,11 +294,8 @@ def verify_four_term(
     the commutator quotient (element sets), the middle polynomial group
     (integer lattices), and the right end (lattice surjectivity).
     """
-    if not K.is_normal():
-        raise GroupError("four-term check needs a normal subgroup")
-    ring = CoeffRing.integers()
+    kn3, _, mspan, exact = _exactness(G, K, N, CoeffRing.integers(), "four-term")
     kn2 = join(G, [K, N.term(2)])
-    kn3 = join(G, [K, N.term(3)])
     k2n3 = join(G, [commutator_subgroup(G, K, K), N.term(3)])
     section = abelian_quotient(G, whole_group(G), kn2)
     d = section.invariants
@@ -284,19 +312,13 @@ def verify_four_term(
             gens.append(img)
     image = generated_subgroup(G, gens + sorted(k2n3.members))
     # kernel of a -> (a - 1) + I(K)I(G) + (weight-3 ideal)
-    ig, mspan = dim_modules(G, K, N, 3, ring)
     kernel = {a for a in kn3.members if mspan.contains_row(elem_minus_one(G, a))}
-    left_exact = image.members == kernel
-    middle_exact, surjective = _exact_middle_and_right(G, K, N, ring, ig, mspan, kn3)
+    containments = {"exact_at_commutator_quotient": image.members == kernel, **exact}
     return Report(
         lhs=_names(G, kernel),
         rhs=_names(G, image.members),
-        equal=left_exact and middle_exact and surjective,
-        containments={
-            "exact_at_commutator_quotient": left_exact,
-            "exact_at_middle": middle_exact,
-            "surjective_at_right": surjective,
-        },
+        equal=all(containments.values()),
+        containments=containments,
         witnesses=sorted(G.names[g] for g in image.members ^ kernel),
     )
 
@@ -316,23 +338,15 @@ def verify_polynomial_sequence(
     through the quotient presentation on DERIVATION_SAMPLES sampled pairs
     (`_derivation_law_failures`).
     """
-    if not K.is_normal():
-        raise GroupError("polynomial sequence check needs a normal subgroup")
-    kn3 = join(G, [K, N.term(3)])
-    ig, mspan = dim_modules(G, K, N, 3, ring)
-    middle_exact, surjective = _exact_middle_and_right(G, K, N, ring, ig, mspan, kn3)
+    _, ig, mspan, exact = _exactness(G, K, N, ring, "polynomial sequence")
     pres, coords = module_quotient_presentation(mspan, ig)
     failures = _derivation_law_failures(G, coords, pres.group)
-    derivation_ok = not failures
+    containments = {**exact, "derivation_law": not failures}
     return Report(
         lhs=[],
         rhs=[],
-        equal=middle_exact and surjective and derivation_ok,
-        containments={
-            "exact_at_middle": middle_exact,
-            "surjective_at_right": surjective,
-            "derivation_law": derivation_ok,
-        },
+        equal=all(containments.values()),
+        containments=containments,
         witnesses=[f"{G.names[a]}*{G.names[b]}" for a, b in failures[:4]],
     )
 
@@ -623,7 +637,8 @@ def run_case(case: dict, max_order: int = DEFAULT_ORDER_CAP, slow: bool = False)
 
     A case names its `kind` and inputs: `group`, the generators `K` and `H`
     (see _generated), `series` (see resolve_series), the modulus `m`
-    (0 or absent for Z), the weight `n` of a Fox case, and optionally
+    (0 or absent for Z; a four_term case runs over Z and refuses any
+    other m), the weight `n` of a Fox case, and optionally
     `check_reduction` for dim3; a counterexample case names `p`, `r`, `s`.
     Groups are capped at `max_order`; `slow` lifts the brute-force cap of
     dim3, fox and counterexample cases from DEFAULT_BRUTE_CAP to |G|.
@@ -632,12 +647,14 @@ def run_case(case: dict, max_order: int = DEFAULT_ORDER_CAP, slow: bool = False)
     kind = case["kind"]
     if kind not in ("dim3", "fox", "four_term", "polynomial", "counterexample"):
         raise GroupError(f"unknown case kind {kind!r}")
+    ring = CoeffRing.parse(case.get("m", 0))
+    if kind == "four_term" and ring.modulus:
+        raise GroupError(f"case kind 'four_term' runs over Z only, not m = {case['m']!r}")
     if kind == "counterexample":
         G, K, z = make_counterexample(case["p"], case["r"], case["s"], max_order=max_order)
     else:
         G = build_group(case["group"], max_order=max_order)
         K = _generated(G, case["K"])
-    ring = CoeffRing.parse(case.get("m", 0))
     brute_cap = G.order if slow else DEFAULT_BRUTE_CAP
     if kind == "fox":
         H = _generated(G, case["H"])

@@ -20,6 +20,7 @@ from dimfox.abelian import (
     connecting_tau,
     diagonal_rows,
     exterior_square,
+    hom_on_generators,
     hom_preimage_lattice,
     relation_lattice,
     symmetric_square,
@@ -185,9 +186,10 @@ def test_ell_nu_identity_and_injectivity(A):
     if not A.is_finite or A.size > 32:
         return
     w = exterior_square(A)
-    nu = w.nu()
-    ell = w.ell()
     t = w.tensorAA
+    identity = AbHom(A, A, A.basis())
+    nu = t.hom(identity, identity, w)
+    ell = w.ell()
     rng = random.Random(5)
     for _ in range(8):
         a = A.reduce([rng.randint(0, 16) for _ in range(A.rank)])
@@ -195,7 +197,7 @@ def test_ell_nu_identity_and_injectivity(A):
         lhs = ell(nu(t.pair(a, b)))
         rhs = t.group.sub(t.pair(a, b), t.pair(b, a))
         assert lhs == rhs
-        assert nu(t.pair(a, b)) == w.wedge(a, b)
+        assert nu(t.pair(a, b)) == w.pair(a, b)
     # ell is injective
     kernel = [x for x in w.group.elements() if not any(ell(x))]
     assert kernel == [w.group.zero()]
@@ -254,16 +256,8 @@ def test_six_term_exactness(A):
         t_QQ = tensor(Q, Q)
         qmap = ct.quotient_map()
         incl = B.inclusion()
-        id_j = AbHom(
-            t_QB.group,
-            t_QA.group,
-            _tensor_map_rows(t_QB, t_QA, Q, incl),
-        )
-        id_q = AbHom(
-            t_QA.group,
-            t_QQ.group,
-            _tensor_map_rows_right(t_QA, t_QQ, Q, qmap),
-        )
+        id_j = AbHom(t_QB.group, t_QA.group, _tensor_map_rows(t_QB, t_QA, Q, incl))
+        id_q = AbHom(t_QA.group, t_QQ.group, _tensor_map_rows(t_QA, t_QQ, Q, qmap))
         im_tau = t_QB.group.span(ct.hom.rows)
         ker_j = id_j.kernel_set()
         assert im_tau == ker_j
@@ -274,9 +268,8 @@ def test_six_term_exactness(A):
 
 
 def _tensor_map_rows(t_src, t_dst, Q, f):
-    """Rows of id (x) f on the source's canonical basis."""
-    from dimfox.abelian import hom_on_generators
-
+    """Rows of id (x) f on the source's canonical basis, built by hand: the
+    reference for TensorProduct.hom."""
     gen_images = []
     for i in range(Q.rank):
         ei = [0] * Q.rank
@@ -289,19 +282,29 @@ def _tensor_map_rows(t_src, t_dst, Q, f):
     return hom.rows
 
 
-def _tensor_map_rows_right(t_src, t_dst, Q, f):
-    from dimfox.abelian import hom_on_generators
-
-    gen_images = []
-    for i in range(Q.rank):
-        ei = [0] * Q.rank
-        ei[i] = 1
-        for j in range(f.dom.rank):
-            ej = [0] * f.dom.rank
-            ej[j] = 1
-            gen_images.append(t_dst.pair(ei, f(ej)))
-    hom = hom_on_generators(t_src.presentation, gen_images, t_src.group, t_dst.group)
-    return hom.rows
+@settings(max_examples=25, deadline=None)
+@given(small_fgab(max_size=16))
+def test_tensor_hom_matches_hand_built_maps(A):
+    """TensorProduct.hom equals the hand-built id (x) f, and f (x) g sends
+    a (x) b to f(a) (x) g(b) for maps on both factors."""
+    if not A.is_finite:
+        return
+    rng = random.Random(29)
+    for _ in range(3):
+        gens = [[rng.randint(0, 12) for _ in range(A.rank)] for _ in range(rng.randint(0, 2))]
+        ct = connecting_tau(A, gens)
+        B, Q = ct.B, ct.Q
+        incl, qmap = B.inclusion(), ct.quotient_map()
+        id_Q = AbHom(Q, Q, Q.basis())
+        t_QB, t_QA, t_QQ = ct.target, tensor(Q, A), tensor(Q, Q)
+        assert t_QB.hom(id_Q, incl, t_QA).rows == _tensor_map_rows(t_QB, t_QA, Q, incl)
+        assert t_QA.hom(id_Q, qmap, t_QQ).rows == _tensor_map_rows(t_QA, t_QQ, Q, qmap)
+        t_AB = tensor(A, B.group)
+        f_g = t_AB.hom(qmap, incl, t_QA)
+        for _ in range(4):
+            a = A.reduce([rng.randint(0, 16) for _ in range(A.rank)])
+            b = B.group.reduce([rng.randint(0, 16) for _ in range(B.group.rank)])
+            assert f_g(t_AB.pair(a, b)) == t_QA.pair(qmap(a), incl(b))
 
 
 def test_tau_triples_match_hom():
@@ -353,7 +356,8 @@ def _kernel_path_maps(A):
     wedge = ExteriorSquare(A)
     e_first = [1] + [0] * (A.rank - 1)
     twice_last = [0] * (A.rank - 1) + [2]
-    yield wedge.nu()
+    identity = AbHom(A, A, A.basis())
+    yield wedge.tensorAA.hom(identity, identity, wedge)
     yield wedge.ell()
     for gens in ([], [twice_last], [e_first]):
         yield ConnectingTau(A, gens).quotient_map()

@@ -395,16 +395,19 @@ def test_fox2_generator_family_order_invariance():
 def test_fox2_generator_family_cap():
     G = build_group("cyclic:16")
     ctx = FormulaContext(G, trivial_subgroup(G), Z, H=whole_group(G))
-    with pytest.raises(EnumerationCapError):
-        fox2_generator_family(ctx, cap=8)
+    with pytest.raises(EnumerationCapError, match=r"generator family capped at \|H\| <= 8$"):
+        fox2_generator_family(ctx)
 
 
-def test_fox2_generator_family_needs_commuting_letters():
+def test_fox2_generator_family_needs_commuting_letters(monkeypatch):
     """[S4, S4] = A4 is not abelian, so the a-block is no homomorphism."""
+    import dimfox.formulas as formulas
+
+    monkeypatch.setattr(formulas, "FOX_FAMILY_CAP", 24)
     G = build_group({"perm_gens": [[[0, 1, 2, 3]], [[0, 1]]]})
     ctx = FormulaContext(G, trivial_subgroup(G), Z, H=whole_group(G))
     with pytest.raises(EnumerationCapError, match="do not commute"):
-        fox2_generator_family(ctx, cap=24)
+        fox2_generator_family(ctx)
 
 
 def test_fox2_generator_family_builds_no_group(monkeypatch):

@@ -7,17 +7,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dimfox.cli import main as cli_main
-from dimfox.groupring import CoeffRing
+from dimfox.groupring import CoeffRing, augmentation_ideal, nseries_ideal_power
 from dimfox.groups import (
     GroupError,
     build_group,
     generated_subgroup,
     lower_central_series,
     make_counterexample,
+    normal_subgroups,
+    quotient_group,
     trivial_subgroup,
+    validate_nseries,
     whole_group,
 )
+from dimfox.intlinalg import intersect_lattices, lattice_from_rows, preimage_lattice
 from dimfox.verify import (
+    DEFAULT_GROUPS,
     CorpusConfig,
     Report,
     build_cases,
@@ -81,8 +86,24 @@ def test_verify_four_term_cases():
 def test_verify_four_term_rejects_non_normal():
     D4 = build_group("dihedral:4")
     K = generated_subgroup(D4, [4])  # a reflection
-    with pytest.raises(Exception):
+    with pytest.raises(GroupError, match="^four-term check needs a normal subgroup$"):
         verify_four_term(D4, K, lower_central_series(D4))
+    with pytest.raises(GroupError, match="^polynomial sequence check needs a normal subgroup$"):
+        verify_polynomial_sequence(D4, K, lower_central_series(D4), Z)
+
+
+def test_four_term_refuses_any_ring_but_z(capsys):
+    """Theorem 2.6 is checked over Z; a four_term case with m != 0 is
+    refused instead of being run over Z under the label of another ring."""
+    case = {"kind": "four_term", "group": "dihedral:4", "K": ["r2"], "series": "gamma"}
+    with pytest.raises(GroupError, match="'four_term' runs over Z only, not m = 4"):
+        run_case({**case, "m": 4})
+    assert run_case({**case, "m": 0})["equal"]
+    argv = ["homology", "thm2.6", "--group", "dihedral:4", "--K", "r2", "--ring"]
+    assert cli_main(argv + ["Z/4"]) == 2
+    assert "'four_term' runs over Z only, not m = 4" in capsys.readouterr().err
+    assert cli_main(argv + ["Z"]) == 0
+    assert "VERIFIED" in capsys.readouterr().out
 
 
 def test_verify_polynomial_sequence_cases():
@@ -92,6 +113,47 @@ def test_verify_polynomial_sequence_cases():
         ring = Z if m == 0 else CoeffRing.mod(m)
         r = verify_polynomial_sequence(G, K, lower_central_series(G), ring)
         assert r.equal, (spec, m)
+
+
+def _kernel_inputs(max_order):
+    """(G, K, N, ring) over the default groups up to max_order, every
+    normal K, the gamma and double series, and m in {0, 2, 3, 4}."""
+    for spec in DEFAULT_GROUPS:
+        G = build_group(spec)
+        if G.order > max_order:
+            continue
+        for K in normal_subgroups(G):
+            for tag in ("gamma", "double"):
+                N = resolve_series(G, tag)
+                for m in (0, 2, 3, 4):
+                    yield G, K, N, CoeffRing.parse(m)
+
+
+@pytest.mark.parametrize("max_order", [8, pytest.param(16, marks=pytest.mark.slow)])
+def test_middle_kernel_equals_intersection_route(max_order):
+    """The directly built kernel R(G)I(K) + λ(J_3(G/K)) equals
+    I(G) ∩ π⁻¹(J_3(G/K)) computed by lattice intersection."""
+    from dimfox.verify import _middle_kernel
+
+    count = 0
+    for G, K, N, ring in _kernel_inputs(max_order):
+        n, m = G.order, ring.modulus
+        Q, proj, reps = quotient_group(G, K)
+        piN = validate_nseries(
+            Q, [generated_subgroup(Q, [int(proj[a]) for a in t.members]) for t in N.chain]
+        )
+        jq = nseries_ideal_power(Q, piN, 3, ring)
+        ig = augmentation_ideal(G, whole_group(G), ring)
+        unit_rows = []
+        for g in range(n):
+            row = [0] * Q.order
+            row[int(proj[g])] = 1
+            unit_rows.append(row)
+        reference = intersect_lattices(ig.lattice, preimage_lattice(unit_rows, jq.lattice))
+        expected = lattice_from_rows(reference.basis_rows(), n, m).canonical()
+        assert _middle_kernel(G, proj, reps, jq).canonical() == expected, (G.spec, K.generators, m)
+        count += 1
+    assert count == {8: 640, 16: 2104}[max_order]
 
 
 def test_derivation_law_reads_each_product_row_through_coords():
