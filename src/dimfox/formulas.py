@@ -20,7 +20,7 @@ from itertools import product as iproduct
 from math import gcd
 from typing import Iterable, Sequence
 
-from .abelian import Presentation, diagonal_rows
+from .abelian import FgAb, Presentation, diagonal_rows
 from .groups import (
     AbelianSection,
     CoeffRing,
@@ -79,15 +79,18 @@ class FormulaContext:
     G: FiniteGroup
     K: Subgroup
     ring: CoeffRing
-    N: NSeries | None = None
+    series: NSeries | None = None
     H: Subgroup | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.N is None:
-            self.N = self.gamma()
         if self.H is None:
             self.H = whole_group(self.G)
+
+    @property
+    def N(self) -> NSeries:
+        """The given series, or the lower central series, built on first read."""
+        return self.series if self.series is not None else self.gamma()
 
     @property
     def m(self) -> int:
@@ -356,6 +359,42 @@ def fox2_formula(
     return join(G, [smfg, ctx.H3(), power_subgroup(G, H, m * m)])
 
 
+def _family_scan(
+    G: FiniteGroup,
+    Cgrp: FgAb,
+    order: Sequence[int],
+    signature: Sequence[tuple[int, ...]],
+    E: int,
+) -> dict[tuple[int, ...], set[int]]:
+    """The b-scan of fox2_generator_family for one obstruction signature.
+
+    Returns, for each obstruction class o, the partial products
+    prod_l l^b_l reached with accumulated obstruction o, over every
+    b: H -> Z/E, letters taken in `order` and letter l adding b_l times
+    signature[l's position].
+    """
+    powers = G.power_rows()
+    cols = G.mul_cols()
+    states: dict[tuple[int, ...], set[int]] = {Cgrp.zero(): {G.identity}}
+    for l, step in zip(order, signature):
+        nxt: dict[tuple[int, ...], set[int]] = {}
+        shift = Cgrp.zero()
+        for t in range(E):
+            col = cols[powers[t][l]]
+            for o, reached in states.items():
+                key = Cgrp.add(o, shift)
+                moved = {col[p] for p in reached}
+                if key in nxt:
+                    nxt[key] |= moved
+                else:
+                    nxt[key] = moved
+            shift = Cgrp.add(shift, step)
+        if sum(map(len, nxt.values())) > FAMILY_STATE_CAP:
+            raise EnumerationCapError("state budget exceeded")
+        states = nxt
+    return states
+
+
 def fox2_generator_family(
     ctx: FormulaContext,
     elem_order: Sequence[int] | None = None,
@@ -382,6 +421,25 @@ def fox2_generator_family(
     obstruction) pairs.  Every accepted tuple's value is realized by
     some surviving state, so the value set is exact.  The enumeration
     runs for |H| <= FOX_FAMILY_CAP only.
+
+    Each condition section G/(K G_2 G^d) is A/dA for the one abelian
+    section A = G/(K G_2), since G^d maps onto dA.  With A = + Z/a_i in
+    invariant-factor form, A/dA = + Z/gcd(a_i, d), and a coordinate of A
+    reduces mod gcd(a_i, d).  The factors with gcd 1 come first in the
+    chain, so dropping them leaves an invariant-factor form.
+
+    One scan serves every target with the same obstruction signature.
+    - The scan for a final product g reads g only through the pushed
+      contributions contrib_g[l] = psi(C * coords_{d_l}(g) in block l),
+      so targets with equal tuples (contrib_g[l] for l in elem_order)
+      share one scan (_family_scan).
+    - The scan keeps, for each obstruction class o, the set of reachable
+      partial products; g is accepted with class o when g lies in
+      states[o].  Each distinct o is shifted by each t * contrib[l] once.
+    - The letter products w in H_2 are indexed by psi(w, 0) once per call.
+    - The state budget counts (partial product, class) pairs after each
+      letter.  Within a letter the pairs only accumulate, so this refuses
+      exactly the inputs that a check after each exponent t refuses.
     """
     G = ctx.G
     H = ctx.H
@@ -400,26 +458,24 @@ def fox2_generator_family(
     ex = len(powers)
     # order of k modulo H_2 H^m, the canonical witness exponent (k^ex = 1 ends the search)
     d_of = {k: next(t for t in range(1, ex + 1) if powers[t % ex][k] in h2hm) for k in helems}
-    sections: dict[int, AbelianSection] = {}
-    for k in helems:
-        dk = d_of[k]
-        if dk not in sections:
-            M = ctx.KG2Gm(dk)
-            sections[dk] = abelian_quotient(G, whole_group(G), M)
+    # the condition sections G/(K G_2 G^d), read from A = G/(K G_2)
+    A = abelian_quotient(G, whole_group(G), ctx.KG2Gm(0))
+    moduli = {d: [gcd(a, d) for a in A.invariants] for d in set(d_of.values())}
     # obstruction ambient: coords of [H,H] basis + one block per condition k
     h2_section = abelian_quotient(G, h2, trivial_subgroup(G)) if len(h2) > 1 else None
     h2_dims = list(h2_section.invariants) if h2_section else []
 
-    cond_elems = [k for k in helems if sections[d_of[k]].invariants]
     block_dims: list[int] = list(h2_dims)
     block_at: dict[int, int] = {}
-    for k in cond_elems:
-        block_at[k] = len(block_dims)
-        block_dims.extend(sections[d_of[k]].invariants)
+    for k in helems:
+        dims = [q for q in moduli[d_of[k]] if q > 1]
+        if dims:
+            block_at[k] = len(block_dims)
+            block_dims.extend(dims)
     total_dim = len(block_dims)
 
-    def cond_coords(k: int, g: int) -> tuple[int, ...]:
-        return sections[d_of[k]].coords(g)
+    def cond_coords(k: int, g: int) -> list[int]:
+        return [c % q for c, q in zip(A.coords(g), moduli[d_of[k]]) if q > 1]
 
     # relation rows: moduli, plus one reachability row per ordered pair
     relations = diagonal_rows(block_dims)
@@ -448,45 +504,38 @@ def fox2_generator_family(
     if sorted(order) != helems:
         raise GroupError("elem_order must be a permutation of H")
 
-    seeds: set[int] = set()
-    for g_target in helems:
-        # contribution of b_k to the obstruction, given the final product
-        contrib = {}
-        for k in helems:
-            row = [0] * total_dim
-            if k in block_at and C:
-                for i, x in enumerate(cond_coords(k, g_target)):
-                    row[block_at[k] + i] = C * x
-            contrib[k] = pres.push(row)
-        # scan b over H in the fixed order, merging equal states
-        states: dict[tuple[int, tuple[int, ...]], None] = {(G.identity, Cgrp.zero()): None}
+    # the letter products w in H_2, indexed by their class psi(w, 0)
+    letters_of: dict[tuple[int, ...], list[int]] = {}
+    for w in h2elems:
+        row = [0] * total_dim
+        if h2_section is not None:
+            row[: len(h2_dims)] = h2_section.coords(w)
+        letters_of.setdefault(pres.push(row), []).append(w)
+
+    # contribution of b_l to the obstruction, given the final product g
+    targets_of: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+    for g in helems:
+        signature = []
         for l in order:
-            nxt: dict[tuple[int, tuple[int, ...]], None] = {}
-            obs_step = contrib[l]
-            obs = Cgrp.zero()
-            for t in range(E):
-                lp = powers[t][l]
-                for (p, o) in states:
-                    key = (G.mul(p, lp), Cgrp.add(o, obs))
-                    nxt[key] = None
-                obs = Cgrp.add(obs, obs_step)
-                if len(nxt) > FAMILY_STATE_CAP:
-                    raise EnumerationCapError("state budget exceeded")
-            states = nxt
-        gm = G.power(g_target, m)
-        for (p, o) in states:
-            if p != g_target:
-                continue
+            row = [0] * total_dim
+            if l in block_at and C:
+                for i, x in enumerate(cond_coords(l, g)):
+                    row[block_at[l] + i] = C * x
+            signature.append(pres.push(row))
+        targets_of.setdefault(tuple(signature), []).append(g)
+
+    rows = G.mul_rows()
+    seeds: set[int] = set()
+    for signature, targets in targets_of.items():
+        states = _family_scan(G, Cgrp, order, signature, E)
+        for g in targets:
+            gm = G.power(g, m)
             # accept letter products w whose combined class matches the
             # accumulated b-obstruction: (w, -T_b) lies in the image of
             # the a-block map exactly when psi(w, 0) = psi(0, T_b)
-            for w in h2elems:
-                row = [0] * total_dim
-                if h2_section is not None:
-                    for i, x in enumerate(h2_section.coords(w)):
-                        row[i] = x
-                if pres.push(row) == o:
-                    seeds.add(G.mul(w, gm))
+            for o, reached in states.items():
+                if g in reached:
+                    seeds.update(rows[w][gm] for w in letters_of.get(o, ()))
     return generated_subgroup(G, seeds)
 
 

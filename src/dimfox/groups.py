@@ -745,18 +745,10 @@ def _cyclic(n: int) -> _Table:
 def _dihedral(n: int) -> _Table:
     if n < 1:
         raise GroupError("dihedral parameter must be >= 1")
-    # elements r^a f^b encoded as a + n*b
-    size = 2 * n
-    table = np.zeros((size, size), dtype=np.int32)
-    for a in range(n):
-        for b in range(2):
-            for c in range(n):
-                for d in range(2):
-                    if b == 0:
-                        e = ((a + c) % n, d)
-                    else:
-                        e = ((a - c) % n, 1 - d)
-                    table[a + n * b, c + n * d] = e[0] + n * e[1]
+    # elements r^a f^b encoded as a + n*b; (a, b)(c, d) = (a + (-1)^b c, b xor d)
+    idx = np.arange(2 * n)
+    a, b = (idx % n)[:, None], (idx // n)[:, None]
+    table = ((a + (1 - 2 * b) * a.T) % n + n * (b ^ b.T)).astype(np.int32)
     names = []
     for b in range(2):
         for a in range(n):
@@ -768,19 +760,11 @@ def _dihedral(n: int) -> _Table:
 
 
 def _quaternion8() -> _Table:
-    # elements x^a y^b, a mod 4, b mod 2, with y x = x^-1 y and y^2 = x^2
-    table = np.zeros((8, 8), dtype=np.int32)
-    for a in range(4):
-        for b in range(2):
-            for c in range(4):
-                for d in range(2):
-                    if b == 0:
-                        ea, eb = (a + c) % 4, d
-                    else:
-                        ea, eb = (a - c) % 4, 1 + d
-                    if eb == 2:
-                        ea, eb = (ea + 2) % 4, 0
-                    table[a + 4 * b, c + 4 * d] = ea + 4 * eb
+    # elements x^a y^b, a mod 4, b mod 2, with y x = x^-1 y and y^2 = x^2:
+    # (a, b)(c, d) = (a + (-1)^b c + 2 b d, b xor d)
+    idx = np.arange(8)
+    a, b = (idx % 4)[:, None], (idx // 4)[:, None]
+    table = ((a + (1 - 2 * b) * a.T + 2 * (b & b.T)) % 4 + 4 * (b ^ b.T)).astype(np.int32)
     names = ["1", "x", "x2", "x3", "y", "xy", "x2y", "x3y"]
     return _Table(table, names, [1, 4], "quaternion:8")
 

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -50,12 +52,12 @@ def _refuse_constant(name):
     raise ValueError(f"{name} in the result line")
 
 
-def test_traced_run_ends_with_a_strict_json_result():
+def _check_traced_run(workload):
     """A traced run installs the tracer and calls run_corpus serially and
     with jobs=2; its last stdout line must still be the result, in JSON
     with no NaN or Infinity, and every metric in it a number."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "large", "--seed", "1", "--seconds", "1", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -70,3 +72,13 @@ def test_traced_run_ends_with_a_strict_json_result():
         if "absent" in m or isinstance(m["value"], bool) or not isinstance(m["value"], (int, float))
     }
     assert not unmeasured, f"metrics without a numeric value: {unmeasured}"
+
+
+def test_traced_run_ends_with_a_strict_json_result():
+    _check_traced_run("large")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["corpus", "homology"])
+def test_traced_run_of_workload_ends_with_a_strict_json_result(workload):
+    _check_traced_run(workload)

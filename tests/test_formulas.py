@@ -1,12 +1,15 @@
 """Closed-form subgroup expressions against brute force and literal semantics."""
 
 import random
+from collections import Counter
 from itertools import product as iproduct
 from math import gcd
 
 import numpy as np
 import pytest
 
+import dimfox.formulas as formulas
+from dimfox.abelian import Presentation, diagonal_rows
 from dimfox.formulas import (
     EnumerationCapError,
     FormulaContext,
@@ -42,7 +45,7 @@ from dimfox.groups import (
     trivial_subgroup,
     whole_group,
 )
-from dimfox.verify import DEFAULT_GROUPS
+from dimfox.verify import DEFAULT_GROUPS, CorpusConfig, build_cases, resolve_series, run_case
 
 Z = CoeffRing.integers()
 
@@ -379,6 +382,157 @@ def _literal_family(ctx):
     return generated_subgroup(G, seeds)
 
 
+def _per_target_family(ctx, elem_order=None):
+    """The generator family with one b-scan per target and a budget check
+    per exponent, kept as the reference for fox2_generator_family.  It reads
+    the caps from dimfox.formulas at call time, so a monkeypatched cap
+    applies to both."""
+    G, H, m = ctx.G, ctx.H, ctx.m
+    helems = sorted(H.members)
+    if len(helems) > formulas.FOX_FAMILY_CAP:
+        raise EnumerationCapError(f"generator family capped at |H| <= {formulas.FOX_FAMILY_CAP}")
+    E = subgroup_exponent(H)
+    C = m * (m - 1) // 2
+    h2 = ctx.H2()
+    h2elems = sorted(h2.members)
+    if not commutator_subgroup(G, h2, h2).is_trivial():
+        raise EnumerationCapError("commutator letters do not commute; |H| too large")
+    h2hm = ctx.H2Hm(m).members
+    powers = G.power_rows()
+    ex = len(powers)
+    d_of = {k: next(t for t in range(1, ex + 1) if powers[t % ex][k] in h2hm) for k in helems}
+    sections = {}
+    for k in helems:
+        if d_of[k] not in sections:
+            sections[d_of[k]] = abelian_quotient(G, whole_group(G), ctx.KG2Gm(d_of[k]))
+    h2_section = abelian_quotient(G, h2, trivial_subgroup(G)) if len(h2) > 1 else None
+    h2_dims = list(h2_section.invariants) if h2_section else []
+    block_dims = list(h2_dims)
+    block_at = {}
+    for k in helems:
+        if sections[d_of[k]].invariants:
+            block_at[k] = len(block_dims)
+            block_dims.extend(sections[d_of[k]].invariants)
+    total_dim = len(block_dims)
+
+    def cond_coords(k, g):
+        return sections[d_of[k]].coords(g)
+
+    relations = diagonal_rows(block_dims)
+    for h in helems:
+        for k in helems:
+            if h == k:
+                continue
+            row = [0] * total_dim
+            if h2_section is not None:
+                for i, x in enumerate(h2_section.coords(G.comm(h, k))):
+                    row[i] = x
+            if k in block_at:
+                for i, x in enumerate(cond_coords(k, h)):
+                    row[block_at[k] + i] += x
+            if h in block_at:
+                for i, x in enumerate(cond_coords(h, k)):
+                    row[block_at[h] + i] -= x
+            relations.append(row)
+    pres = Presentation(relations, total_dim)
+    Cgrp = pres.group
+    if Cgrp.is_finite and Cgrp.size > formulas.FAMILY_STATE_CAP:
+        raise EnumerationCapError("obstruction quotient too large")
+    order = list(elem_order) if elem_order is not None else helems
+    seeds = set()
+    for g_target in helems:
+        contrib = {}
+        for k in helems:
+            row = [0] * total_dim
+            if k in block_at and C:
+                for i, x in enumerate(cond_coords(k, g_target)):
+                    row[block_at[k] + i] = C * x
+            contrib[k] = pres.push(row)
+        states = {(G.identity, Cgrp.zero()): None}
+        for l in order:
+            nxt = {}
+            obs = Cgrp.zero()
+            for t in range(E):
+                lp = powers[t][l]
+                for p, o in states:
+                    nxt[(G.mul(p, lp), Cgrp.add(o, obs))] = None
+                obs = Cgrp.add(obs, contrib[l])
+                if len(nxt) > formulas.FAMILY_STATE_CAP:
+                    raise EnumerationCapError("state budget exceeded")
+            states = nxt
+        gm = G.power(g_target, m)
+        for p, o in states:
+            if p != g_target:
+                continue
+            for w in h2elems:
+                row = [0] * total_dim
+                if h2_section is not None:
+                    for i, x in enumerate(h2_section.coords(w)):
+                        row[i] = x
+                if pres.push(row) == o:
+                    seeds.add(G.mul(w, gm))
+    return generated_subgroup(G, seeds)
+
+
+def _family_outcome(family, ctx):
+    """A family's members, or the message of its refusal."""
+    try:
+        return family(ctx).members
+    except EnumerationCapError as exc:
+        return str(exc)
+
+
+def _default_weight2_contexts(keep):
+    """A FormulaContext for each default-corpus weight-2 Fox case that
+    keep(case, G) selects."""
+    groups = {}
+    for case in build_cases(CorpusConfig()):
+        if case["kind"] != "fox" or case["n"] != 2:
+            continue
+        G = groups.setdefault(case["group"], build_group(case["group"]))
+        if keep(case, G):
+            K, H = generated_subgroup(G, case["K"]), generated_subgroup(G, case["H"])
+            yield case, FormulaContext(G, K, CoeffRing.parse(case["m"]), H=H)
+
+
+def _check_family_matches_per_target_scan(monkeypatch, keep, refusing_keep, caps=(4, 16, 64)):
+    """The shipped family equals the per-target reference on every selected
+    default weight-2 case; with FAMILY_STATE_CAP at each of caps, on the
+    cases refusing_keep selects, both refuse the same inputs with the same
+    message.  Returns the number of cases checked and, per cap, of refusals."""
+    checked = 0
+    for case, ctx in _default_weight2_contexts(keep):
+        assert _family_outcome(fox2_generator_family, ctx) == _family_outcome(_per_target_family, ctx), case
+        checked += 1
+    refused = {}
+    for cap in caps:
+        monkeypatch.setattr(formulas, "FAMILY_STATE_CAP", cap)
+        refused[cap] = Counter()
+        for case, ctx in _default_weight2_contexts(refusing_keep):
+            new = _family_outcome(fox2_generator_family, ctx)
+            assert new == _family_outcome(_per_target_family, ctx), (cap, case)
+            refused[cap][new if isinstance(new, str) else "ran"] += 1
+    return checked, refused
+
+
+def test_fox2_generator_family_matches_per_target_scan_up_to_order_8(monkeypatch):
+    checked, refused = _check_family_matches_per_target_scan(
+        monkeypatch, lambda case, G: G.order <= 8, lambda case, G: G.order <= 8 and case["id"] % 3 == 0
+    )
+    assert checked > 500, checked
+    # at cap 4 both refusals are reached, and some case still runs
+    assert set(refused[4]) == {"state budget exceeded", "obstruction quotient too large", "ran"}, refused
+
+
+@pytest.mark.slow
+def test_fox2_generator_family_matches_per_target_scan_on_default_corpus(monkeypatch):
+    checked, refused = _check_family_matches_per_target_scan(
+        monkeypatch, lambda case, G: True, lambda case, G: case["id"] % 3 == 0
+    )
+    assert checked == 6188, checked
+    assert refused[4]["state budget exceeded"] and refused[4]["obstruction quotient too large"], refused
+
+
 def test_fox2_generator_family_order_invariance():
     """A different scan order for the formal products changes nothing."""
     G = build_group("dihedral:4")
@@ -397,6 +551,28 @@ def test_fox2_generator_family_cap():
     ctx = FormulaContext(G, trivial_subgroup(G), Z, H=whole_group(G))
     with pytest.raises(EnumerationCapError, match=r"generator family capped at \|H\| <= 8$"):
         fox2_generator_family(ctx)
+
+
+@pytest.mark.parametrize(
+    "K_is_whole,message",
+    [
+        # K = G: the obstruction quotient is trivial, and the scan reaches all 4 elements of C4
+        (True, "state budget exceeded"),
+        # K = 1: the obstruction quotient has 4 elements
+        (False, "obstruction quotient too large"),
+    ],
+)
+def test_fox2_generator_family_state_budget(monkeypatch, K_is_whole, message):
+    """On cyclic:4 with H = G over Z, the family runs with FAMILY_STATE_CAP
+    at 4 and refuses at 3, with the message of its budget branch."""
+    G = build_group("cyclic:4")
+    K = whole_group(G) if K_is_whole else trivial_subgroup(G)
+    monkeypatch.setattr(formulas, "FAMILY_STATE_CAP", 4)
+    ctx = FormulaContext(G, K, Z, H=whole_group(G))
+    assert fox2_generator_family(ctx) == fox_subgroup_brute(G, whole_group(G), K, 2, Z)
+    monkeypatch.setattr(formulas, "FAMILY_STATE_CAP", 3)
+    with pytest.raises(EnumerationCapError, match=f"^{message}$"):
+        fox2_generator_family(FormulaContext(G, K, Z, H=whole_group(G)))
 
 
 def test_fox2_generator_family_needs_commuting_letters(monkeypatch):
@@ -475,6 +651,27 @@ def test_formula_context_builds_lower_central_series_once(monkeypatch):
     remark_lower_bound(ctx)
     assert len(calls) == 1
     assert ctx.N is ctx.gamma()
+
+
+def test_formula_context_builds_the_series_on_first_read(monkeypatch):
+    """Fox cases of weight 0 and 1 never build the lower central series; a
+    weight-2 case builds it once; an explicit series is returned as is."""
+    calls = []
+
+    def counting(G):
+        calls.append(G)
+        return lower_central_series(G)
+
+    monkeypatch.setattr(formulas, "lower_central_series", counting)
+    for n, expected in ((0, 0), (1, 0), (2, 1)):
+        calls.clear()
+        report = run_case({"kind": "fox", "group": "dihedral:4", "H": ["r"], "K": ["f"], "n": n, "m": 2})
+        assert report["equal"] and len(calls) == expected, (n, calls)
+    G = build_group("dihedral:4")
+    series = resolve_series(G, "double")
+    calls.clear()
+    ctx = FormulaContext(G, trivial_subgroup(G), Z, series)
+    assert ctx.N is series and calls == []
 
 
 def _commutator_built_members(m):

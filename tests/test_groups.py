@@ -37,6 +37,7 @@ from dimfox.groups import (
     validate_nseries,
     whole_group,
 )
+from dimfox.groups import _dihedral, _quaternion8
 
 SAMPLE_SPECS = [
     "cyclic:1",
@@ -157,6 +158,37 @@ def test_product_builds_are_pinned(spec, names, generators, mul, monkeypatch):
     assert built == [spec]
     assert (list(G.names), G.generators, G.identity, G.spec) == (names, generators, 0, spec)
     assert G.table.tolist() == [[mul(a, b) for b in range(G.order)] for a in range(G.order)]
+
+
+def _dihedral_law(n):
+    """dihedral:n written out: r^a f^b at a + n*b, f r = r^-1 f, f^2 = 1."""
+    table = np.zeros((2 * n, 2 * n), dtype=np.int32)
+    for a, b, c, d in iproduct(range(n), range(2), range(n), range(2)):
+        e = ((a + c) % n, d) if b == 0 else ((a - c) % n, 1 - d)
+        table[a + n * b, c + n * d] = e[0] + n * e[1]
+    rotations = ["1", "r"] + [f"r{a}" for a in range(2, n)]
+    names = rotations[:n] + ["f"] + [f"{r}f" for r in rotations[1:n]]
+    return table, names, [1, n] if n > 1 else [n]
+
+
+def _quaternion8_law():
+    """quaternion:8 written out: x^a y^b at a + 4b, y x = x^-1 y, y^2 = x^2."""
+    table = np.zeros((8, 8), dtype=np.int32)
+    for a, b, c, d in iproduct(range(4), range(2), range(4), range(2)):
+        ea, eb = ((a + c) % 4, d) if b == 0 else ((a - c) % 4, 1 + d)
+        if eb == 2:
+            ea, eb = (ea + 2) % 4, 0
+        table[a + 4 * b, c + 4 * d] = ea + 4 * eb
+    return table, ["1", "x", "x2", "x3", "y", "xy", "x2y", "x3y"], [1, 4]
+
+
+def test_dihedral_and_quaternion_tables_follow_their_product_laws():
+    """The broadcast tables, names and generators equal those of the
+    entry-by-entry product law, in int32."""
+    built = [(_dihedral(n), _dihedral_law(n)) for n in range(1, 41)] + [(_quaternion8(), _quaternion8_law())]
+    for t, (table, names, generators) in built:
+        assert t.table.dtype == np.int32, t.spec
+        assert (t.table.tolist(), t.names, t.generators) == (table.tolist(), names, generators), t.spec
 
 
 def test_ingested_table_roundtrip():
