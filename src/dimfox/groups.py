@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from math import isqrt, lcm, prod
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,7 +138,6 @@ class FiniteGroup:
         if len(names) != n or len(set(names)) != n:
             raise GroupError("names must be distinct and match the order")
         self.names = tuple(names)
-        self.generators = tuple(int(g) for g in generators)
         self.spec = spec or f"table:{n}"
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
         self._orders: list[int] | None = None
@@ -147,6 +146,25 @@ class FiniteGroup:
         self._cols: list[list[int]] | None = None
         self._powers: list[list[int]] | None = None
         self._comm: np.ndarray | None = None
+        self._comm_rows: list[list[int]] | None = None
+        self.generators = self._generating_set(tuple(int(g) for g in generators), check)
+
+    def _generating_set(self, gens: tuple[int, ...], check: bool) -> tuple[int, ...]:
+        """The given generators, which a checked table must show to generate
+        the group, or a greedy generating set when none are given.  Every
+        subgroup primitive relies on G.generators generating G."""
+        if not gens:
+            return small_generators(self, self.elements())
+        if check:
+            if not all(0 <= g < self.order for g in gens):
+                raise GroupError(f"generator indices {list(gens)} out of range for order {self.order}")
+            span = len(_Span(self, gens).members)
+            if span != self.order:
+                raise GroupError(
+                    f"generators {[self.names[g] for g in gens]} do not generate the group: "
+                    f"they generate {span} of its {self.order} elements"
+                )
+        return gens
 
     def mul_rows(self) -> list[list[int]]:
         """Table rows as plain int lists (fast path for inner loops)."""
@@ -176,6 +194,12 @@ class FiniteGroup:
             self._comm = t[t, t[inv][:, inv]]
             self._comm.setflags(write=False)
         return self._comm
+
+    def comm_rows(self) -> list[list[int]]:
+        """The commutator table's rows as plain int lists, built once."""
+        if self._comm_rows is None:
+            self._comm_rows = self.comm_table().tolist()
+        return self._comm_rows
 
     # -- construction checks ------------------------------------------------
 
@@ -298,11 +322,23 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
+    """A subgroup of `parent`: its member set and generators that generate it.
+
+    The primitives below read `generators` in place of the members (joins,
+    normality, commutator subgroups), so they must generate `members`.
+    When they are omitted, a greedy generating set is taken from the
+    members in index order, and a member set that is not closed raises
+    ClosureError naming an escaping product.
+    """
+
     parent: FiniteGroup
     members: frozenset[int]
-    generators: tuple[int, ...] = ()
+    generators: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.generators is None:
+            span = _Span(self.parent, sorted(self.members), inside=self.members)
+            object.__setattr__(self, "generators", tuple(span.gens))
         if self.parent.identity not in self.members:
             raise ClosureError("subgroup must contain the identity")
 
@@ -335,59 +371,103 @@ class Subgroup:
         return len(self.members) == 1
 
     def is_normal(self) -> bool:
-        G = self.parent
-        return bool(_mask(G, self.members)[_conjugates(G, G.elements(), self.members)].all())
+        return _normalizes(self.parent, self.parent.generators, self)
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         return other.members <= self.members
 
 
-def _index_array(elements: Iterable[int]) -> np.ndarray:
-    return np.fromiter(elements, dtype=np.intp)
+class _Span:
+    """A subgroup grown one generator at a time: a member set closed under
+    right multiplication by the generators taken so far.
 
+    Right multiplication is enough: in a finite group s^-1 = s^(ord(s) - 1),
+    so the monoid the generators make is the subgroup.  When s is taken the
+    old members need only their product by s, and each new member its
+    products by every generator.  A seed already in the span is skipped, and
+    each one taken at least doubles it (Lagrange), so at most log2 of its
+    order are taken.
 
-def _mask(G: FiniteGroup, *parts) -> np.ndarray:
-    """Boolean membership mask of the union of the parts (index arrays or iterables)."""
-    mask = np.zeros(G.order, dtype=bool)
-    for part in parts:
-        mask[part if isinstance(part, np.ndarray) else _index_array(part)] = True
-    return mask
+    With `inside`, the span must stay in that set: a product that leaves it
+    raises ClosureError naming its two factors, both in `inside`.  Taking
+    every element of `inside` then spans exactly `inside` or raises.
+    """
 
-
-def _distinct(G: FiniteGroup, parts) -> list[int]:
-    """The distinct elements of the parts in index order; a mask, not np.unique, which
-    costs more peak memory on its first call than the rest of a small run."""
-    return np.flatnonzero(_mask(G, *parts)).tolist()
-
-
-def _conjugates(G: FiniteGroup, A: Iterable[int], B: Iterable[int]) -> np.ndarray:
-    """[[a b a^-1 for b in B] for a in A] as one fancy index over the table."""
-    A, B = _index_array(A), _index_array(B)
-    return G.table[G.table[np.ix_(A, B)], G.inverse[A][:, None]]
-
-
-def _closure(G: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
-    # Closing under right multiplication by the seeds is enough: in a finite group
-    # s^-1 = s^(ord(s) - 1), so the monoid the seeds generate is the subgroup.
-    rows = G.mul_rows()
-    seeds = list(seeds)
-    members = {G.identity}
-    frontier = [G.identity]
-    for g in frontier:  # the list grows while it is walked
-        row = rows[g]
+    def __init__(self, G: FiniteGroup, seeds: Iterable[int] = (), inside: frozenset[int] | None = None):
+        self.G = G
+        self.rows = G.mul_rows()
+        self.inside = inside
+        self.members = {G.identity}
+        self.listed = [G.identity]
+        self.gens: list[int] = []
+        if inside and G.identity not in inside:
+            # the powers of any s in `inside` come back to the identity
+            s = x = min(inside)
+            while self.rows[x][s] in inside:
+                x = self.rows[x][s]
+            self._escape(x, s)
         for s in seeds:
-            h = row[s]
+            self.take(s)
+
+    def _escape(self, g: int, t: int):
+        raise ClosureError(f"set is not closed: {self.G.name(g)} * {self.G.name(t)} escapes")
+
+    def take(self, s: int) -> bool:
+        """Add s as a generator unless the span holds it; True when taken."""
+        members, inside = self.members, self.inside
+        if s in members:
+            return False
+        rows, gens = self.rows, self.gens
+        gens.append(s)
+        fresh = []
+        for g in self.listed:
+            h = rows[g][s]
             if h not in members:
+                if inside is not None and h not in inside:
+                    self._escape(g, s)
                 members.add(h)
-                frontier.append(h)
-    return frozenset(members)
+                fresh.append(h)
+        for g in fresh:  # the list grows while it is walked
+            row = rows[g]
+            for t in gens:
+                h = row[t]
+                if h not in members:
+                    if inside is not None and h not in inside:
+                        self._escape(g, t)
+                    members.add(h)
+                    fresh.append(h)
+        self.listed += fresh
+        return True
+
+
+def _normalizes(G: FiniteGroup, conjugators: Iterable[int], S: Subgroup) -> bool:
+    """t S t^-1 <= S for every conjugator t, read on the generators s of S,
+    as s -> t s t^-1 is a homomorphism.  Then the group the conjugators
+    generate normalizes S, since t^-1 is a power of t."""
+    rows, inv = G.mul_rows(), G._inv
+    return all(rows[rows[t][s]][inv[t]] in S.members for t in conjugators for s in S.generators)
+
+
+def _normal_closure(G: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[int]) -> Subgroup:
+    """The smallest subgroup N holding the seeds with t N t^-1 <= N for each
+    conjugator t: the normal closure of the seeds in the group J that the
+    conjugators generate, as t^-1 is a power of t.  Each generator taken
+    queues its conjugates, and every queued element ends in N, so N is
+    normalized by every t (see _normalizes); any normal subgroup of J
+    holding the seeds holds every queued element."""
+    rows, inv = G.mul_rows(), G._inv
+    span = _Span(G)
+    queue = list(seeds)
+    for s in queue:  # the list grows while it is walked
+        if span.take(s):
+            queue.extend(rows[rows[t][s]][inv[t]] for t in conjugators)
+    return Subgroup(G, frozenset(span.members), tuple(span.gens))
 
 
 def generated_subgroup(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     """Smallest subgroup of G containing the given elements."""
     seeds = sorted(set(int(s) for s in seeds))
-    members = _closure(G, seeds)
-    return Subgroup(G, members, tuple(seeds))
+    return Subgroup(G, frozenset(_Span(G, seeds).members), tuple(seeds))
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -395,33 +475,19 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def whole_group(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, frozenset(G.elements()), tuple(G.generators))
+    return Subgroup(G, frozenset(G.elements()), G.generators)
 
 
 def subgroup_from_members(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Wrap an already-closed member set, recording a small generator set."""
-    members = frozenset(int(m) for m in members)
-    mem = _index_array(members)
-    escapes = ~_mask(G, mem)[G.table[np.ix_(mem, mem)]]
-    if escapes.any():
-        i, j = np.argwhere(escapes)[0]
-        raise ClosureError(f"set is not closed: {G.name(mem[i])} * {G.name(mem[j])} escapes")
-    return Subgroup(G, members, small_generators(G, members))
+    """A member set as a Subgroup with a greedy generating set; a set that
+    is not closed raises ClosureError naming an escaping product."""
+    return Subgroup(G, frozenset(int(m) for m in members))
 
 
 def small_generators(G: FiniteGroup, members: Iterable[int]) -> tuple[int, ...]:
-    """Greedy generating set of a subgroup, scanning members in index order.
-
-    Each element taken at least doubles the span, so there are at most
-    log2 |members| of them.
-    """
-    gens: list[int] = []
-    have = frozenset({G.identity})
-    for m in sorted(members):
-        if m not in have:
-            gens.append(m)
-            have = _closure(G, gens)
-    return tuple(gens)
+    """Greedy generating set of a subgroup, scanning members in index order
+    (at most log2 |members| of them, see _Span)."""
+    return tuple(_Span(G, sorted(members)).gens)
 
 
 def join(G: FiniteGroup, parts: Sequence[Subgroup]) -> Subgroup:
@@ -430,7 +496,7 @@ def join(G: FiniteGroup, parts: Sequence[Subgroup]) -> Subgroup:
     for p in parts:
         if p.parent is not G:
             raise GroupError("join across different groups")
-        seeds.update(p.generators if p.generators else p.members)
+        seeds.update(p.generators)
     return generated_subgroup(G, seeds)
 
 
@@ -438,13 +504,37 @@ def commutator_seeds(
     G: FiniteGroup, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]
 ) -> list[int]:
     """The distinct [a, b] for a in A, b in B over the (A, B) pairs, in index
-    order, read from slices of the commutator table."""
-    C = G.comm_table()
-    return _distinct(G, [C[np.ix_(_index_array(A), _index_array(B))] for A, B in pairs])
+    order, read from rows of the commutator table."""
+    rows = G.comm_rows()
+    seen: set[int] = set()
+    for A, B in pairs:
+        B = list(dict.fromkeys(B))
+        for a in A:
+            seen.update(map(rows[a].__getitem__, B))
+    return sorted(seen)
 
 
 def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
-    return generated_subgroup(G, commutator_seeds(G, [(A.members, B.members)]))
+    """[A, B], the normal closure in J = <A, B> of the [x, y] for x over the
+    generators X of A and y over the generators Y of B (Robinson, A Course
+    in the Theory of Groups, 5.1.7), with [a, b] = a b a^-1 b^-1 and
+    ^g c = g c g^-1.
+
+    Proof.  Direct expansion gives
+      (1) [xa, b] = ^x[a, b] [x, b]   and   (2) [a, yb] = [a, y] ^y[a, b].
+    [A, B] is normal in J: by (1) and (2), ^x[a, b] = [xa, b] [x, b]^-1
+    for x in A and ^y[a, b] = [a, y]^-1 [a, yb] for y in B lie in [A, B].
+    It holds every [x, y], so it holds their normal closure N.
+    Conversely, in a finite group x^-1 = x^(ord(x) - 1), so every a in A is
+    a word in X without inverses, and every b in B one in Y.  As N is
+    normal in J, induction on the length of a with (1) puts every [a, y]
+    (y in Y) in N, and then induction on the length of b with (2) every
+    [a, b].  So [A, B] = N, which _normal_closure builds by conjugating
+    with X and Y only, as the inverse of each is a power of it.
+    """
+    rows, inv = G.mul_rows(), G._inv
+    seeds = [rows[rows[x][y]][rows[inv[x]][inv[y]]] for x in A.generators for y in B.generators]
+    return _normal_closure(G, seeds, tuple(dict.fromkeys(A.generators + B.generators)))
 
 
 def power_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
@@ -462,7 +552,7 @@ def centre(G: FiniteGroup) -> Subgroup:
 
 
 def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    return generated_subgroup(G, _distinct(G, [_conjugates(G, G.elements(), seeds)]))
+    return _normal_closure(G, seeds, G.generators)
 
 
 def subgroup_exponent(A: Subgroup) -> int:
@@ -556,13 +646,14 @@ def p_torsion_mod(
     ambient = within if within is not None else whole_group(G)
     if not S.members <= ambient.members:
         raise GroupError("p_torsion_mod: S must lie in the ambient subgroup")
-    if not _mask(G, S.members)[_conjugates(G, ambient.members, S.members)].all():
+    if not _normalizes(G, ambient.generators, S):
         raise GroupError("p_torsion_mod: S is not normal in the ambient subgroup")
     kmax = 1
     q = p
     while q < G.order:
         q *= p
         kmax += 1
+    ptab = G.power_rows()[p % G.exponent()]
     hits = set()
     for g in ambient.members:
         x = g
@@ -570,7 +661,7 @@ def p_torsion_mod(
             if x in S.members:
                 hits.add(g)
                 break
-            x = G.power(x, p)
+            x = ptab[x]
     try:
         return subgroup_from_members(G, hits)
     except ClosureError as exc:
@@ -591,15 +682,17 @@ def quotient_group(
     if not S.is_normal():
         raise GroupError("quotient by a non-normal subgroup")
     n = G.order
-    rep = G.table[:, _index_array(S.members)].min(axis=1)  # least element of the coset gS
-    reps = np.flatnonzero(_mask(G, rep))
+    rep = G.table[:, sorted(S.members)].min(axis=1)  # least element of the coset gS
+    is_rep = np.zeros(n, dtype=bool)
+    is_rep[rep] = True
+    reps = np.flatnonzero(is_rep)
     cid = np.full(n, -1, dtype=np.int64)
     cid[reps] = np.arange(len(reps))
     proj = cid[rep]
     table = proj[G.table[np.ix_(reps, reps)]]
     reps = reps.tolist()
     names = [G.names[r] for r in reps]
-    gens = sorted({int(proj[g]) for g in (G.generators or range(n))} - {int(proj[G.identity])})
+    gens = sorted({int(proj[g]) for g in G.generators} - {int(proj[G.identity])})
     Q = FiniteGroup(table, names, gens, spec=f"{G.spec}/|{len(S)}|", check=False)
     return Q, proj, reps
 
@@ -610,8 +703,8 @@ class AbelianSection:
 
     invariants: tuple[int, ...]
     reps: tuple[int, ...]  # parent elements mapping to the basis
-    _proj: np.ndarray = field(repr=False)
-    _coords: dict[int, tuple[int, ...]] = field(repr=False)
+    _proj: Mapping[int, int] = field(repr=False)  # coset of each element of A
+    _coords: Sequence[tuple[int, ...]] = field(repr=False)  # coordinates of each coset
 
     def coords(self, g: int) -> tuple[int, ...]:
         return self._coords[int(self._proj[g])]
@@ -621,7 +714,8 @@ def abelian_quotient(G: FiniteGroup, A: Subgroup, S: Subgroup) -> AbelianSection
     """A/S in invariant-factor form, for S normal in A with [A, A] <= S.
 
     The cosets are walked breadth-first over a small generating set T of A,
-    which gives each coset an exponent vector in Z^T.  The Schreier
+    which gives each coset an exponent vector in Z^T; each coset's members
+    are listed once, when the walk first reaches it.  The Schreier
     relations of the walk span the kernel of Z^T -> A/S; the Smith form of
     that kernel gives the invariants, each coset's coordinates (push) and
     the basis representatives (lift of the unit vectors).
@@ -631,30 +725,37 @@ def abelian_quotient(G: FiniteGroup, A: Subgroup, S: Subgroup) -> AbelianSection
     com = commutator_subgroup(G, A, A)
     if not S.contains_subgroup(com):
         raise GroupError("quotient is not abelian")
-    members = _index_array(A.members)
-    proj = np.full(G.order, -1, dtype=np.int64)
-    proj[members] = G.table[np.ix_(members, _index_array(S.members))].min(axis=1)  # least element of aS
     gens = small_generators(G, A.members)
     rows = G.mul_rows()
-    start = int(proj[G.identity])
-    vecs = {start: [0] * len(gens)}
+    smembers = list(S.members)
+    coset_of: dict[int, int] = {}
+    walk: list[int] = []  # the element through which the walk reached each coset
+    vecs: list[list[int]] = []
+
+    def reach(g: int, vec: list[int]) -> None:
+        row = rows[g]
+        for s in smembers:
+            coset_of[row[s]] = len(walk)
+        walk.append(g)
+        vecs.append(vec)
+
+    reach(G.identity, [0] * len(gens))
     kernel = IntLattice(len(gens))
-    frontier = [start]
-    for c in frontier:  # the list grows while it is walked
+    for c, g in enumerate(walk):  # the list grows while it is walked
         for j, t in enumerate(gens):
             step = vecs[c][:]
             step[j] += 1
-            nxt = int(proj[rows[c][t]])
-            if nxt in vecs:
-                kernel.add([x - y for x, y in zip(step, vecs[nxt])])
+            h = rows[g][t]  # gS t = gtS, as S is normal in A
+            nxt = coset_of.get(h)
+            if nxt is None:
+                reach(h, step)
             else:
-                vecs[nxt] = step
-                frontier.append(nxt)
+                kernel.add([x - y for x, y in zip(step, vecs[nxt])])
     pres = Presentation(kernel.basis_rows(), len(gens))
     invariants = pres.group.invariants
-    coords = {c: pres.push(v) for c, v in vecs.items()}
+    coords = [pres.push(v) for v in vecs]
     # certify the direct sum: distinct coordinates per coset, and as many cosets as coordinates
-    if len(set(coords.values())) != len(vecs) or prod(invariants) != len(vecs):
+    if len(set(coords)) != len(vecs) or prod(invariants) != len(vecs):
         raise GroupError("abelian decomposition is not direct")
     reps = []
     for j in range(len(invariants)):
@@ -663,7 +764,7 @@ def abelian_quotient(G: FiniteGroup, A: Subgroup, S: Subgroup) -> AbelianSection
         for t, k in zip(gens, word):
             g = rows[g][G.power(t, k)]
         reps.append(g)
-    return AbelianSection(invariants, tuple(reps), proj, coords)
+    return AbelianSection(invariants, tuple(reps), coset_of, coords)
 
 
 # -- subgroup enumeration ----------------------------------------------------

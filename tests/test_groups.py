@@ -38,6 +38,7 @@ from dimfox.groups import (
     whole_group,
 )
 from dimfox.groups import _dihedral, _quaternion8
+from dimfox.verify import DEFAULT_GROUPS
 
 SAMPLE_SPECS = [
     "cyclic:1",
@@ -633,7 +634,7 @@ def test_subgroup_primitives_match_loop_oracles(key):
                 _mul(G, _mul(G, a, b), _mul(G, inv[a], inv[b])) for a in A.members for b in B.members
             }
             com = commutator_subgroup(G, A, B)
-            assert com.generators == tuple(sorted(seeds))
+            assert closure_two_sided(G, com.generators) == com.members
             assert com.members == closure_two_sided(G, seeds)
 
 
@@ -743,3 +744,153 @@ def test_huge_family_parameters_are_refused_quickly(capsys, spec, message):
     assert cli_main(["group", "show", spec]) == 2
     assert "error: " in capsys.readouterr().err
     assert perf_counter() - t0 < 1.0
+
+
+# -- the |A| x |B| table route, kept as the reference of the generator route
+#
+# The table route closes [A, B] from every [a, b] (a in A, b in B),
+# conjugates every member by every element for normality, and names each
+# coset of A/S by its least element through one fancy index over A x S.
+# It uses the loop closure above in place of the library's.
+
+
+def commutator_members_table(G, A, B):
+    seeds = G.comm_table()[np.ix_(sorted(A.members), sorted(B.members))]
+    return closure_two_sided(G, np.unique(seeds).tolist())
+
+
+def is_normal_table(G, members):
+    elems, mem = np.arange(G.order), np.array(sorted(members))
+    conj = G.table[G.table[np.ix_(elems, mem)], G.inverse[elems][:, None]]
+    mask = np.zeros(G.order, dtype=bool)
+    mask[mem] = True
+    return bool(mask[conj].all())
+
+
+def abelian_quotient_table(G, A, S):
+    """(invariants, reps, coordinates of each element of A) of A/S by the
+    table route: cosets named by their least element, walked over the greedy
+    generating set of A."""
+    from dimfox.abelian import Presentation
+    from dimfox.intlinalg import IntLattice
+
+    members = np.array(sorted(A.members))
+    proj = np.full(G.order, -1, dtype=np.int64)
+    proj[members] = G.table[np.ix_(members, sorted(S.members))].min(axis=1)
+    gens, have = [], frozenset({G.identity})
+    for a in sorted(A.members):
+        if a not in have:
+            gens.append(a)
+            have = closure_two_sided(G, gens)
+    start = int(proj[G.identity])
+    vecs = {start: [0] * len(gens)}
+    kernel = IntLattice(len(gens))
+    frontier = [start]
+    for c in frontier:
+        for j, t in enumerate(gens):
+            step = vecs[c][:]
+            step[j] += 1
+            nxt = int(proj[_mul(G, c, t)])
+            if nxt in vecs:
+                kernel.add([x - y for x, y in zip(step, vecs[nxt])])
+            else:
+                vecs[nxt] = step
+                frontier.append(nxt)
+    pres = Presentation(kernel.basis_rows(), len(gens))
+    invariants = pres.group.invariants
+    reps = []
+    for j in range(len(invariants)):
+        word = pres.lift([int(i == j) for i in range(len(invariants))])
+        g = G.identity
+        for t, k in zip(gens, word):
+            g = _mul(G, g, G.power(t, k))
+        reps.append(g)
+    coords = {a: pres.push(vecs[int(proj[a])]) for a in A.members}
+    return invariants, tuple(reps), coords
+
+
+def _check_generator_route(G, subs):
+    for A in subs:
+        assert closure_two_sided(G, A.generators) == A.members
+        assert A.is_normal() == is_normal_table(G, A.members)
+    sections = 0
+    for A in subs:
+        for B in subs:
+            com = commutator_subgroup(G, A, B)
+            assert com.members == commutator_members_table(G, A, B), (A.generators, B.generators)
+            assert closure_two_sided(G, com.generators) == com.members
+            if B.members <= A.members and commutator_subgroup(G, A, A).members <= B.members:
+                sec = abelian_quotient(G, A, B)
+                invariants, reps, coords = abelian_quotient_table(G, A, B)
+                assert (sec.invariants, sec.reps) == (invariants, reps)
+                assert {a: sec.coords(a) for a in A.members} == coords
+                sections += 1
+    assert sections >= len(subs)  # every A/A at least
+
+
+ROUTE_SPECS = [s for s in DEFAULT_GROUPS if build_group(s).order <= 8]
+ROUTE_SPECS_SLOW = [s for s in DEFAULT_GROUPS if 8 < build_group(s).order <= 16]
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS)
+def test_generator_route_matches_table_route_on_all_subgroups(spec):
+    G = build_group(spec)
+    _check_generator_route(G, all_subgroups(G))
+
+
+@pytest.mark.parametrize("spec", ["class2:2,1", "dihedral:32"])
+def test_generator_route_matches_table_route_on_cyclic_subgroups(spec):
+    G = build_group(spec)
+    _check_generator_route(G, cyclic_subgroups(G) + [whole_group(G)])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ROUTE_SPECS_SLOW)
+def test_generator_route_matches_table_route_on_all_subgroups_up_to_order_16(spec):
+    G = build_group(spec)
+    _check_generator_route(G, all_subgroups(G))
+
+
+def test_table_generators_must_generate_the_group():
+    """A table spec's generators are checked by closure: [2] in C4 generates
+    only {0, 2}, and was accepted before, so that join(G, [whole_group(G)])
+    had order 2.  With none given, a generating set is computed."""
+    c4 = build_group("cyclic:4").table.tolist()
+    with pytest.raises(GroupError, match=r"generators \['g2'\] do not generate the group: they generate 2 of its 4"):
+        build_group({"table": c4, "generators": [2]})
+    with pytest.raises(GroupError, match="out of range"):
+        build_group({"table": c4, "generators": [4]})
+    assert build_group({"table": c4, "generators": [3]}).generators == (3,)
+    G = build_group({"table": c4})
+    assert G.generators == (1,)
+    assert join(G, [whole_group(G)]).is_whole()
+    for spec in SAMPLE_SPECS + ["dihedral:1", "cyclic:2 x dihedral:3"]:
+        G = build_group(spec)
+        assert closure_two_sided(G, G.generators) == frozenset(G.elements()), spec
+    S4 = build_group({"perm_gens": [[[0, 1, 2, 3]], [[0, 1]]]})
+    assert closure_two_sided(S4, S4.generators) == frozenset(S4.elements())
+
+
+def test_subgroup_without_generators_gets_a_generating_set():
+    D4 = build_group("dihedral:4")
+    klein = frozenset({0, 2, 4, 6})
+    from dimfox.groups import Subgroup
+
+    S = Subgroup(D4, klein)
+    assert S.generators == (2, 4) and closure_two_sided(D4, S.generators) == klein
+    with pytest.raises(ClosureError, match="set is not closed"):
+        Subgroup(D4, frozenset({0, 1}))
+
+
+def test_non_normal_and_non_abelian_refusals_name_their_check():
+    D4 = build_group("dihedral:4")
+    flip = generated_subgroup(D4, [4])  # <f> is not normal in D4
+    with pytest.raises(GroupError, match="p_torsion_mod: S is not normal in the ambient subgroup"):
+        p_torsion_mod(D4, flip, 2)
+    with pytest.raises(GroupError, match="quotient by a non-normal subgroup"):
+        quotient_group(D4, flip)
+    with pytest.raises(GroupError, match="quotient is not abelian"):
+        abelian_quotient(D4, whole_group(D4), trivial_subgroup(D4))
+    # normality is read against the ambient subgroup's generators, not G's
+    klein = generated_subgroup(D4, [2, 4])
+    assert p_torsion_mod(D4, flip, 2, within=klein) == klein

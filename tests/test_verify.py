@@ -721,3 +721,33 @@ def test_resolve_series_refuses_a_pow_tag_without_a_prime():
         with pytest.raises(GroupError, match="powP needs a prime"):
             resolve_series(C6, tag)
     assert cli_main(["dim3", "--group", "cyclic:4", "--K", "", "--nseries", "pow"]) == 2
+
+
+def test_per_case_group_layer_makes_no_numpy_ix_call(monkeypatch):
+    """The per-case subgroup primitives read plain-int tables: np.ix_ over a
+    few dozen indices costs more than the list reads, so a default
+    weight-2 Fox case and a default dim3 case make no np.ix_ call."""
+    import numpy as np
+
+    cases = build_cases(CorpusConfig())
+
+    def pick(**want):
+        return next(c for c in cases if all(c.get(k) == v for k, v in want.items()))
+
+    chosen = [
+        pick(kind="fox", group="dihedral:4", H=(1,), K=(4,), n=2, m=2),
+        pick(kind="fox", group="cyclic:2 x quaternion:8", H=(9,), K=(1,), n=2, m=0),
+        pick(kind="dim3", group="cyclic:2 x quaternion:8", K=(4,), m=4),
+        pick(kind="dim3", group="dihedral:8", K=(8,), m=2),
+    ]
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args))
+        raise AssertionError("np.ix_ called on the per-case path")
+
+    monkeypatch.setattr(np, "ix_", counted)
+    for case in chosen:
+        report = run_case(case)
+        assert report["equal"] and all(report["containments"].values()), case
+    assert not calls
