@@ -50,6 +50,10 @@ from .groups import (
 # FOX_FAMILY_CAP and keeps at most FAMILY_STATE_CAP scan states and
 # obstruction classes
 FOX2_TUPLE_CAP = 1 << 22
+# The |H| cap is a real time and memory guard: with H = G at order 64-81 a
+# case took up to 22 s (0.03-0.14 s by brute force), and class2:3,1 (order
+# 729) builds 530,712 relation rows before the structural guards
+# ([H_2, H_2] = 1, FAMILY_STATE_CAP) are read, and did not finish.
 FOX_FAMILY_CAP = 8
 FAMILY_STATE_CAP = 1 << 17
 

@@ -335,8 +335,8 @@ def dim_subgroup_brute(
 
 def _check_fox(G: FiniteGroup, n: int, max_order: int) -> None:
     _check_brute(G, max_order)
-    if n not in (0, 1, 2):
-        raise GroupError("fox subgroup implemented for n in {0, 1, 2}")
+    if not isinstance(n, int) or isinstance(n, bool) or n not in (0, 1, 2):
+        raise GroupError(f"fox subgroup weight {n!r}: implemented for n in {{0, 1, 2}}")
 
 
 def fox_module(

@@ -109,8 +109,13 @@ class FiniteGroup:
     """A finite group given by its Cayley table.
 
     table[a, b] is the index of the product a*b.  The identity, the
-    inverse table and element orders are derived.  Instances are
+    inverse list and element orders are derived.  Instances are
     immutable after construction and safe to share.
+
+    Each derived table is kept once, as plain int lists that the inner
+    loops read: the rows and columns of the product, the inverses, the
+    powers and the commutators.  numpy builds and validates the tables and
+    answers whole-table questions (element orders, commutativity, centre).
     """
 
     def __init__(
@@ -132,20 +137,22 @@ class FiniteGroup:
             self._validate_table()
         self.identity = self._find_identity()
         self.inverse = self._build_inverses()
-        self._inv = self.inverse.tolist()
         if names is None:
             names = [f"g{i}" for i in range(n)]
+        if not isinstance(names, (list, tuple)):
+            raise GroupError(f"names must be a list of strings, not {names!r}")
+        for nm in names:
+            if not isinstance(nm, str):
+                raise GroupError(f"element name {nm!r} is not a string")
         if len(names) != n or len(set(names)) != n:
             raise GroupError("names must be distinct and match the order")
         self.names = tuple(names)
         self.spec = spec or f"table:{n}"
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
         self._orders: list[int] | None = None
-        self._exponent: int | None = None
         self._rows: list[list[int]] | None = None
         self._cols: list[list[int]] | None = None
         self._powers: list[list[int]] | None = None
-        self._comm: np.ndarray | None = None
         self._comm_rows: list[list[int]] | None = None
         self.generators = self._generating_set(tuple(int(g) for g in generators), check)
 
@@ -178,27 +185,23 @@ class FiniteGroup:
         return self._cols
 
     def power_rows(self) -> list[list[int]]:
-        """power_rows()[k][g] = g^k for k in [0, exponent), as plain int lists."""
+        """power_rows()[k][g] = g^k for k in [0, exponent), as plain int lists:
+        the rows run until the first k > 0 with g^k = 1 for every g."""
         if self._powers is None:
             rows = self.mul_rows()
-            powers = [[self.identity] * self.order]
-            for _ in range(1, self.exponent()):
-                powers.append([rows[x][g] for g, x in enumerate(powers[-1])])
+            ones = [self.identity] * self.order
+            powers, x = [ones], list(self.elements())
+            while x != ones:
+                powers.append(x)
+                x = [rows[y][g] for g, y in enumerate(x)]
             self._powers = powers
         return self._powers
 
-    def comm_table(self) -> np.ndarray:
-        """comm_table()[a, b] = [a, b] = a b a^-1 b^-1, built once and read-only."""
-        if self._comm is None:
-            t, inv = self.table, self.inverse
-            self._comm = t[t, t[inv][:, inv]]
-            self._comm.setflags(write=False)
-        return self._comm
-
     def comm_rows(self) -> list[list[int]]:
-        """The commutator table's rows as plain int lists, built once."""
+        """comm_rows()[a][b] = [a, b] = a b a^-1 b^-1, as plain int lists, built once."""
         if self._comm_rows is None:
-            self._comm_rows = self.comm_table().tolist()
+            t, inv = self.table, np.asarray(self.inverse)
+            self._comm_rows = t[t, t[inv][:, inv]].tolist()
         return self._comm_rows
 
     # -- construction checks ------------------------------------------------
@@ -225,15 +228,13 @@ class FiniteGroup:
                 return e
         raise GroupError("table has no identity element")
 
-    def _build_inverses(self) -> np.ndarray:
+    def _build_inverses(self) -> list[int]:
         idx = np.arange(self.order)
         rows, inv = np.nonzero(self.table == self.identity)
         # exactly one right inverse per row (rows come out in order), and it is a left inverse
         if not np.array_equal(rows, idx) or (self.table[inv, idx] != self.identity).any():
             raise GroupError("element without a two-sided inverse")
-        inv = inv.astype(np.int32)
-        inv.setflags(write=False)
-        return inv
+        return inv.tolist()
 
     # -- element arithmetic --------------------------------------------------
 
@@ -241,28 +242,20 @@ class FiniteGroup:
         return self.mul_rows()[a][b]
 
     def inv(self, a: int) -> int:
-        return self._inv[a]
+        return self.inverse[a]
 
     def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self._inv[a], -k
-        rows = self.mul_rows()
-        result = self.identity
-        while k:
-            if k & 1:
-                result = rows[result][a]
-            a = rows[a][a]
-            k >>= 1
-        return result
+        """a^k for any integer k, read from the power table."""
+        return self.power_rows()[k % self.exponent()][a]
 
     def conj(self, g: int, a: int) -> int:
         """g * a * g^-1."""
         rows = self.mul_rows()
-        return rows[rows[g][a]][self._inv[g]]
+        return rows[rows[g][a]][self.inverse[g]]
 
     def comm(self, a: int, b: int) -> int:
         """[a, b] = a b a^-1 b^-1."""
-        rows, inv = self.mul_rows(), self._inv
+        rows, inv = self.mul_rows(), self.inverse
         return rows[rows[a][b]][rows[inv[a]][inv[b]]]
 
     def order_of(self, a: int) -> int:
@@ -279,9 +272,7 @@ class FiniteGroup:
         return self._orders[a]
 
     def exponent(self) -> int:
-        if self._exponent is None:
-            self._exponent = reduce(lcm, (self.order_of(g) for g in range(self.order)), 1)
-        return self._exponent
+        return len(self.power_rows())
 
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
@@ -444,7 +435,7 @@ def _normalizes(G: FiniteGroup, conjugators: Iterable[int], S: Subgroup) -> bool
     """t S t^-1 <= S for every conjugator t, read on the generators s of S,
     as s -> t s t^-1 is a homomorphism.  Then the group the conjugators
     generate normalizes S, since t^-1 is a power of t."""
-    rows, inv = G.mul_rows(), G._inv
+    rows, inv = G.mul_rows(), G.inverse
     return all(rows[rows[t][s]][inv[t]] in S.members for t in conjugators for s in S.generators)
 
 
@@ -455,7 +446,7 @@ def _normal_closure(G: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[
     queues its conjugates, and every queued element ends in N, so N is
     normalized by every t (see _normalizes); any normal subgroup of J
     holding the seeds holds every queued element."""
-    rows, inv = G.mul_rows(), G._inv
+    rows, inv = G.mul_rows(), G.inverse
     span = _Span(G)
     queue = list(seeds)
     for s in queue:  # the list grows while it is walked
@@ -532,7 +523,7 @@ def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
     [a, b].  So [A, B] = N, which _normal_closure builds by conjugating
     with X and Y only, as the inverse of each is a power of it.
     """
-    rows, inv = G.mul_rows(), G._inv
+    rows, inv = G.mul_rows(), G.inverse
     seeds = [rows[rows[x][y]][rows[inv[x]][inv[y]]] for x in A.generators for y in B.generators]
     return _normal_closure(G, seeds, tuple(dict.fromkeys(A.generators + B.generators)))
 
@@ -543,8 +534,8 @@ def power_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
         raise GroupError("power exponent must be >= 0")
     if m == 0:
         return trivial_subgroup(G)
-    seeds = {G.power(a, m) for a in A.members}
-    return generated_subgroup(G, seeds)
+    powers = G.power_rows()[m % G.exponent()]
+    return generated_subgroup(G, {powers[a] for a in A.members})
 
 
 def centre(G: FiniteGroup) -> Subgroup:
@@ -671,28 +662,28 @@ def p_torsion_mod(
 # -- quotients and abelian structure ----------------------------------------
 
 
-def quotient_group(
-    G: FiniteGroup, S: Subgroup
-) -> tuple[FiniteGroup, np.ndarray, list[int]]:
+def quotient_group(G: FiniteGroup, S: Subgroup) -> tuple[FiniteGroup, list[int], list[int]]:
     """G/S for normal S: the quotient table, projection and a section.
 
     Returns (Q, proj, section) with proj[g] the coset index of g and
-    section[c] the minimal representative of coset c.
+    section[c] the least element of coset c.  The elements are walked in
+    index order, so the first one of each coset gS met is its least, and
+    the cosets are numbered in the order of their least elements.
     """
     if not S.is_normal():
         raise GroupError("quotient by a non-normal subgroup")
-    n = G.order
-    rep = G.table[:, sorted(S.members)].min(axis=1)  # least element of the coset gS
-    is_rep = np.zeros(n, dtype=bool)
-    is_rep[rep] = True
-    reps = np.flatnonzero(is_rep)
-    cid = np.full(n, -1, dtype=np.int64)
-    cid[reps] = np.arange(len(reps))
-    proj = cid[rep]
-    table = proj[G.table[np.ix_(reps, reps)]]
-    reps = reps.tolist()
+    rows = G.mul_rows()
+    proj = [-1] * G.order
+    reps: list[int] = []
+    for g in G.elements():
+        if proj[g] < 0:
+            row = rows[g]
+            for s in S.members:
+                proj[row[s]] = len(reps)
+            reps.append(g)
+    table = [[proj[rows[a][b]] for b in reps] for a in reps]
     names = [G.names[r] for r in reps]
-    gens = sorted({int(proj[g]) for g in G.generators} - {int(proj[G.identity])})
+    gens = sorted({proj[g] for g in G.generators} - {proj[G.identity]})
     Q = FiniteGroup(table, names, gens, spec=f"{G.spec}/|{len(S)}|", check=False)
     return Q, proj, reps
 
@@ -707,7 +698,7 @@ class AbelianSection:
     _coords: Sequence[tuple[int, ...]] = field(repr=False)  # coordinates of each coset
 
     def coords(self, g: int) -> tuple[int, ...]:
-        return self._coords[int(self._proj[g])]
+        return self._coords[self._proj[g]]
 
 
 def abelian_quotient(G: FiniteGroup, A: Subgroup, S: Subgroup) -> AbelianSection:
@@ -778,13 +769,12 @@ def cyclic_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return sorted(seen.values(), key=lambda s: (len(s), s.sorted_members()))
 
 
-def all_subgroups(G: FiniteGroup, cap: int = 16) -> list[Subgroup]:
-    """Every subgroup, as the join closure of the cyclic ones."""
-    if G.order > cap:
-        raise GroupError(f"subgroup enumeration capped at order {cap}")
-    atoms = cyclic_subgroups(G)
-    found: dict[frozenset[int], Subgroup] = {s.members: s for s in atoms}
-    frontier = list(found.values())
+def _join_closure(G: FiniteGroup, atoms: list[Subgroup]) -> list[Subgroup]:
+    """Every join of one or more of the distinct atoms, by order and then
+    by members.  Each round joins the subgroups found in the last one with
+    every atom."""
+    found = {a.members: a for a in atoms}
+    frontier = atoms
     while frontier:
         nxt = []
         for s in frontier:
@@ -797,25 +787,20 @@ def all_subgroups(G: FiniteGroup, cap: int = 16) -> list[Subgroup]:
     return sorted(found.values(), key=lambda s: (len(s), s.sorted_members()))
 
 
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup, as the join closure of the cyclic ones.  The lattice
+    grows fast with the order; the corpus takes it up to order 16 only."""
+    return _join_closure(G, cyclic_subgroups(G))
+
+
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """Every normal subgroup, as the join closure of the normal closures of
+    the elements (the identity's is the trivial subgroup)."""
     atoms: dict[frozenset[int], Subgroup] = {}
     for g in G.elements():
         sub = normal_closure(G, [g])
         atoms.setdefault(sub.members, sub)
-    found = dict(atoms)
-    frontier = list(found.values())
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for a in atoms.values():
-                j = join(G, [s, a])
-                if j.members not in found:
-                    found[j.members] = j
-                    nxt.append(j)
-        frontier = nxt
-    triv = trivial_subgroup(G)
-    found.setdefault(triv.members, triv)
-    return sorted(found.values(), key=lambda s: (len(s), s.sorted_members()))
+    return _join_closure(G, list(atoms.values()))
 
 
 # -- built-in families -------------------------------------------------------

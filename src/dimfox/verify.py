@@ -149,11 +149,11 @@ def _dim3_reduction_agrees(G, K, N, ring, brute) -> bool:
     """D_3 for a custom series matches the lower-central D_3 of G/N_3."""
     n3 = N.term(3)
     Q, proj, _ = quotient_group(G, n3)
-    kbar = generated_subgroup(Q, [int(proj[k]) for k in K.members])
-    n2bar = generated_subgroup(Q, [int(proj[a]) for a in N.term(2).members])
+    kbar = generated_subgroup(Q, [proj[k] for k in K.members])
+    n2bar = generated_subgroup(Q, [proj[a] for a in N.term(2).members])
     kn2bar = join(Q, [kbar, n2bar])
     dq = dim_subgroup_brute(Q, kn2bar, lower_central_series(Q), 3, ring)
-    lifted = {g for g in G.elements() if int(proj[g]) in dq.members}
+    lifted = {g for g in G.elements() if proj[g] in dq.members}
     return lifted == brute.members
 
 
@@ -206,7 +206,7 @@ def _pushforward_rows(G: FiniteGroup, Q: FiniteGroup, proj, rows) -> list[list[i
         v = [0] * Q.order
         for g, c in enumerate(row):
             if c:
-                v[int(proj[g])] += c
+                v[proj[g]] += c
         out.append(v)
     return out
 
@@ -231,7 +231,7 @@ def _middle_kernel(G: FiniteGroup, proj, reps: list[int], jq: ModuleSpan) -> Int
     n = G.order
     rows = []
     for g in range(n):
-        s = reps[int(proj[g])]
+        s = reps[proj[g]]
         if g != s:
             row = [0] * n
             row[g] = 1
@@ -268,7 +268,7 @@ def _exactness(
     )
     Q, proj, reps = quotient_group(G, K)
     piN = validate_nseries(
-        Q, [generated_subgroup(Q, [int(proj[a]) for a in t.members]) for t in N.chain]
+        Q, [generated_subgroup(Q, [proj[a] for a in t.members]) for t in N.chain]
     )
     jq = nseries_ideal_power(Q, piN, 3, ring)
     push = lattice_from_rows(
@@ -472,7 +472,7 @@ class CorpusConfig:
             if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m == 1:
                 raise GroupError(f"corpus config: moduli entry {m!r} is not 0 or >= 2")
         for n in self.fox_weights:
-            if n not in (0, 1, 2):
+            if not isinstance(n, int) or isinstance(n, bool) or n not in (0, 1, 2):
                 raise GroupError(f"corpus config: fox_weights entry {n!r} is not 0, 1 or 2")
         if self.subgroup_policy not in ("cyclic", "all", "explicit"):
             raise GroupError(f"corpus config: unknown subgroup_policy {self.subgroup_policy!r}")
@@ -575,7 +575,7 @@ def _subgroup_choices(G: FiniteGroup, cfg: CorpusConfig, explicit: list[Subgroup
             have = {s.members for s in subs}
             subs += [s for s in explicit if s.members not in have]
             return subs
-        return all_subgroups(G, cap=16)
+        return all_subgroups(G)
     return explicit
 
 

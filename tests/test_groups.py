@@ -1,5 +1,6 @@
 """Group construction, subgroup primitives, series, abelian quotients."""
 
+import json
 import re
 from functools import lru_cache
 from itertools import product as iproduct
@@ -581,16 +582,16 @@ def test_element_tables_match_loop_oracles(key):
     G = oracle_group(key)
     n = G.order
     inv = inverses_loop(G)
-    assert G.inverse.tolist() == inv
+    assert G.inverse == inv
     assert [G.order_of(g) for g in range(n)] == orders_loop(G)
-    C = G.comm_table()
-    assert not C.flags.writeable and G.comm_table() is C
+    C = G.comm_rows()
+    assert G.comm_rows() is C
     for a in range(n):
         for b in range(n):
             ab = _mul(G, a, b)
             assert G.mul(a, b) == ab
             comm = _mul(G, ab, _mul(G, inv[a], inv[b]))
-            assert C[a, b] == G.comm(a, b) == comm
+            assert C[a][b] == G.comm(a, b) == comm
             assert G.conj(a, b) == _mul(G, ab, inv[a])
         assert G.inv(a) == inv[a]
         x = G.identity
@@ -598,6 +599,21 @@ def test_element_tables_match_loop_oracles(key):
             assert G.power(a, k) == x
             assert G.power(a, -k) == G.power(inv[a], k)
             x = _mul(G, x, a)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_GROUPS)
+def test_power_matches_repeated_multiplication(spec):
+    """G.power(a, k), read from the power table at k mod the exponent,
+    equals k-fold multiplication by a (by a^-1 for k < 0) for every k in
+    [-2e, 2e], e the exponent."""
+    G = build_group(spec)
+    inv = inverses_loop(G)
+    e = G.exponent()
+    for a in G.elements():
+        up = down = G.identity
+        for k in range(2 * e + 1):
+            assert G.power(a, k) == up and G.power(a, -k) == down, (spec, a, k)
+            up, down = _mul(G, up, a), _mul(G, down, inv[a])
 
 
 def _test_subgroups(G):
@@ -623,7 +639,7 @@ def test_subgroup_primitives_match_loop_oracles(key):
         if S.is_normal():
             Q, proj, reps = quotient_group(G, S)
             table, proj_loop, reps_loop = quotient_loop(G, S.members)
-            assert (Q.table.tolist(), proj.tolist(), reps) == (table, proj_loop, reps_loop)
+            assert (Q.table.tolist(), proj, reps) == (table, proj_loop, reps_loop)
         else:
             with pytest.raises(GroupError, match="non-normal"):
                 quotient_group(G, S)
@@ -755,13 +771,13 @@ def test_huge_family_parameters_are_refused_quickly(capsys, spec, message):
 
 
 def commutator_members_table(G, A, B):
-    seeds = G.comm_table()[np.ix_(sorted(A.members), sorted(B.members))]
-    return closure_two_sided(G, np.unique(seeds).tolist())
+    C = G.comm_rows()
+    return closure_two_sided(G, sorted({C[a][b] for a in A.members for b in B.members}))
 
 
 def is_normal_table(G, members):
     elems, mem = np.arange(G.order), np.array(sorted(members))
-    conj = G.table[G.table[np.ix_(elems, mem)], G.inverse[elems][:, None]]
+    conj = G.table[G.table[np.ix_(elems, mem)], np.asarray(G.inverse)[elems][:, None]]
     mask = np.zeros(G.order, dtype=bool)
     mask[mem] = True
     return bool(mask[conj].all())
@@ -894,3 +910,17 @@ def test_non_normal_and_non_abelian_refusals_name_their_check():
     # normality is read against the ambient subgroup's generators, not G's
     klein = generated_subgroup(D4, [2, 4])
     assert p_torsion_mod(D4, flip, 2, within=klein) == klein
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [(["1", 5], "element name 5 is not a string"), ("ab", "names must be a list of strings, not 'ab'")],
+)
+def test_table_names_must_be_strings(names, message, capsys):
+    """A table spec with a name that is not a string is refused by name when
+    the group is built, so the CLI exits 2 (bad input), not 1 (mismatch)."""
+    spec = json.dumps({"table": [[0, 1], [1, 0]], "names": names})
+    with pytest.raises(GroupError, match=re.escape(message)):
+        build_group(spec)
+    assert cli_main(["dim3", "--group", spec, "--K", "", "--ring", "Z/3"]) == 2
+    assert message in capsys.readouterr().err

@@ -121,3 +121,14 @@ def test_brute_and_formula_sides_do_not_import_each_other():
     trees = _parse(SRC.glob("*.py"))
     assert "groupring" not in _import_names(trees["formulas.py"])
     assert "formulas" not in _import_names(trees["groupring.py"])
+
+
+def test_only_groups_imports_numpy_and_tables_are_kept_once():
+    """numpy builds and validates the group tables in groups.py and nowhere
+    else; the derived tables are kept once, as plain lists, so no src
+    module reads np.ix_, a numpy commutator table or a second inverse list."""
+    trees = _parse(SRC.glob("*.py"))
+    assert sorted(name for name, tree in trees.items() if "numpy" in _import_names(tree)) == ["groups.py"]
+    for name, tree in trees.items():
+        found = _names(tree)
+        assert not [n for n in ("ix_", "comm_table", "_inv") if found[n]], name

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -415,6 +416,8 @@ def test_cli_corpus_config(tmp_path, capsys):
         ({"theorems": ["dim"]}, "theorems entry 'dim'"),
         ({"groups": ["cyclic:2"], "moduli": [0, 1]}, "moduli entry 1"),
         ({"groups": ["cyclic:2"], "fox_weights": [3]}, "fox_weights entry 3"),
+        ({"groups": ["cyclic:2"], "fox_weights": [True]}, "fox_weights entry True"),
+        ({"groups": ["cyclic:2"], "fox_weights": [1.0]}, "fox_weights entry 1.0"),
         ({"subgroup_policy": "conjugacy"}, "subgroup_policy 'conjugacy'"),
         ({"moduli": 2}, "moduli has the wrong type"),
         ({"moduli": [False]}, "moduli entry False"),
@@ -721,6 +724,16 @@ def test_resolve_series_refuses_a_pow_tag_without_a_prime():
         with pytest.raises(GroupError, match="powP needs a prime"):
             resolve_series(C6, tag)
     assert cli_main(["dim3", "--group", "cyclic:4", "--K", "", "--nseries", "pow"]) == 2
+
+
+@pytest.mark.parametrize("n", [True, 1.0, 3])
+def test_fox_case_refuses_a_weight_that_is_not_0_1_or_2(n):
+    """A case dict's weight reaches the brute side as it is: a bool or a
+    float is refused by name, never run as weight 1 or failed with a
+    TypeError deep in the module build."""
+    case = {"kind": "fox", "group": "cyclic:4", "H": "x", "K": "", "n": n, "m": 0}
+    with pytest.raises(GroupError, match=re.escape(f"fox subgroup weight {n!r}: implemented for n in {{0, 1, 2}}")):
+        run_case(case)
 
 
 def test_per_case_group_layer_makes_no_numpy_ix_call(monkeypatch):
