@@ -416,8 +416,6 @@ def test_cli_corpus_config(tmp_path, capsys):
         ({"theorems": ["dim"]}, "theorems entry 'dim'"),
         ({"groups": ["cyclic:2"], "moduli": [0, 1]}, "moduli entry 1"),
         ({"groups": ["cyclic:2"], "fox_weights": [3]}, "fox_weights entry 3"),
-        ({"groups": ["cyclic:2"], "fox_weights": [True]}, "fox_weights entry True"),
-        ({"groups": ["cyclic:2"], "fox_weights": [1.0]}, "fox_weights entry 1.0"),
         ({"subgroup_policy": "conjugacy"}, "subgroup_policy 'conjugacy'"),
         ({"moduli": 2}, "moduli has the wrong type"),
         ({"moduli": [False]}, "moduli entry False"),
@@ -480,6 +478,8 @@ def test_cli_corpus_config(tmp_path, capsys):
         # keys that name a CorpusConfig method rather than a field
         ({"validate": 1}, "unknown corpus config key 'validate'"),
         ({"from_dict": 0, "groups": ["cyclic:2"]}, "unknown corpus config key 'from_dict'"),
+        ({"groups": ["cyclic:2"], "fox_weights": [True]}, "fox_weights entry True"),
+        ({"groups": ["cyclic:2"], "fox_weights": [1.0]}, "fox_weights entry 1.0"),
     ],
 )
 def test_cli_corpus_rejects_bad_config(tmp_path, capsys, monkeypatch, bad, named):
