@@ -1,9 +1,11 @@
 """Finite groups as validated Cayley tables, and subgroup-level primitives.
 
-Elements are indices 0..order-1.  Built-in families (cyclic, dihedral,
-quaternion, elementary abelian, two-generator class-2 p-groups, direct
-products) are constructed from closed multiplication laws and skip the
-cubic associativity check; ingested tables are checked in full.
+Elements are indices 0..order-1, and a table is a list of int rows;
+the module needs only the standard library.  Built-in families (cyclic,
+dihedral, quaternion, elementary abelian, two-generator class-2 p-groups,
+direct products) are constructed from closed multiplication laws and skip
+the associativity check; ingested tables are checked in full, associativity
+by Light's test over a generating set.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import partial, reduce
 from math import isqrt, lcm, prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .abelian import Presentation
 from .intlinalg import IntLattice
@@ -105,36 +105,52 @@ class CoeffRing:
         return e
 
 
+def _check_latin_square(table) -> None:
+    """Refuse, by name, an ingested table that is not a square list of
+    int rows (bool is not an int) with entries in range, each row and
+    each column a permutation of the elements."""
+    if not isinstance(table, list):
+        raise GroupError(f"table must be a list of rows, not {table!r}")
+    n = len(table)
+    for a, row in enumerate(table):
+        if not isinstance(row, list) or len(row) != n:
+            raise GroupError(f"table row {a} is not a list of {n} entries: the table must be square")
+        for x in row:
+            if type(x) is not int:
+                raise GroupError(f"table entry {x!r} in row {a} is not an int")
+            if not 0 <= x < n:
+                raise GroupError(f"table entry {x} in row {a} is out of range for order {n}")
+    if any(len(set(line)) != n for line in table + list(zip(*table))):
+        raise GroupError("table is not a Latin square")
+
+
 class FiniteGroup:
     """A finite group given by its Cayley table.
 
-    table[a, b] is the index of the product a*b.  The identity, the
-    inverse list and element orders are derived.  Instances are
-    immutable after construction and safe to share.
+    table[a][b] is the index of the product a*b.  The identity, the
+    inverse list and element orders are derived.  Nothing writes to an
+    instance or its lists after construction, so it is safe to share.
 
-    Each derived table is kept once, as plain int lists that the inner
-    loops read: the rows and columns of the product, the inverses, the
-    powers and the commutators.  numpy builds and validates the tables and
-    answers whole-table questions (element orders, commutativity, centre).
+    The table is one list of int rows, which mul_rows() returns itself;
+    each table derived from it is kept once, as plain int lists built on
+    first read: the columns, the powers (the one source of element orders
+    and the exponent) and the commutators.  With check=True the table and
+    generators are outside input, and every group axiom is checked.
     """
 
     def __init__(
         self,
-        table: np.ndarray,
+        table: list[list[int]],
         names: Sequence[str] | None = None,
         generators: Sequence[int] = (),
         spec: str = "",
         check: bool = True,
     ):
-        table = np.asarray(table, dtype=np.int32)
-        n = table.shape[0]
-        if table.shape != (n, n):
-            raise GroupError("table must be square")
+        if check:
+            _check_latin_square(table)
+        n = len(table)
         self.order = n
         self.table = table
-        self.table.setflags(write=False)
-        if check:
-            self._validate_table()
         self.identity = self._find_identity()
         self.inverse = self._build_inverses()
         if names is None:
@@ -149,92 +165,99 @@ class FiniteGroup:
         self.names = tuple(names)
         self.spec = spec or f"table:{n}"
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
-        self._orders: list[int] | None = None
-        self._rows: list[list[int]] | None = None
         self._cols: list[list[int]] | None = None
         self._powers: list[list[int]] | None = None
         self._comm_rows: list[list[int]] | None = None
-        self.generators = self._generating_set(tuple(int(g) for g in generators), check)
+        self.generators = self._generating_set(generators, check)
+        if check:
+            self._check_associative()
 
-    def _generating_set(self, gens: tuple[int, ...], check: bool) -> tuple[int, ...]:
+    def _generating_set(self, gens: Sequence[int], check: bool) -> tuple[int, ...]:
         """The given generators, which a checked table must show to generate
         the group, or a greedy generating set when none are given.  Every
         subgroup primitive relies on G.generators generating G."""
-        if not gens:
-            return small_generators(self, self.elements())
         if check:
+            if not isinstance(gens, (list, tuple)) or not all(type(g) is int for g in gens):
+                raise GroupError(f"generators must be a list of int indices, not {gens!r}")
             if not all(0 <= g < self.order for g in gens):
                 raise GroupError(f"generator indices {list(gens)} out of range for order {self.order}")
             span = len(_Span(self, gens).members)
-            if span != self.order:
+            if gens and span != self.order:
                 raise GroupError(
                     f"generators {[self.names[g] for g in gens]} do not generate the group: "
                     f"they generate {span} of its {self.order} elements"
                 )
-        return gens
+        return tuple(gens) or small_generators(self, self.elements())
 
     def mul_rows(self) -> list[list[int]]:
-        """Table rows as plain int lists (fast path for inner loops)."""
-        if self._rows is None:
-            self._rows = self.table.tolist()
-        return self._rows
+        """The table itself: rows of plain ints, for inner loops."""
+        return self.table
 
     def mul_cols(self) -> list[list[int]]:
         if self._cols is None:
-            self._cols = self.table.T.tolist()
+            self._cols = [list(col) for col in zip(*self.table)]
         return self._cols
 
     def power_rows(self) -> list[list[int]]:
         """power_rows()[k][g] = g^k for k in [0, exponent), as plain int lists:
         the rows run until the first k > 0 with g^k = 1 for every g."""
         if self._powers is None:
-            rows = self.mul_rows()
+            rows = self.table
             ones = [self.identity] * self.order
             powers, x = [ones], list(self.elements())
             while x != ones:
                 powers.append(x)
-                x = [rows[y][g] for g, y in enumerate(x)]
+                x = list(map(list.__getitem__, rows, x))  # g^(k+1) = g g^k, read from row g
             self._powers = powers
         return self._powers
 
     def comm_rows(self) -> list[list[int]]:
-        """comm_rows()[a][b] = [a, b] = a b a^-1 b^-1, as plain int lists, built once."""
+        """comm_rows()[a][b] = [a, b] = (ab)(a^-1 b^-1), as plain int lists, built once."""
         if self._comm_rows is None:
-            t, inv = self.table, np.asarray(self.inverse)
-            self._comm_rows = t[t, t[inv][:, inv]].tolist()
+            rows, inv = self.table, self.inverse
+            self._comm_rows = [
+                [rows[ab][w] for ab, w in zip(row, map(rows[inv[a]].__getitem__, inv))]
+                for a, row in enumerate(rows)
+            ]
         return self._comm_rows
 
     # -- construction checks ------------------------------------------------
 
-    def _validate_table(self) -> None:
-        n = self.order
-        t = self.table
-        if t.min() < 0 or t.max() >= n:
-            raise GroupError("table entries out of range")
-        idx = np.arange(n)
-        for a in range(n):
-            if not (np.sort(t[a]) == idx).all() or not (np.sort(t[:, a]) == idx).all():
-                raise GroupError("table is not a Latin square")
-        for a in range(n):
-            # (a*b)*c == a*(b*c) for all b, c at once
-            if not (t[t[a], :] == t[a][t]).all():
-                raise GroupError("table is not associative")
-
     def _find_identity(self) -> int:
-        n = self.order
-        idx = np.arange(n)
-        for e in range(n):
-            if (self.table[e] == idx).all() and (self.table[:, e] == idx).all():
+        idx = list(self.elements())
+        for e, row in enumerate(self.table):
+            if row == idx and all(r[e] == a for a, r in enumerate(self.table)):
                 return e
         raise GroupError("table has no identity element")
 
     def _build_inverses(self) -> list[int]:
-        idx = np.arange(self.order)
-        rows, inv = np.nonzero(self.table == self.identity)
-        # exactly one right inverse per row (rows come out in order), and it is a left inverse
-        if not np.array_equal(rows, idx) or (self.table[inv, idx] != self.identity).any():
+        # each row of a Latin square holds the identity once: a right inverse
+        e = self.identity
+        inv = [row.index(e) for row in self.table]
+        if any(self.table[b][a] != e for a, b in enumerate(inv)):
             raise GroupError("element without a two-sided inverse")
-        return inv.tolist()
+        return inv
+
+    def _check_associative(self) -> None:
+        """Light's test over the generators: (xg)y = x(gy) for every
+        generator g and all x, y.
+
+        Proof that it suffices (Clifford and Preston, The Algebraic Theory
+        of Semigroups I, 1961, section 1.2).  Call g a middle when
+        (xg)y = x(gy) for all x, y.  The identity is a middle, and so is ab
+        for middles a and b: (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by))
+        = x((ab)y), using a, b, a and b in turn.  Every element is a
+        product ((1 g1) g2)...gk of generators, as the generators span the
+        group by right products (_generating_set), so every element is a
+        middle, which is associativity.  It takes |generators| n^2 reads in
+        place of n^3.
+        """
+        rows = self.table
+        for g in self.generators:
+            grow = rows[g]
+            for row in rows:
+                if rows[row[g]] != list(map(row.__getitem__, grow)):
+                    raise GroupError("table is not associative")
 
     # -- element arithmetic --------------------------------------------------
 
@@ -259,23 +282,15 @@ class FiniteGroup:
         return rows[rows[a][b]][rows[inv[a]][inv[b]]]
 
     def order_of(self, a: int) -> int:
-        if self._orders is None:
-            idx = np.arange(self.order)
-            orders = np.zeros(self.order, dtype=np.int64)
-            x, k = idx, 1  # x[g] = g^k
-            while True:
-                orders[(x == self.identity) & (orders == 0)] = k
-                if orders.all():
-                    break
-                x, k = self.table[x, idx], k + 1
-            self._orders = orders.tolist()
-        return self._orders[a]
+        """The least k >= 1 with a^k = 1, read from the power table."""
+        powers = self.power_rows()
+        return next((k for k in range(1, len(powers)) if powers[k][a] == self.identity), len(powers))
 
     def exponent(self) -> int:
         return len(self.power_rows())
 
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        return self.table == self.mul_cols()
 
     def elements(self) -> range:
         return range(self.order)
@@ -539,7 +554,8 @@ def power_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
 
 
 def centre(G: FiniteGroup) -> Subgroup:
-    return subgroup_from_members(G, np.flatnonzero((G.table == G.table.T).all(axis=1)))
+    """The elements whose row equals their column."""
+    return subgroup_from_members(G, [a for a, (row, col) in enumerate(zip(G.table, G.mul_cols())) if row == col])
 
 
 def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
@@ -809,21 +825,17 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 class _Table(NamedTuple):
     """A built-in group before it becomes a FiniteGroup; element 0 is its identity."""
 
-    table: np.ndarray
+    table: list[list[int]]
     names: list[str]
     generators: list[int]
     spec: str
 
 
-def _group(t: _Table) -> FiniteGroup:
-    # closed multiplication laws: no associativity check needed
-    return FiniteGroup(t.table, t.names, t.generators, spec=t.spec, check=False)
-
-
 def _cyclic(n: int) -> _Table:
     if n < 1:
         raise GroupError("cyclic order must be >= 1")
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    idx = list(range(n))
+    table = [idx[a:] + idx[:a] for a in idx]
     names = ["1"] + [f"x{k}" if k > 1 else "x" for k in range(1, n)]
     return _Table(table, names, [1] if n > 1 else [], f"cyclic:{n}")
 
@@ -832,9 +844,8 @@ def _dihedral(n: int) -> _Table:
     if n < 1:
         raise GroupError("dihedral parameter must be >= 1")
     # elements r^a f^b encoded as a + n*b; (a, b)(c, d) = (a + (-1)^b c, b xor d)
-    idx = np.arange(2 * n)
-    a, b = (idx % n)[:, None], (idx // n)[:, None]
-    table = ((a + (1 - 2 * b) * a.T) % n + n * (b ^ b.T)).astype(np.int32)
+    pairs = [(a, b) for b in range(2) for a in range(n)]
+    table = [[(a + (1 - 2 * b) * c) % n + n * (b ^ d) for c, d in pairs] for a, b in pairs]
     names = []
     for b in range(2):
         for a in range(n):
@@ -848,9 +859,8 @@ def _dihedral(n: int) -> _Table:
 def _quaternion8() -> _Table:
     # elements x^a y^b, a mod 4, b mod 2, with y x = x^-1 y and y^2 = x^2:
     # (a, b)(c, d) = (a + (-1)^b c + 2 b d, b xor d)
-    idx = np.arange(8)
-    a, b = (idx % 4)[:, None], (idx // 4)[:, None]
-    table = ((a + (1 - 2 * b) * a.T + 2 * (b & b.T)) % 4 + 4 * (b ^ b.T)).astype(np.int32)
+    pairs = [(a, b) for b in range(2) for a in range(4)]
+    table = [[(a + (1 - 2 * b) * c + 2 * (b & d)) % 4 + 4 * (b ^ d) for c, d in pairs] for a, b in pairs]
     names = ["1", "x", "x2", "x3", "y", "xy", "x2y", "x3y"]
     return _Table(table, names, [1, 4], "quaternion:8")
 
@@ -866,23 +876,17 @@ def _class2(p: int, s: int) -> _Table:
     if p < 2 or s < 1:
         raise GroupError("class2 needs a prime p >= 2 and s >= 1")
     q = p ** (s + 1)
-    n = q * q * q
 
     def enc(i, j, k):
         return (i * q + j) * q + k
 
-    iv, jv, kv = np.meshgrid(np.arange(q), np.arange(q), np.arange(q), indexing="ij")
-    iv, jv, kv = iv.ravel(), jv.ravel(), kv.ravel()
-    table = np.zeros((n, n), dtype=np.int32)
-    for a in range(n):
-        i1, j1, k1 = int(iv[a]), int(jv[a]), int(kv[a])
-        ti = (i1 + iv) % q
-        tj = (j1 + jv) % q
-        tk = (k1 + kv - iv * j1) % q
-        table[a] = (ti * q + tj) * q + tk
+    triples = [(i, j, k) for i in range(q) for j in range(q) for k in range(q)]
+    table = [
+        [enc((i1 + i2) % q, (j1 + j2) % q, (k1 + k2 - i2 * j1) % q) for i2, j2, k2 in triples]
+        for i1, j1, k1 in triples
+    ]
     names = []
-    for a in range(n):
-        i, j, k = int(iv[a]), int(jv[a]), int(kv[a])
+    for i, j, k in triples:
         parts = []
         if i:
             parts.append(f"x{i}" if i > 1 else "x")
@@ -896,9 +900,8 @@ def _class2(p: int, s: int) -> _Table:
 
 def _direct_product(t1: _Table, t2: _Table) -> _Table:
     """Pairs (a, b) at index a * |t2| + b; the identity stays at 0."""
-    n1, n2 = len(t1.names), len(t2.names)
-    t = t1.table[:, None, :, None] * n2 + t2.table[None, :, None, :]
-    table = t.reshape(n1 * n2, n1 * n2)
+    n2 = len(t2.names)
+    table = [[c * n2 + d for c in r1 for d in r2] for r1 in t1.table for r2 in t2.table]
     names = [f"({a},{b})" for a in t1.names for b in t2.names]
     gens = [g * n2 for g in t1.generators] + list(t2.generators)
     return _Table(table, names, gens, f"{t1.spec} x {t2.spec}")
@@ -989,11 +992,8 @@ def group_from_permutations(gens: Sequence[Sequence[Sequence[int]]], cap: int) -
                 order.append(nxt)
                 frontier.append(nxt)
     n = len(order)
-    table = np.zeros((n, n), dtype=np.int32)
-    for i, a in enumerate(order):
-        for j, b in enumerate(order):
-            prod = tuple(a[b[t]] for t in range(npoints))
-            table[i, j] = elems[prod]
+    # row a, column b: the permutation t -> a[b[t]]
+    table = [[elems[tuple(map(a.__getitem__, b))] for b in order] for a in order]
     names = [f"p{i}" for i in range(n)]
     gen_idx = [elems[g] for g in pgens]
     # composition of permutations is associative by construction
@@ -1005,9 +1005,10 @@ def build_group(spec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
     Family strings: "cyclic:n", "dihedral:n", "quaternion:8",
     "class2:p,s", "elementary-abelian:p,k", combined with " x " for
-    direct products.  Dicts: {"order", "table", "names"?} for an
-    explicit (fully checked) Cayley table, or {"perm_gens": [...]} for
-    permutation generators in cycle notation.
+    direct products.  Dicts: {"table", "order"?, "names"?, "generators"?}
+    for an explicit (fully checked) Cayley table, whose order, when given,
+    must be the table's size, or {"perm_gens": [...]} for permutation
+    generators in cycle notation.
     """
     if isinstance(spec, str):
         text = spec.strip()
@@ -1023,15 +1024,20 @@ def build_group(spec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             if order > max_order:
                 shown = order if order.bit_length() < 10000 else "past 2^10000"
                 raise GroupError(f"group order {shown} exceeds the cap {max_order}")
-            return _group(reduce(_direct_product, [build() for _, build in families]))
+            t = reduce(_direct_product, [build() for _, build in families])
+            # closed multiplication laws: no check needed
+            return FiniteGroup(t.table, t.names, t.generators, spec=t.spec, check=False)
     if isinstance(spec, dict):
         if "table" in spec:
             table = spec["table"]
+            if not isinstance(table, list):
+                raise GroupError(f"table must be a list of rows, not {table!r}")
             if len(table) > max_order:
                 raise GroupError("ingested table exceeds the order cap")
-            return FiniteGroup(
-                np.asarray(table), spec.get("names"), spec.get("generators", ()), spec="table", check=True
-            )
+            order = spec.get("order", len(table))
+            if type(order) is not int or order != len(table):
+                raise GroupError(f"table spec order {order!r} is not the table's size {len(table)}")
+            return FiniteGroup(table, spec.get("names"), spec.get("generators", ()), spec="table", check=True)
         if "perm_gens" in spec:
             return group_from_permutations(spec["perm_gens"], max_order)
         raise GroupError("group dict needs 'table' or 'perm_gens'")
@@ -1047,13 +1053,7 @@ def make_counterexample(p: int, r: int, s: int, max_order: int = DEFAULT_ORDER_C
     if not (0 < r <= s):
         raise GroupError("need 0 < r <= s")
     G = build_group(f"class2:{p},{s}", max_order)
-    q = p ** (s + 1)
-
-    def enc(i, j, k):
-        return (i * q + j) * q + k
-
-    x = enc(1, 0, 0)
-    y = enc(0, 1, 0)
+    x, y = G.generators
     c = G.comm(x, y)
     K = generated_subgroup(G, [G.power(x, p**r), G.power(y, p**s), c])
     z = G.power(c, p**s)

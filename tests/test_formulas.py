@@ -274,7 +274,7 @@ def _subgroup_as_group(G, A):
     elems = sorted(A.members)
     back = np.full(G.order, -1, dtype=np.int64)
     back[elems] = np.arange(len(elems))
-    table = back[G.table[np.ix_(elems, elems)]]
+    table = back[np.asarray(G.table)[np.ix_(elems, elems)]].tolist()
     names = [G.names[g] for g in elems]
     gens = [int(back[g]) for g in A.generators if back[g] >= 0]
     H = FiniteGroup(table, names, gens, spec=f"sub:{G.spec}", check=False)

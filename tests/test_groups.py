@@ -58,7 +58,7 @@ SAMPLE_SPECS = [
 def test_family_builders_satisfy_group_axioms(spec):
     G = build_group(spec)
     n = G.order
-    t = G.table
+    t = np.asarray(G.table)
     idx = np.arange(n)
     for a in range(n):
         assert (np.sort(np.asarray(t[a])) == idx).all()
@@ -101,8 +101,77 @@ def test_build_group_cap_and_errors():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="not associative"):
         build_group({"table": bad})
+    # Light's test runs over the given generators, not the greedy ones [1, 2]
+    with pytest.raises(GroupError, match="not associative"):
+        build_group({"table": bad, "generators": [4, 3]})
+
+
+def _reduced_latin_squares(n):
+    """Every Latin square on 0..n-1 whose first row and column are 0..n-1."""
+    rows = [list(range(n))] + [[a] + [None] * (n - 1) for a in range(1, n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            yield [r[:] for r in rows]
+            return
+        a, b = cells[i]
+        for x in range(n):
+            if x not in rows[a][:b] and all(rows[c][b] != x for c in range(a)):
+                rows[a][b] = x
+                yield from fill(i + 1)
+        rows[a][b] = None
+
+    yield from fill(0)
+
+
+@pytest.mark.parametrize("n, squares, groups", [(4, 4, 4), (5, 56, 6), (6, 9408, 80)])
+def test_light_test_agrees_with_the_full_check_on_every_small_latin_square(n, squares, groups):
+    """An ingested Latin square with an identity is accepted exactly when
+    the full n^3 associativity check passes, on every reduced square of
+    order n; the others are refused for their inverses or associativity."""
+    seen = accepted = 0
+    for sq in _reduced_latin_squares(n):
+        t = np.array(sq)
+        associative = all((t[t[a], :] == t[a][t]).all() for a in range(n))
+        try:
+            build_group({"table": sq})
+        except GroupError as exc:
+            assert not associative and re.search("not associative|two-sided inverse", str(exc)), sq
+        else:
+            assert associative, sq
+            accepted += 1
+        seen += 1
+    assert (seen, accepted) == (squares, groups)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"table": [[0, 1], [1, 0.5]]}', "table entry 0.5 in row 1 is not an int"),
+        ('{"table": [[0, 1], [1, "0"]]}', "table entry '0' in row 1 is not an int"),
+        ('{"table": [[0, 1], [1, true]]}', "table entry True in row 1 is not an int"),
+        ('{"table": [[0, 1], [1, 4294967296]]}', "table entry 4294967296 in row 1 is out of range for order 2"),
+        ('{"table": 5}', "table must be a list of rows, not 5"),
+        ('{"table": [[0, 1], [1]]}', "table row 1 is not a list of 2 entries: the table must be square"),
+        ('{"table": [[0, 1], 1]}', "table row 1 is not a list of 2 entries: the table must be square"),
+        ('{"table": [[0, 1], [1, 0]], "generators": [1.5]}', "generators must be a list of int indices, not \\[1.5\\]"),
+        ('{"table": [[0, 1], [1, 0]], "generators": 1}', "generators must be a list of int indices, not 1"),
+        ('{"order": 3, "table": [[0, 1], [1, 0]]}', "table spec order 3 is not the table's size 2"),
+        ('{"order": "2", "table": [[0, 1], [1, 0]]}', "table spec order '2' is not the table's size 2"),
+    ],
+)
+def test_malformed_table_specs_are_refused_by_name(capsys, spec, message):
+    """An ingested table, its generators and its order are outside input:
+    a float, string, bool or too-large entry, a table that is not a list of
+    equal rows, a non-int generator and an order that is not the table's
+    size are each refused with a GroupError, and the CLI exits 2."""
+    with pytest.raises(GroupError, match=message):
+        build_group(json.loads(spec))
+    assert cli_main(["group", "show", spec]) == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(
@@ -159,7 +228,7 @@ def test_product_builds_are_pinned(spec, names, generators, mul, monkeypatch):
     G = build_group(spec)
     assert built == [spec]
     assert (list(G.names), G.generators, G.identity, G.spec) == (names, generators, 0, spec)
-    assert G.table.tolist() == [[mul(a, b) for b in range(G.order)] for a in range(G.order)]
+    assert G.table == [[mul(a, b) for b in range(G.order)] for a in range(G.order)]
 
 
 def _dihedral_law(n):
@@ -185,17 +254,17 @@ def _quaternion8_law():
 
 
 def test_dihedral_and_quaternion_tables_follow_their_product_laws():
-    """The broadcast tables, names and generators equal those of the
-    entry-by-entry product law, in int32."""
+    """The built tables, names and generators equal those of the
+    entry-by-entry product law."""
     built = [(_dihedral(n), _dihedral_law(n)) for n in range(1, 41)] + [(_quaternion8(), _quaternion8_law())]
     for t, (table, names, generators) in built:
-        assert t.table.dtype == np.int32, t.spec
-        assert (t.table.tolist(), t.names, t.generators) == (table.tolist(), names, generators), t.spec
+        assert (t.table, t.names, t.generators) == (table.tolist(), names, generators), t.spec
 
 
 def test_ingested_table_roundtrip():
-    table = build_group("dihedral:3").table.tolist()
+    table = build_group("dihedral:3").table
     G = build_group({"table": table})
+    assert build_group({"order": 6, "table": table}).order == 6
     assert G.order == 6 and not G.is_abelian()
 
 
@@ -477,15 +546,15 @@ def test_centre():
 
 
 def _mul(G, a, b):
-    return int(G.table[a, b])
+    return G.table[a][b]
 
 
 def inverses_loop(G):
     inv = []
     for a in range(G.order):
-        hits = np.nonzero(G.table[a] == G.identity)[0]
-        assert len(hits) == 1 and G.table[hits[0], a] == G.identity
-        inv.append(int(hits[0]))
+        hits = [b for b in range(G.order) if _mul(G, a, b) == G.identity]
+        assert len(hits) == 1 and _mul(G, hits[0], a) == G.identity
+        inv.append(hits[0])
     return inv
 
 
@@ -556,7 +625,7 @@ def _relabelled_dihedral4():
     table = [[0] * 8 for _ in range(8)]
     for a in range(8):
         for b in range(8):
-            table[perm[a]][perm[b]] = perm[int(D.table[a, b])]
+            table[perm[a]][perm[b]] = perm[D.table[a][b]]
     return {"table": table}
 
 
@@ -639,7 +708,7 @@ def test_subgroup_primitives_match_loop_oracles(key):
         if S.is_normal():
             Q, proj, reps = quotient_group(G, S)
             table, proj_loop, reps_loop = quotient_loop(G, S.members)
-            assert (Q.table.tolist(), proj, reps) == (table, proj_loop, reps_loop)
+            assert (Q.table, proj, reps) == (table, proj_loop, reps_loop)
         else:
             with pytest.raises(GroupError, match="non-normal"):
                 quotient_group(G, S)
@@ -776,8 +845,8 @@ def commutator_members_table(G, A, B):
 
 
 def is_normal_table(G, members):
-    elems, mem = np.arange(G.order), np.array(sorted(members))
-    conj = G.table[G.table[np.ix_(elems, mem)], np.asarray(G.inverse)[elems][:, None]]
+    t, elems, mem = np.asarray(G.table), np.arange(G.order), np.array(sorted(members))
+    conj = t[t[np.ix_(elems, mem)], np.asarray(G.inverse)[elems][:, None]]
     mask = np.zeros(G.order, dtype=bool)
     mask[mem] = True
     return bool(mask[conj].all())
@@ -792,7 +861,7 @@ def abelian_quotient_table(G, A, S):
 
     members = np.array(sorted(A.members))
     proj = np.full(G.order, -1, dtype=np.int64)
-    proj[members] = G.table[np.ix_(members, sorted(S.members))].min(axis=1)
+    proj[members] = np.asarray(G.table)[np.ix_(members, sorted(S.members))].min(axis=1)
     gens, have = [], frozenset({G.identity})
     for a in sorted(A.members):
         if a not in have:
@@ -871,7 +940,7 @@ def test_table_generators_must_generate_the_group():
     """A table spec's generators are checked by closure: [2] in C4 generates
     only {0, 2}, and was accepted before, so that join(G, [whole_group(G)])
     had order 2.  With none given, a generating set is computed."""
-    c4 = build_group("cyclic:4").table.tolist()
+    c4 = build_group("cyclic:4").table
     with pytest.raises(GroupError, match=r"generators \['g2'\] do not generate the group: they generate 2 of its 4"):
         build_group({"table": c4, "generators": [2]})
     with pytest.raises(GroupError, match="out of range"):

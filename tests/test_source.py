@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -123,12 +125,20 @@ def test_brute_and_formula_sides_do_not_import_each_other():
     assert "formulas" not in _import_names(trees["groupring.py"])
 
 
-def test_only_groups_imports_numpy_and_tables_are_kept_once():
-    """numpy builds and validates the group tables in groups.py and nowhere
-    else; the derived tables are kept once, as plain lists, so no src
-    module reads np.ix_, a numpy commutator table or a second inverse list."""
+def test_no_src_module_imports_numpy_and_tables_are_kept_once():
+    """The package runs on the standard library: no src module imports
+    numpy, and the derived tables are kept once, as plain lists, so none
+    reads np.ix_, a numpy commutator table or a second inverse list."""
     trees = _parse(SRC.glob("*.py"))
-    assert sorted(name for name, tree in trees.items() if "numpy" in _import_names(tree)) == ["groups.py"]
+    assert not [name for name, tree in trees.items() if "numpy" in _import_names(tree)]
     for name, tree in trees.items():
         found = _names(tree)
         assert not [n for n in ("ix_", "comm_table", "_inv") if found[n]], name
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    """Importing dimfox, its CLI and its verifier loads no numpy, not even
+    through a dependency."""
+    code = "import sys, dimfox, dimfox.cli, dimfox.verify; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr

@@ -734,33 +734,3 @@ def test_fox_case_refuses_a_weight_that_is_not_0_1_or_2(n):
     case = {"kind": "fox", "group": "cyclic:4", "H": "x", "K": "", "n": n, "m": 0}
     with pytest.raises(GroupError, match=re.escape(f"fox subgroup weight {n!r}: implemented for n in {{0, 1, 2}}")):
         run_case(case)
-
-
-def test_per_case_group_layer_makes_no_numpy_ix_call(monkeypatch):
-    """The per-case subgroup primitives read plain-int tables: np.ix_ over a
-    few dozen indices costs more than the list reads, so a default
-    weight-2 Fox case and a default dim3 case make no np.ix_ call."""
-    import numpy as np
-
-    cases = build_cases(CorpusConfig())
-
-    def pick(**want):
-        return next(c for c in cases if all(c.get(k) == v for k, v in want.items()))
-
-    chosen = [
-        pick(kind="fox", group="dihedral:4", H=(1,), K=(4,), n=2, m=2),
-        pick(kind="fox", group="cyclic:2 x quaternion:8", H=(9,), K=(1,), n=2, m=0),
-        pick(kind="dim3", group="cyclic:2 x quaternion:8", K=(4,), m=4),
-        pick(kind="dim3", group="dihedral:8", K=(8,), m=2),
-    ]
-    calls = []
-
-    def counted(*args):
-        calls.append(len(args))
-        raise AssertionError("np.ix_ called on the per-case path")
-
-    monkeypatch.setattr(np, "ix_", counted)
-    for case in chosen:
-        report = run_case(case)
-        assert report["equal"] and all(report["containments"].values()), case
-    assert not calls
