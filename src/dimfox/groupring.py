@@ -78,16 +78,15 @@ def row_translate_right(G: FiniteGroup, v: Sequence[int], g: int) -> list[int]:
 
 class ModuleSpan:
     """An R-submodule of R(G), kept as an echelon lattice whose canonical
-    form is computed on demand and cached."""
+    form is computed on demand and cached: the zero module, or the given
+    lattice in Z^|G| (over Z/m, the preimage lattice with modulus m)."""
 
-    def __init__(self, group: FiniteGroup, ring: CoeffRing, rows: Sequence[Sequence[int]] = ()):
+    def __init__(self, group: FiniteGroup, ring: CoeffRing, lattice: IntLattice | None = None):
         if not ring.is_concrete:
             raise GroupError(f"group-algebra spans need a concrete ring, not sigma {dict(ring.sigma)}")
         self.group = group
         self.ring = ring
-        self.lattice = IntLattice(group.order, ring.modulus)
-        for row in rows:
-            self.lattice.add(row)
+        self.lattice = IntLattice(group.order, ring.modulus) if lattice is None else lattice
 
     def canonical(self):
         return self.lattice.canonical()
@@ -114,28 +113,28 @@ class ModuleSpan:
 
 
 def _to_top_span(G: FiniteGroup, ring: CoeffRing, pairs: Iterable[tuple[int, int]]) -> ModuleSpan:
-    """The span of the rows e_c - e_t for (c, t) in pairs, where each c is
-    below its t and no t is a c: every row leads in its own column c and
-    meets no other row's pivot, so it enters the echelon form without
-    elimination."""
-    rows = []
-    for c, t in pairs:
-        row = [0] * G.order
-        row[c] = 1
-        row[t] = -1
-        rows.append(row)
-    return ModuleSpan(G, ring, rows)
+    """The span of the rows e_c - e_t for (c, t) in pairs, written in
+    Hermite form by `IntLattice.from_differences`.
+
+    Precondition, checked there: each c is below its t, appears once and is
+    no pair's t.  Then each row leads in its own column c and meets no
+    other row's pivot, so the rows are the basis over Z; over Z/m the
+    seed row m*e_c becomes e_c + (m - 1)*e_t, whose entry m - 1 is already
+    reduced against the seed pivot m*e_t of column t, as t is not a c.
+    """
+    return ModuleSpan(G, ring, IntLattice.from_differences(G.order, pairs, ring.modulus))
 
 
 def augmentation_ideal(G: FiniteGroup, S: Subgroup, ring: CoeffRing) -> ModuleSpan:
-    """R-span of {s - 1 : s in S} inside R(G).
+    """R-span of {s - 1 : s in S} inside R(G), written in Hermite form.
 
     With top = max(S), the rows e_c - e_top (c in S, c != top) span the
     same module as the rows s - 1: both span the coefficient rows that are
     supported on S and sum to zero, since s - 1 = (e_s - e_top) -
-    (e_1 - e_top) and e_c - e_top = (c - 1) - (top - 1).  Each of them
-    leads in its own column c, so they enter the echelon form without
-    elimination, where every row s - 1 leads in the identity's column.
+    (e_1 - e_top) and e_c - e_top = (c - 1) - (top - 1).  Every c is below
+    top, so `_to_top_span` writes them as the Hermite basis directly,
+    where every row s - 1 leads in the identity's column and would need
+    elimination.
     """
     if S.parent is not G:
         raise GroupError("subgroup of a different group")
@@ -356,7 +355,9 @@ def fox_module(
     e_y - e_t = -y(h - 1) for t = yh, and
     e_xh - e_x = (e_xh - e_t) - (e_x - e_t).  So the rows e_y - e_top(yH),
     for every y that is not the largest element top(yH) of its coset, are
-    a basis (no translate closure is needed).
+    a basis (no translate closure is needed).  Each such y is below its
+    top and no top is such a y, so `_to_top_span` writes them as the
+    Hermite basis directly.
 
     n = 1, 2: I(G)I(H) is the `right_ideal_product` of I(G) by H, as
     I(G)h lies in I(G); and I^(k+1)(G)I(H) = I(G)*I^k(G)I(H) is the

@@ -951,32 +951,52 @@ def _family(token: str, max_order: int) -> tuple[int, Callable[[], _Table]]:
     raise GroupError(f"unknown group family {token!r}")
 
 
-def _parse_cycles(perm_spec: Sequence[Sequence[int]], npoints: int) -> tuple[int, ...]:
-    img = list(range(npoints))
+def _perm_points(gens) -> dict[int, int]:
+    """Refuse, by name, a perm_gens spec that is not a list of generators,
+    each a list of cycles, each a list of int points >= 0 (bool is not an
+    int); return the label of each point that occurs, in ascending order.
+    A point that occurs in no cycle is fixed by every generator, so
+    dropping it leaves the group, its element order and its table as they
+    are, and a large label costs nothing."""
+    if not isinstance(gens, list):
+        raise GroupError(f"perm_gens must be a list of generators, not {gens!r}")
+    points: set[int] = set()
+    for i, gen in enumerate(gens):
+        if not isinstance(gen, list):
+            raise GroupError(f"perm_gens generator {i} is not a list of cycles: {gen!r}")
+        for cycle in gen:
+            if not isinstance(cycle, list):
+                raise GroupError(f"perm_gens generator {i} has a cycle that is not a list of points: {cycle!r}")
+            for a in cycle:
+                if type(a) is not int:
+                    raise GroupError(f"cycle point {a!r} in generator {i} is not an int")
+                if a < 0:
+                    raise GroupError(f"cycle point {a} out of range")
+            points.update(cycle)
+    return {a: k for k, a in enumerate(sorted(points))}
+
+
+def _parse_cycles(perm_spec: list[list[int]], label: dict[int, int]) -> tuple[int, ...]:
+    img = list(range(len(label)))
     touched: set[int] = set()
     for cycle in perm_spec:
         for a in cycle:
-            if not 0 <= a < npoints:
-                raise GroupError(f"cycle point {a} out of range")
             if a in touched:
                 raise GroupError(f"cycle point {a} repeated within one permutation")
             touched.add(a)
-        for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
-            img[a] = b
-    if sorted(img) != list(range(npoints)):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            img[label[a]] = label[b]
+    if sorted(img) != list(range(len(label))):
         raise GroupError("cycles do not describe a permutation")
     return tuple(img)
 
 
-def group_from_permutations(gens: Sequence[Sequence[Sequence[int]]], cap: int) -> FiniteGroup:
-    """Closure of permutation generators given as lists of cycles (0-based)."""
-    npoints = 0
-    for g in gens:
-        for cyc in g:
-            if cyc:
-                npoints = max(npoints, max(cyc) + 1)
-    npoints = max(npoints, 1)
-    pgens = [_parse_cycles(g, npoints) for g in gens]
+def group_from_permutations(gens: list[list[list[int]]], cap: int) -> FiniteGroup:
+    """Closure of permutation generators given as lists of cycles (0-based),
+    on the points that occur, numbered in ascending order."""
+    label = _perm_points(gens)
+    npoints = len(label)
+    pgens = [_parse_cycles(g, label) for g in gens]
     ident = tuple(range(npoints))
     elems = {ident: 0}
     order = [ident]

@@ -44,6 +44,10 @@ class IntLattice:
     the unique fully reduced basis (modulo m when a modulus is set, with
     zero rows dropped), so two spans are equal iff their canonical forms
     are equal.
+
+    A lattice is built row by row with `add`, or, for the span of the
+    difference rows e_c - e_t, written directly in Hermite form by
+    `from_differences`.
     """
 
     __slots__ = ("ncols", "modulus", "rows", "pivcols", "_stale", "_canonical", "_changes")
@@ -72,6 +76,53 @@ class IntLattice:
                 row[j] = modulus
                 self.rows.append(row)
                 self.pivcols.append(j)
+
+    @classmethod
+    def from_differences(cls, ncols: int, pairs: Iterable[tuple[int, int]], modulus: int = 0) -> IntLattice:
+        """The span of the rows e_c - e_t for (c, t) in pairs, written
+        directly in its reduced Hermite form.
+
+        Precondition, checked in O(#pairs): c < t < ncols for every pair,
+        each c appears once and no t is also a c; a ValueError names the
+        pair or column that breaks it.  Then the row e_c - e_t leads in its
+        own column c with pivot 1, and every other row is zero in column c
+        (its entries sit at its own c' != c and at its t, which is not a c).
+        So the rows are already echelon and reduced, with no elimination.
+        - Over Z they are the basis: row e_c - e_t at pivot c.
+        - Over Z/m the preimage lattice also holds m*Z^ncols.  Column t
+          keeps its seed row m*e_t as pivot, since t is not a c, so the
+          entry -1 above it reduces to m - 1, already in [0, m).  The seed
+          row m*e_c becomes e_c + (m - 1)*e_t, and every other seed row
+          stays.
+        Hermite forms are unique, so this is the basis that inserting the
+        rows one at a time with `add` and normalizing would reach.  Nothing
+        is stale and no canonical form is cached.
+        """
+        pairs = sorted(pairs)
+        pivots = {c for c, _ in pairs}
+        last = -1
+        for c, t in pairs:
+            if not 0 <= c < t < ncols:
+                raise ValueError(f"from_differences: pair {(c, t)} is not 0 <= c < t < {ncols}")
+            if c == last:
+                raise ValueError(f"from_differences: column {c} is the c of two pairs")
+            if t in pivots:
+                raise ValueError(f"from_differences: pair {(c, t)} has t = {t}, which is also a c")
+            last = c
+        lat = cls(ncols, modulus)
+        if modulus:
+            for c, t in pairs:
+                row = lat.rows[c]
+                row[c] = 1
+                row[t] = modulus - 1
+        else:
+            for c, t in pairs:
+                row = [0] * ncols
+                row[c] = 1
+                row[t] = -1
+                lat.rows.append(row)
+                lat.pivcols.append(c)
+        return lat
 
     def _find_pivot_row(self, col: int) -> int | None:
         i = bisect_left(self.pivcols, col)

@@ -216,33 +216,33 @@ def _middle_kernel(G: FiniteGroup, proj, reps: list[int], jq: ModuleSpan) -> Int
     directly as R(G)I(K) + λ(J), where λ places a row of R(G/K) on the
     coset representatives reps (the section of `quotient_group`).
 
-    The rows are e_g - e_s(gK) for each g that is not its coset's
-    representative, and each basis row of J placed on the representatives.
+    The rows are e_g - e_top(gK) for each g that is not the largest
+    element top(gK) of its coset, and each basis row of J placed on the
+    representatives.
     - ε∘π = ε gives I(G) = π⁻¹(I(G/K)) ⊇ π⁻¹(J), so the intersection
       is π⁻¹(J).
     - πλ = id, so x - λπx lies in ker π for every x; hence
       π⁻¹(J) = ker π + λ(J).
     - The coset sums of an x in ker π vanish, so
-      x = Σ x_g (e_g - e_s(gK)), and ker π = R(G)I(K) is spanned by the
-      rows e_g - e_s.
+      x = Σ x_g (e_g - e_top(gK)), and ker π = R(G)I(K) is spanned by
+      the rows e_g - e_top.  Each such g is below its top and no top is
+      such a g, so `IntLattice.from_differences` writes them as the
+      Hermite basis directly; the rows of λ(J) are then added one by one.
     - Over Z/m the lattice is the full preimage in Z^|G|, which holds
-      m·e_g = m(e_g - e_s) + m·e_s, so seeding mZ^|G| adds nothing.
+      m·e_g = m(e_g - e_top) + m·e_top, so seeding mZ^|G| adds nothing.
     """
     n = G.order
-    rows = []
+    top = [0] * len(reps)
     for g in range(n):
-        s = reps[proj[g]]
-        if g != s:
-            row = [0] * n
-            row[g] = 1
-            row[s] = -1
-            rows.append(row)
+        top[proj[g]] = g  # g ascends, so the last g of each coset is its largest
+    pairs = ((g, top[proj[g]]) for g in range(n) if g != top[proj[g]])
+    lat = IntLattice.from_differences(n, pairs, jq.ring.modulus)
     for jrow in jq.basis_rows():
         row = [0] * n
         for c, x in enumerate(jrow):
             row[reps[c]] = x
-        rows.append(row)
-    return lattice_from_rows(rows, n, jq.ring.modulus)
+        lat.add(row)
+    return lat
 
 
 def _exactness(

@@ -32,6 +32,7 @@ from dimfox.groups import (
     FiniteGroup,
     GroupError,
     NSeries,
+    all_subgroups,
     build_group,
     commutator_subgroup,
     cyclic_subgroups,
@@ -39,9 +40,12 @@ from dimfox.groups import (
     join,
     lower_central_series,
     make_counterexample,
+    normal_subgroups,
+    quotient_group,
     trivial_subgroup,
     whole_group,
 )
+from dimfox.intlinalg import lattice_from_rows
 from dimfox.verify import DEFAULT_GROUPS, CorpusConfig, build_cases, resolve_series
 
 Z = CoeffRing.integers()
@@ -319,7 +323,7 @@ def test_membership_against_dense_solver():
         rows = []
         for _ in range(3):
             rows.append([rng.randrange(m) for _ in range(G.order)])
-        span = ModuleSpan(G, ring, rows)
+        span = ModuleSpan(G, ring, lattice_from_rows(rows, G.order, m))
         for _ in range(20):
             v = [rng.randrange(m) for _ in range(G.order)]
             brute = False
@@ -709,5 +713,58 @@ def test_augmentation_ideal_matches_elem_minus_one_span():
         G = build_group(spec)
         for S in cyclic_subgroups(G) + [whole_group(G)]:
             rows = [elem_minus_one(G, s) for s in S.sorted_members()]
-            for ring in (Z, CoeffRing.mod(4), CoeffRing.mod(6)):
-                assert augmentation_ideal(G, S, ring).canonical() == ModuleSpan(G, ring, rows).canonical()
+            for m in (0, 4, 6):
+                expected = lattice_from_rows(rows, G.order, m).canonical()
+                assert augmentation_ideal(G, S, CoeffRing.parse(m)).canonical() == expected
+
+
+def _difference_rows(n, pairs):
+    """The rows e_c - e_t, one per pair."""
+    return [[(j == c) - (j == t) for j in range(n)] for c, t in pairs]
+
+
+def _assert_same_lattice(direct, oracle, rng, label):
+    """Equal pivots, basis rows and canonical form, checked again after each
+    of three more adds, so that a different stale-row or pending-change
+    history cannot hide a difference."""
+    for step in range(4):
+        assert direct.pivcols == oracle.pivcols, (label, step)
+        assert direct.basis_rows() == oracle.basis_rows(), (label, step)
+        assert direct.canonical() == oracle.canonical(), (label, step)
+        v = [rng.randint(-3, 3) for _ in range(direct.ncols)]
+        assert direct.add(v) == oracle.add(v), (label, step)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_GROUPS)
+def test_direct_hermite_bases_equal_the_row_by_row_oracle(spec):
+    """Over Z, Z/2, Z/3, Z/4 and Z/6, the bases written directly equal the
+    lattices built by inserting the rows one at a time, for every subgroup
+    S (every cyclic one, and G, above order 16) and every normal K:
+    - I(S) and the rows e_c - e_max(S);
+    - the Fox weight-0 module R(G)I(S) and the rows e_y - e_top(yS);
+    - the coset part of the middle kernel (J = 0, so nothing else is
+      added) and the rows e_g - e_s(gK), s the quotient's section."""
+    from dimfox.verify import _middle_kernel
+
+    G = build_group(spec)
+    n, rows = G.order, G.mul_rows()
+    rng = random.Random(1)
+    subgroups = all_subgroups(G) if G.order <= 16 else cyclic_subgroups(G) + [whole_group(G)]
+    quotients = [quotient_group(G, K) for K in normal_subgroups(G)]
+    for m in (0, 2, 3, 4, 6):
+        ring = CoeffRing.parse(m)
+        for S in subgroups:
+            members = S.sorted_members()
+            pairs = [(c, members[-1]) for c in members[:-1]]
+            oracle = lattice_from_rows(_difference_rows(n, pairs), n, m)
+            _assert_same_lattice(augmentation_ideal(G, S, ring).lattice, oracle, rng, (m, S.generators, "I(S)"))
+            tops = [max(rows[y][h] for h in S.members) for y in range(n)]
+            pairs = [(y, t) for y, t in enumerate(tops) if y != t]
+            oracle = lattice_from_rows(_difference_rows(n, pairs), n, m)
+            module = fox_module(G, S, trivial_subgroup(G), 0, ring).lattice
+            _assert_same_lattice(module, oracle, rng, (m, S.generators, "R(G)I(H)"))
+        for Q, proj, reps in quotients:
+            pairs = [(g, reps[proj[g]]) for g in range(n) if g != reps[proj[g]]]
+            oracle = lattice_from_rows(_difference_rows(n, pairs), n, m)
+            direct = _middle_kernel(G, proj, reps, ModuleSpan(Q, ring))
+            _assert_same_lattice(direct, oracle, rng, (m, Q.order, "R(G)I(K)"))

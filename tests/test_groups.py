@@ -175,6 +175,49 @@ def test_malformed_table_specs_are_refused_by_name(capsys, spec, message):
 
 
 @pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"perm_gens": 5}', "perm_gens must be a list of generators, not 5"),
+        ('{"perm_gens": [5]}', "perm_gens generator 0 is not a list of cycles: 5"),
+        ('{"perm_gens": [[[0, 1]], [5]]}', "perm_gens generator 1 has a cycle that is not a list of points: 5"),
+        ('{"perm_gens": [[[0, 1.5]]]}', "cycle point 1.5 in generator 0 is not an int"),
+        ('{"perm_gens": [[["a", 1]]]}', "cycle point 'a' in generator 0 is not an int"),
+        ('{"perm_gens": [[[true, 2]]]}', "cycle point True in generator 0 is not an int"),
+        ('{"perm_gens": [[[0, -1]]]}', "cycle point -1 out of range"),
+    ],
+)
+def test_malformed_perm_gens_specs_are_refused_by_name(capsys, spec, message):
+    """Permutation generators are outside input: a spec, generator or cycle
+    that is not a list, and a point that is not an int (a bool included)
+    or is negative, are each refused with a GroupError, and the CLI exits 2."""
+    with pytest.raises(GroupError, match=message):
+        build_group(json.loads(spec))
+    assert cli_main(["group", "show", spec]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_permutation_points_are_numbered_as_they_occur():
+    """Only the points that occur are numbered, in ascending order: a
+    large label allocates nothing of its size, relabelling the points in
+    order keeps the table and the names, and an empty cycle is the
+    identity."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        G = build_group({"perm_gens": [[[0, 10**6]]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (G.table, G.names) == (build_group("cyclic:2").table, ("p0", "p1"))
+    assert peak < 10**6, peak
+    S3 = build_group({"perm_gens": [[[0, 1, 2]], [[0, 1]]]})
+    spread = build_group({"perm_gens": [[[3, 70, 500]], [[3, 70]]]})
+    assert (spread.table, spread.names, spread.generators) == (S3.table, S3.names, S3.generators)
+    assert build_group({"perm_gens": [[[]], [[4, 9]]]}).table == build_group("cyclic:2").table  # [] is the identity
+
+
+@pytest.mark.parametrize(
     "spec, order",
     [
         ("cyclic:30000", 30000),

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix, eye
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
@@ -228,3 +229,73 @@ def test_reduce_with_coeffs_reconstructs():
     residual, coeffs = lat.reduce_with_coeffs(v)
     assert not any(residual)
     assert [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(2)] == v
+
+
+def _assert_hermite_invariants(lat):
+    """Strictly increasing positive pivots, zeros left of each pivot and
+    below it, entries above each pivot in [0, pivot), and over Z/m every
+    entry in [0, m) apart from the pivots m of untouched seed rows."""
+    m, piv, rows = lat.modulus, lat.pivcols, lat.rows
+    assert len(rows) == len(piv) and all(a < b for a, b in zip(piv, piv[1:]))
+    for k, (c, row) in enumerate(zip(piv, rows)):
+        assert len(row) == lat.ncols and not any(row[:c]) and row[c] > 0
+        assert all(0 <= other[c] < row[c] for other in rows[:k])
+        assert not any(other[c] for other in rows[k + 1 :])
+        if m:
+            assert all(0 <= x < m or (j == c and x == m) for j, x in enumerate(row))
+
+
+def _difference_rows(ncols, pairs):
+    """The rows e_c - e_t, one per pair, that from_differences writes as a basis."""
+    return [[(j == c) - (j == t) for j in range(ncols)] for c, t in pairs]
+
+
+def _random_differences(rng, ncols):
+    """Pairs (c, t) meeting from_differences' precondition: each column is
+    at random a pivot column c, a column t, or neither."""
+    role = [rng.choice("ctn") for _ in range(ncols)]
+    tops = [j for j in range(ncols) if role[j] == "t"]
+    pairs = []
+    for c in range(ncols):
+        later = [t for t in tops if t > c]
+        if role[c] == "c" and later:
+            pairs.append((c, rng.choice(later)))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_from_differences_writes_the_hermite_basis_that_row_insertion_reaches():
+    """On random pair sets (any order) over Z, Z/2, Z/3, Z/4 and Z/6, the
+    direct basis keeps the lattice invariants, holds no stale row, pending
+    change or cached canonical form, and equals the row-by-row build in
+    pivots, basis and canonical form."""
+    rng = random.Random(5)
+    for _ in range(200):
+        ncols = rng.randint(0, 9)
+        pairs = _random_differences(rng, ncols)
+        for m in (0, 2, 3, 4, 6):
+            lat = IntLattice.from_differences(ncols, pairs, m)
+            _assert_hermite_invariants(lat)
+            assert (lat._stale, lat._changes, lat._canonical) == (set(), 0, None)
+            oracle = lattice_from_rows(_difference_rows(ncols, pairs), ncols, m)
+            assert lat.pivcols == oracle.pivcols, (ncols, pairs, m)
+            assert lat.basis_rows() == oracle.basis_rows(), (ncols, pairs, m)
+            assert lat.canonical() == oracle.canonical(), (ncols, pairs, m)
+
+
+@pytest.mark.parametrize("m", [0, 4])
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(2, 2)], r"pair \(2, 2\) is not 0 <= c < t < 5"),
+        ([(3, 1)], r"pair \(3, 1\) is not 0 <= c < t < 5"),
+        ([(0, 2), (1, 3), (0, 4)], "column 0 is the c of two pairs"),
+        ([(1, 2), (0, 1)], r"pair \(0, 1\) has t = 1, which is also a c"),
+        ([(0, 5)], r"pair \(0, 5\) is not 0 <= c < t < 5"),
+        ([(-1, 2)], r"pair \(-1, 2\) is not 0 <= c < t < 5"),
+    ],
+    ids=["c=t", "c>t", "repeated-c", "t-is-a-c", "t-out-of-range", "c-negative"],
+)
+def test_from_differences_refuses_a_broken_precondition(pairs, message, m):
+    with pytest.raises(ValueError, match=message):
+        IntLattice.from_differences(5, pairs, m)
