@@ -3,14 +3,17 @@
 A span is an R-submodule of the free module R^|G| given by generator
 rows, kept as an echelon lattice; its canonical form is computed on
 demand and cached, so span equality is canonical-form equality and
-membership is row reduction.  Dimension and Fox subgroups are computed
-by brute force as {g : g - 1 lies in the relevant span}, with subgroup
-closure of the slice, and the left-ideal property of the Fox module,
-asserted rather than assumed.
+membership is row reduction.  A span inside L = R(G)I(H) may keep its
+lattice in the coordinates of L instead (`CosetFrame`).  Dimension and
+Fox subgroups are computed by brute force as {g : g - 1 lies in the
+relevant span}, with subgroup closure of the slice, the left-ideal
+property of the Fox module, and each Fox row lying in L asserted rather
+than assumed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -21,6 +24,7 @@ from .groups import (
     GroupError,
     NSeries,
     Subgroup,
+    join,
     small_generators,
     subgroup_from_members,
     whole_group,
@@ -76,17 +80,92 @@ def row_translate_right(G: FiniteGroup, v: Sequence[int], g: int) -> list[int]:
     return out
 
 
+@dataclass(frozen=True)
+class CosetFrame:
+    """Coordinates on L = R(G)I(H), the rows of R(G) that sum to zero on
+    every left coset yH.
+
+    With top(yH) the largest element of yH, every x in L equals
+    sum_{y in cols} x_y (e_y - e_top(yH)), where cols are the y with
+    y != top(yH): subtract x_y (e_y - e_top(yH)) for each such y and what
+    is left still sums to zero on each coset but sits on the tops alone,
+    one per coset, so it is zero.  The rows
+    e_y - e_top(yH) are independent (each is the only one with an entry at
+    its y), so they are a basis of L and the coordinates of x are its
+    entries at cols: |G| - |G:H| of them.  L is saturated in Z^|G| (it is
+    the kernel of Z(G) -> Z(G/H)), so a lattice with modulus d in these
+    coordinates is M + d*L for the M its rows span.
+    """
+
+    tops: tuple[int, ...]  # tops[y] = top(yH)
+    cols: tuple[int, ...]  # the y with y != top(yH), ascending
+
+    @classmethod
+    def of(cls, G: FiniteGroup, H: Subgroup) -> CosetFrame:
+        rows = G.mul_rows()
+        members = list(H.members)
+        tops = [-1] * G.order
+        for y in G.elements():
+            if tops[y] < 0:
+                coset = [rows[y][h] for h in members]
+                top = max(coset)
+                for c in coset:
+                    tops[c] = top
+        return cls(tuple(tops), tuple(y for y, t in enumerate(tops) if y != t))
+
+    def holds(self, row: Sequence[int], m: int = 0) -> bool:
+        """Whether the sums of row over the cosets vanish (modulo m when
+        m > 0): row lies in L, or in L + m*Z^|G|."""
+        sums = [0] * len(self.tops)
+        tops = self.tops
+        for y, c in enumerate(row):
+            if c:
+                sums[tops[y]] += c
+        return not any(s % m for s in sums) if m else not any(sums)
+
+    def coords(self, row: Sequence[int]) -> list[int]:
+        """The coordinates of a row of L; a row outside L is refused."""
+        if not self.holds(row):
+            raise GroupError("a generated row is not in R(G)I(H)")
+        return [row[y] for y in self.cols]
+
+    def lift(self, coords: Sequence[int]) -> list[int]:
+        """The row of R(G) with the given coordinates."""
+        row = [0] * len(self.tops)
+        tops = self.tops
+        for y, c in zip(self.cols, coords):
+            if c:
+                row[y] = c
+                row[tops[y]] -= c
+        return row
+
+
 class ModuleSpan:
     """An R-submodule of R(G), kept as an echelon lattice whose canonical
     form is computed on demand and cached: the zero module, or the given
-    lattice in Z^|G| (over Z/m, the preimage lattice with modulus m)."""
+    lattice in Z^|G| (over Z/m, the preimage lattice with modulus m).
 
-    def __init__(self, group: FiniteGroup, ring: CoeffRing, lattice: IntLattice | None = None):
+    With a `frame` the module lies in L = R(G)I(H) and the lattice holds
+    its coordinates (`CosetFrame`), so `canonical()` and `basis_rows()`
+    are coordinate rows; `add_row`, `ring_rows` and `contains_row` speak
+    rows of R(G) either way.
+    """
+
+    def __init__(
+        self,
+        group: FiniteGroup,
+        ring: CoeffRing,
+        lattice: IntLattice | None = None,
+        frame: CosetFrame | None = None,
+    ):
         if not ring.is_concrete:
             raise GroupError(f"group-algebra spans need a concrete ring, not sigma {dict(ring.sigma)}")
         self.group = group
         self.ring = ring
-        self.lattice = IntLattice(group.order, ring.modulus) if lattice is None else lattice
+        self.frame = frame
+        if lattice is None:
+            lattice = IntLattice(group.order if frame is None else len(frame.cols), ring.modulus)
+        self.lattice = lattice
 
     def canonical(self):
         return self.lattice.canonical()
@@ -94,7 +173,26 @@ class ModuleSpan:
     def basis_rows(self):
         return self.lattice.basis_rows()
 
+    def add_row(self, row: Sequence[int]) -> bool:
+        """Add a row of R(G), asserted to lie in L first in a frame;
+        returns True if the span grew."""
+        return self.lattice.add(row if self.frame is None else self.frame.coords(row))
+
+    def ring_rows(self):
+        """The canonical basis as rows of R(G)."""
+        rows = self.canonical()
+        return rows if self.frame is None else [self.frame.lift(r) for r in rows]
+
     def contains_row(self, row: Sequence[int]) -> bool:
+        """Whether a row of R(G) lies in the module.  In a frame over Z/m:
+        the preimage M + m*Z^|G| meets L in M + m*L (L is saturated), and
+        a row whose coset sums are divisible by m differs from the row of
+        L with the same entries at cols by a multiple of m at the tops."""
+        frame = self.frame
+        if frame is not None:
+            if not frame.holds(row, self.ring.modulus):
+                return False
+            row = [row[y] for y in frame.cols]
         return self.lattice.contains(row)
 
     def is_zero(self) -> bool:
@@ -105,11 +203,12 @@ class ModuleSpan:
             isinstance(other, ModuleSpan)
             and self.group is other.group
             and self.ring == other.ring
+            and self.frame == other.frame
             and self.canonical() == other.canonical()
         )
 
     def __hash__(self):
-        return hash((id(self.group), self.ring, self.canonical()))
+        return hash((id(self.group), self.ring, self.frame, self.canonical()))
 
 
 def _to_top_span(G: FiniteGroup, ring: CoeffRing, pairs: Iterable[tuple[int, int]]) -> ModuleSpan:
@@ -149,19 +248,19 @@ def span_product(A: ModuleSpan, B: ModuleSpan) -> ModuleSpan:
         raise GroupError("span_product: group/ring mismatch")
     G = A.group
     out = ModuleSpan(G, A.ring)
-    for ra in A.canonical():
-        for rb in B.canonical():
+    for ra in A.ring_rows():
+        for rb in B.ring_rows():
             out.lattice.add(row_multiply(G, ra, rb))
     return out
 
 
 def _add_generator_product(out: ModuleSpan, M: ModuleSpan, S: Subgroup, shifts: list[list[int]]) -> None:
     """Add to `out` the rows b*t - b (shifts = G.mul_cols()) or t*b - b
-    (shifts = G.mul_rows()) for b in basis(M) and t in a small generating
-    set of S."""
+    (shifts = G.mul_rows()) for b in basis(M), as rows of R(G), and t in a
+    small generating set of S."""
     if S.parent is not M.group:
         raise GroupError("subgroup of a different group")
-    basis = M.canonical()
+    basis = M.ring_rows()
     for t in small_generators(M.group, S.members):
         perm = shifts[t]
         for b in basis:
@@ -169,11 +268,12 @@ def _add_generator_product(out: ModuleSpan, M: ModuleSpan, S: Subgroup, shifts: 
             for j, c in enumerate(b):
                 if c:
                     row[perm[j]] += c
-            out.lattice.add(row)
+            out.add_row(row)
 
 
-def right_ideal_product(M: ModuleSpan, S: Subgroup) -> ModuleSpan:
-    """M*I(S) for an R-submodule M of R(G) with M*s in M for every s in S.
+def right_ideal_product(M: ModuleSpan, S: Subgroup, frame: CosetFrame | None = None) -> ModuleSpan:
+    """M*I(S) for an R-submodule M of R(G) with M*s in M for every s in S,
+    kept in the coordinates `frame` (those of R(G) when it is None).
 
     If M*s lies in M for every s in S, and T generates S, then
     M*I(S) = R-span{b(t - 1) : b in basis(M), t in T}.  Proof: by
@@ -182,19 +282,20 @@ def right_ideal_product(M: ModuleSpan, S: Subgroup) -> ModuleSpan:
     words in T reach every s.  A product then costs rank(M)*|T| row
     translates instead of rank(M)*(|S| - 1) row products.
     """
-    out = ModuleSpan(M.group, M.ring)
+    out = ModuleSpan(M.group, M.ring, frame=frame)
     _add_generator_product(out, M, S, M.group.mul_cols())
     return out
 
 
-def left_ideal_product(S: Subgroup, M: ModuleSpan) -> ModuleSpan:
-    """I(S)*M for an R-submodule M of R(G) with s*M in M for every s in S.
+def left_ideal_product(S: Subgroup, M: ModuleSpan, frame: CosetFrame | None = None) -> ModuleSpan:
+    """I(S)*M for an R-submodule M of R(G) with s*M in M for every s in S,
+    kept in the coordinates `frame` (those of R(G) when it is None).
 
     The mirror of `right_ideal_product`: (st - 1)m = (s - 1)(tm) + (t - 1)m
     gives I(S)*M = R-span{(t - 1)b : b in basis(M), t in T} for any T
     generating S.
     """
-    out = ModuleSpan(M.group, M.ring)
+    out = ModuleSpan(M.group, M.ring, frame=frame)
     _add_generator_product(out, M, S, M.group.mul_rows())
     return out
 
@@ -211,7 +312,7 @@ def translate_closure(span: ModuleSpan) -> ModuleSpan:
     """
     G = span.group
     out = ModuleSpan(G, span.ring)
-    queue = [list(row) for row in span.canonical()]
+    queue = [list(row) for row in span.ring_rows()]
     for row in queue:
         out.lattice.add(row)
     gens = small_generators(G, G.elements())
@@ -235,9 +336,17 @@ def nseries_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> 
     the last factor gives J_n = I(N_n) + sum_{j<n} J_{n-j}*I(N_j), and
     each J_{n-j}*I(N_j) is spanned by the `right_ideal_product` rows
     b(t - 1), b in basis(J_{n-j}) and t in a small generating set of N_j.
-    So each J_k is one lattice: I(N_k) with those rows added for every
-    j < k.  Validated against the no-shortcut generator set in the test
-    suite.
+
+    For n >= 3 the term j = n - 1, J_1*I(N_{n-1}) = I(G)I(N_{n-1}), is
+    not needed (N_1 = G), by Lemma A: I(G)I(N_j) lies in
+    I(N_j)I(G) + I(N_{j+1}).  Proof: for x in N_j and y in G put
+    c = x^-1 yxy^-1, which lies in N_{j+1} as [N_j, G] <= N_{j+1}; then
+        (y - 1)(x - 1) = (yxy^-1 - 1)(y - 1) + (c - 1) + (x - 1)(c - 1),
+    with yxy^-1 in N_j (expand: yxy^-1 = xc).  So J_1*I(N_{n-1}) lies in
+    I(N_{n-1})I(G) + I(N_n), inside the term j = 1 and I(N_n), and
+    j = 1 is not j = n - 1 once n >= 3.  So each J_k is one lattice:
+    I(N_k) with the rows of the terms j < k added, j <= k - 2 for k >= 3.
+    Validated against the no-shortcut generator set in the test suite.
     """
     if n < 1:
         raise GroupError("ideal weight must be >= 1")
@@ -245,7 +354,7 @@ def nseries_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> 
     J: dict[int, ModuleSpan] = {}
     for k in range(1, n + 1):
         J[k] = augmentation_ideal(G, N.term(k), ring)
-        for j in range(1, k):
+        for j in range(1, k - 1 if k >= 3 else k):
             _add_generator_product(J[k], J[k - j], N.term(j), cols)
     return J[n]
 
@@ -264,17 +373,30 @@ def _slice_of(G: FiniteGroup, candidates: Iterable[int], span: ModuleSpan) -> Su
         raise ClosureError(f"group slice is not a subgroup: {exc}") from exc
 
 
-def dim_modules(
-    G: FiniteGroup, K: Subgroup, N: NSeries, n: int, ring: CoeffRing
-) -> tuple[ModuleSpan, ModuleSpan]:
-    """I(G) and I(K)I(G) + (weight-n filtration ideal), in that order.
+def dim_modules(G: FiniteGroup, K: Subgroup, N: NSeries, ring: CoeffRing) -> tuple[ModuleSpan, ModuleSpan]:
+    """I(G) and I(K)I(G) + J_3 (the weight-3 filtration ideal), in that
+    order.
 
-    I(K)I(G) is a `left_ideal_product`, as I(G) is a left ideal, so its
-    rows (t - 1)b go straight into the filtration ideal's lattice.
+    By Lemma A (`nseries_ideal_power`), J_3 = I(N_3) + J_2*I(G), and
+    J_2 = I(N_2) + I(G)I(G) as N_1 = G.  So
+        I(K)I(G) + J_3 = I(N_3) + X*I(G),   X = I(KN_2) + I(G)I(G),
+    since I(K) + I(N_2) + I(G)I(G) = X: it lies in X, and
+    kn - 1 = (k - 1) + (n - 1) + (k - 1)(n - 1) gives the converse (KN_2
+    is a subgroup, N_2 being normal).  X*g lies in X for g in G, as
+    (a - 1)g = (a - 1) + (a - 1)(g - 1), so X*I(G) is spanned by the
+    `right_ideal_product` rows b(t - 1), b in basis(X), and X by I(KN_2)
+    and the rows b(t - 1), b in basis(I(G)): two generator products, t in
+    a small generating set of G.  The fold is special to weight 3: at
+    weight 4 the term J_2*I(N_2) stays, and N = (C2, C2, 1) has
+    J_4 = 2*I(G) but I(N_4) + J_3*I(G) = 4*I(G).
     """
-    ig = augmentation_ideal(G, whole_group(G), ring)
-    module = nseries_ideal_power(G, N, n, ring)
-    _add_generator_product(module, ig, K, G.mul_rows())
+    whole = whole_group(G)
+    cols = G.mul_cols()
+    ig = augmentation_ideal(G, whole, ring)
+    x = augmentation_ideal(G, join(G, [K, N.term(2)]), ring)
+    _add_generator_product(x, ig, whole, cols)
+    module = augmentation_ideal(G, N.term(3), ring)
+    _add_generator_product(module, x, whole, cols)
     return ig, module
 
 
@@ -288,12 +410,12 @@ def slice_ring(G: FiniteGroup, ring: CoeffRing, w: int) -> CoeffRing | None:
     d = gcd(m, |G|^w), or None when d = 1; characteristic 0 stays as is.
 
     The modules M sliced here lie between two lattices of Z^|G|, with
-    |G|^w*L <= M <= L: L = I(G) and w = n - 1 for I(K)I(G) + J_n, and
+    |G|^w*L <= M <= L: L = I(G) and w = 2 for I(K)I(G) + J_3, and
     L = R(G)I(H) and w = max(n, 1) for the Fox modules of weight n.
     Proof of the lower bounds: |G|*I^k <= I^(k+1) for k >= 1, because
     I^k/I^(k+1) is an image of G_ab^(tensor k), which |G| kills; and
     |G|*R(G)I(H) <= I(G)I(H), because R(G)I(H)/I(G)I(H) is
-    Z tensor_Z(H) I(H) = H_ab.  So |G|^(n-1)*I(G) <= I^n(G) <= J_n (as
+    Z tensor_Z(H) I(H) = H_ab.  So |G|^2*I(G) <= I^3(G) <= J_3 (as
     N_1 = G), and |G|^n*R(G)I(H) <= I^n(G)I(H) <= M, which gives
     w = max(n, 1) also for n = 0, where M = L.
 
@@ -305,7 +427,9 @@ def slice_ring(G: FiniteGroup, ring: CoeffRing, w: int) -> CoeffRing | None:
     always, and for L = R(G)I(H) because g - 1 in L + m*Z^|G| maps to
     e_gH - e_H in m*Z(G/H), so gH = H once m >= 2.  So the slice over
     Z/m is {g : g - 1 in M + d*L}, the slice over Z/d when d >= 2, and
-    the slice of L itself (G, or H) when d = 1.
+    the slice of L itself (G, or H) when d = 1.  The Fox modules of weight
+    1 and 2 are built in the coordinates of L (`CosetFrame`), where the
+    lattice with modulus d is M + d*L itself.
     """
     if not ring.modulus:
         return ring
@@ -317,19 +441,16 @@ def dim_subgroup_brute(
     G: FiniteGroup,
     K: Subgroup,
     N: NSeries,
-    n: int,
     ring: CoeffRing,
     max_order: int = DEFAULT_BRUTE_CAP,
 ) -> Subgroup:
-    """G cut along I(K)I(G) + (weight-n filtration ideal), over the
-    `slice_ring` of weight n - 1."""
+    """G cut along I(K)I(G) + J_3 (`dim_modules`), over the `slice_ring`
+    of weight 2."""
     _check_brute(G, max_order)
-    if n < 1:
-        raise GroupError("ideal weight must be >= 1")
-    R = slice_ring(G, ring, n - 1)
+    R = slice_ring(G, ring, 2)
     if R is None:
         return whole_group(G)
-    return group_slice(G, dim_modules(G, K, N, n, R)[1])
+    return group_slice(G, dim_modules(G, K, N, R)[1])
 
 
 def _check_fox(G: FiniteGroup, n: int, max_order: int) -> None:
@@ -346,7 +467,7 @@ def fox_module(
     ring: CoeffRing,
     max_order: int = DEFAULT_BRUTE_CAP,
 ) -> ModuleSpan:
-    """R(G)I(K)I(H) + I^n(G)I(H), built inside L = R(G)I(H), of rank
+    """R(G)I(K)I(H) + I^n(G)I(H), a submodule of L = R(G)I(H), of rank
     |G| - |G:H|.
 
     n = 0: the module is R(G)I(H), which contains R(G)I(K)I(H).  It is
@@ -357,36 +478,39 @@ def fox_module(
     for every y that is not the largest element top(yH) of its coset, are
     a basis (no translate closure is needed).  Each such y is below its
     top and no top is such a y, so `_to_top_span` writes them as the
-    Hermite basis directly.
+    Hermite basis directly, in the coordinates of R(G).
 
-    n = 1, 2: I(G)I(H) is the `right_ideal_product` of I(G) by H, as
-    I(G)h lies in I(G); and I^(k+1)(G)I(H) = I(G)*I^k(G)I(H) is the
-    `left_ideal_product` by G of I^k(G)I(H), a left ideal.  I^2(G) is
-    never built.  The R-span of the rows (k - 1)(h - 1) is I(K)I(H), and
-    those rows are added to I^n(G)I(H)'s lattice, giving
-    M = I(K)I(H) + I^n(G)I(H).  M is then asserted to be a left ideal: the
-    left translate by every t in a small generating set of G of every
-    product row that grew M must lie in M.  That is enough: I^n(G)I(H) is
-    a left ideal, and M is spanned by I^n(G)I(H) and the rows that grew
-    it (a row that did not grow M lies in the span of those before it), so
-    tM lies in M for each t, and gM in M for every g, a product of the t
-    (G is finite).  A left ideal containing I(K)I(H) contains
-    R(G)I(K)I(H), so M is the prefixed module itself.  For n <= 2 the
-    assertion holds by g(k - 1)(h - 1) = (k - 1)(h - 1) +
+    n = 1, 2: the module is built in the coordinates of L (`CosetFrame`),
+    |G| - |G:H| columns instead of |G|; every generated row of R(G) is
+    asserted to lie in L before it is projected.  I(G)I(H) is the
+    `right_ideal_product` of I(G) by H, as I(G)h lies in I(G); and
+    I^2(G)I(H) = I(G)*I(G)I(H) is the `left_ideal_product` by G of
+    I(G)I(H), a left ideal.  I^2(G) is never built.  For n = 1 that is
+    the module: I(K)I(H) lies in I(G)I(H), and I(G)I(H) is a left ideal.
+    For n = 2 the rows (k - 1)(h - 1), which span I(K)I(H), are added,
+    giving M = I(K)I(H) + I^2(G)I(H).  M is then asserted to be a left
+    ideal: the left translate by every t in a small generating set of G
+    of every product row that grew M must lie in M.  That is enough:
+    I^2(G)I(H) is a left ideal, and M is spanned by I^2(G)I(H) and the
+    rows that grew it (a row that did not grow M lies in the span of
+    those before it), so tM lies in M for each t, and gM in M for every
+    g, a product of the t (G is finite).  A left ideal containing
+    I(K)I(H) contains R(G)I(K)I(H), so M is the prefixed module itself.
+    The assertion holds by g(k - 1)(h - 1) = (k - 1)(h - 1) +
     (g - 1)(k - 1)(h - 1), the last term in I^2(G)I(H).
     """
     _check_fox(G, n, max_order)
     if H.parent is not G or K.parent is not G:
         raise GroupError("subgroup of a different group")
-    rows = G.mul_rows()
+    frame = CosetFrame.of(G, H)
     if n == 0:
-        members = list(H.members)
-        tops = (max(rows[y][h] for h in members) for y in G.elements())
-        return _to_top_span(G, ring, ((y, t) for y, t in enumerate(tops) if y != t))
+        return _to_top_span(G, ring, ((y, frame.tops[y]) for y in frame.cols))
     whole = whole_group(G)
-    module = right_ideal_product(augmentation_ideal(G, whole, ring), H)
-    for _ in range(n - 1):
-        module = left_ideal_product(whole, module)
+    module = right_ideal_product(augmentation_ideal(G, whole, ring), H, frame)
+    if n == 1:
+        return module
+    module = left_ideal_product(whole, module, frame)
+    rows = G.mul_rows()
     one = G.identity
     grew = []
     for k in K.sorted_members():
@@ -398,12 +522,12 @@ def fox_module(
             row[k] -= 1
             row[h] -= 1
             row[one] += 1
-            if module.lattice.add(row):
+            if module.add_row(row):
                 grew.append(row)
     for t in small_generators(G, G.elements()):
         for row in grew:
             if not module.contains_row(row_translate(G, t, row)):
-                raise GroupError(f"I(K)I(H) + I^{n}(G)I(H) is not a left ideal")
+                raise GroupError("I(K)I(H) + I^2(G)I(H) is not a left ideal")
     return module
 
 
@@ -420,7 +544,9 @@ def fox_subgroup_brute(
 
     Only the members of H are tested: the module lies in L = R(G)I(H),
     and over Z/d (d = 0 for Z) g - 1 in L + d*Z^|G| maps to e_gH - e_H,
-    which lies in d*Z(G/H), so gH = H.
+    which lies in d*Z(G/H), so gH = H.  For n = 1, 2 each h - 1 is tested
+    in the coordinates of L the module is built in, where the lattice over
+    Z/d is M + d*L, the module `slice_ring` reads the slice from.
     """
     _check_fox(G, n, max_order)
     R = slice_ring(G, ring, max(n, 1))

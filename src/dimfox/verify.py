@@ -119,7 +119,7 @@ def verify_dim3(
     check_reduction: bool = False,
 ) -> Report:
     """Brute third dimension subgroup against the closed formula."""
-    brute = dim_subgroup_brute(G, K, N, 3, ring, max_order=max_order)
+    brute = dim_subgroup_brute(G, K, N, ring, max_order=max_order)
     formula = dim3_formula(FormulaContext(G, K, ring, N))
     k2n3 = join(G, [commutator_subgroup(G, K, K), N.term(3)])
     equal = brute == formula.result
@@ -152,7 +152,7 @@ def _dim3_reduction_agrees(G, K, N, ring, brute) -> bool:
     kbar = generated_subgroup(Q, [proj[k] for k in K.members])
     n2bar = generated_subgroup(Q, [proj[a] for a in N.term(2).members])
     kn2bar = join(Q, [kbar, n2bar])
-    dq = dim_subgroup_brute(Q, kn2bar, lower_central_series(Q), 3, ring)
+    dq = dim_subgroup_brute(Q, kn2bar, lower_central_series(Q), ring)
     lifted = {g for g in G.elements() if proj[g] in dq.members}
     return lifted == brute.members
 
@@ -217,8 +217,8 @@ def _middle_kernel(G: FiniteGroup, proj, reps: list[int], jq: ModuleSpan) -> Int
     coset representatives reps (the section of `quotient_group`).
 
     The rows are e_g - e_top(gK) for each g that is not the largest
-    element top(gK) of its coset, and each basis row of J placed on the
-    representatives.
+    element top(gK) of its coset, and each canonical row of J placed on
+    the representatives.
     - ε∘π = ε gives I(G) = π⁻¹(I(G/K)) ⊇ π⁻¹(J), so the intersection
       is π⁻¹(J).
     - πλ = id, so x - λπx lies in ker π for every x; hence
@@ -229,7 +229,9 @@ def _middle_kernel(G: FiniteGroup, proj, reps: list[int], jq: ModuleSpan) -> Int
       such a g, so `IntLattice.from_differences` writes them as the
       Hermite basis directly; the rows of λ(J) are then added one by one.
     - Over Z/m the lattice is the full preimage in Z^|G|, which holds
-      m·e_g = m(e_g - e_top) + m·e_top, so seeding mZ^|G| adds nothing.
+      m·e_g = m(e_g - e_top) + m·e_top, so seeding mZ^|G| adds nothing;
+      for the same reason the seed rows m·e_c of J's lattice, which the
+      canonical rows leave out, would place only rows m·e_rep it holds.
     """
     n = G.order
     top = [0] * len(reps)
@@ -237,7 +239,7 @@ def _middle_kernel(G: FiniteGroup, proj, reps: list[int], jq: ModuleSpan) -> Int
         top[proj[g]] = g  # g ascends, so the last g of each coset is its largest
     pairs = ((g, top[proj[g]]) for g in range(n) if g != top[proj[g]])
     lat = IntLattice.from_differences(n, pairs, jq.ring.modulus)
-    for jrow in jq.basis_rows():
+    for jrow in jq.canonical():
         row = [0] * n
         for c, x in enumerate(jrow):
             row[reps[c]] = x
@@ -261,7 +263,7 @@ def _exactness(
     if not K.is_normal():
         raise GroupError(f"{check} check needs a normal subgroup")
     kn3 = join(G, [K, N.term(3)])
-    ig, mspan = dim_modules(G, K, N, 3, ring)
+    ig, mspan = dim_modules(G, K, N, ring)
     n, m = G.order, ring.modulus
     im_lat = lattice_from_rows(
         list(mspan.basis_rows()) + [elem_minus_one(G, a) for a in sorted(kn3.members)], n, m

@@ -73,7 +73,7 @@ def test_criterion_01_counterexample_reproduction():
     t0 = time.time()
     G, K, z = make_counterexample(2, 1, 1)
     N = lower_central_series(G)
-    brute = dim_subgroup_brute(G, K, N, 3, Z)
+    brute = dim_subgroup_brute(G, K, N, Z)
     ctx = FormulaContext(G, K, Z, N)
     formula = dim3_formula(ctx).result
     k2g3 = join(G, [commutator_subgroup(G, K, K), N.term(3)])
@@ -104,7 +104,7 @@ def test_criterion_02_trivial_k_specialization():
         K = trivial_subgroup(G)
         for m in (0, 2, 3, 4, 6):
             ring = CoeffRing.parse(m)
-            brute = dim_subgroup_brute(G, K, N, 3, ring)
+            brute = dim_subgroup_brute(G, K, N, ring)
             formula = dim3_formula(FormulaContext(G, K, ring, N)).result
             if brute != formula:
                 ok = False
@@ -146,7 +146,7 @@ def test_criterion_03_general_brute_equals_formula():
             for K in cyclic_subgroups(G):
                 for m in (0, 2, 3, 4):
                     ring = CoeffRing.parse(m)
-                    brute = dim_subgroup_brute(G, K, N, 3, ring)
+                    brute = dim_subgroup_brute(G, K, N, ring)
                     formula = dim3_formula(FormulaContext(G, K, ring, N)).result
                     if brute != formula:
                         ok = False
@@ -192,7 +192,7 @@ def test_criterion_05_collapse_conditions():
             hyps = corollary_hypotheses(G, K)
             if hyps["central_commutator"] or hyps["central_complement"] or hyps["cyclic_quotient"]:
                 applicable += 1
-                brute = dim_subgroup_brute(G, K, N, 3, Z)
+                brute = dim_subgroup_brute(G, K, N, Z)
                 k2g3 = join(G, [commutator_subgroup(G, K, K), N.term(3)])
                 if brute != k2g3:
                     ok = False
@@ -419,7 +419,7 @@ def test_criterion_12_property_suite():
                 ring = CoeffRing.parse(m)
                 ctx = FormulaContext(G, K, ring, N)
                 formula = dim3_formula(ctx).result
-                brute = dim_subgroup_brute(G, K, N, 3, ring)
+                brute = dim_subgroup_brute(G, K, N, ring)
                 k2n3 = join(G, [commutator_subgroup(G, K, K), N.term(3)])
                 if not formula.contains_subgroup(k2n3):
                     ok = False
@@ -435,7 +435,7 @@ def test_criterion_12_property_suite():
             for m in (0, 2, 3):
                 ring = CoeffRing.parse(m)
                 ctx = FormulaContext(G, K, ring, H=whole_group(G))
-                if fox2_formula(ctx) != dim_subgroup_brute(G, K, N, 3, ring):
+                if fox2_formula(ctx) != dim_subgroup_brute(G, K, N, ring):
                     ok = False
     # basis independence of the finitely-generated enumeration
     from test_formulas import _section_from_basis

@@ -116,7 +116,7 @@ def test_Z2_subgroup_examples():
     assert Z2_subgroup(ctx3) == p_torsion_mod(C4, u0n3, 2)
     # Z/4: the assembled sigma route must match brute force
     ctx4 = FormulaContext(C4, trivial_subgroup(C4), CoeffRing.mod(4))
-    brute = dim_subgroup_brute(C4, trivial_subgroup(C4), ctx4.N, 3, CoeffRing.mod(4))
+    brute = dim_subgroup_brute(C4, trivial_subgroup(C4), ctx4.N, CoeffRing.mod(4))
     assert dim3_sigma_route(ctx4) == brute
 
 
@@ -129,7 +129,7 @@ def test_dim3_formula_vs_brute(spec, m):
         ctx = FormulaContext(G, K, ring)
         f = dim3_formula(ctx)
         assert f.routes_agree, (spec, m)
-        brute = dim_subgroup_brute(G, K, ctx.N, 3, ring)
+        brute = dim_subgroup_brute(G, K, ctx.N, ring)
         assert brute == f.result, (spec, m, sorted(K.members))
 
 
@@ -748,6 +748,6 @@ def test_corollary_collapse_when_hypotheses_hold():
         for K in cyclic_subgroups(G):
             hyps = corollary_hypotheses(G, K)
             if hyps["central_commutator"] or hyps["central_complement"] or hyps["cyclic_quotient"]:
-                D = dim_subgroup_brute(G, K, N, 3, Z)
+                D = dim_subgroup_brute(G, K, N, Z)
                 k2g3 = join(G, [commutator_subgroup(G, K, K), N.term(3)])
                 assert D == k2g3, (spec, sorted(K.members))

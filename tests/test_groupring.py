@@ -43,10 +43,11 @@ from dimfox.groups import (
     normal_subgroups,
     quotient_group,
     trivial_subgroup,
+    validate_nseries,
     whole_group,
 )
 from dimfox.intlinalg import lattice_from_rows
-from dimfox.verify import DEFAULT_GROUPS, CorpusConfig, build_cases, resolve_series
+from dimfox.verify import DEFAULT_GROUPS, CorpusConfig, _series_tags, build_cases, resolve_series
 
 Z = CoeffRing.integers()
 
@@ -105,6 +106,13 @@ def span_sum(parts) -> ModuleSpan:
         for row in part.canonical():
             out.lattice.add(list(row))
     return out
+
+
+def lifted(span: ModuleSpan) -> ModuleSpan:
+    """The span in the coordinates of R(G): a span kept in the coordinates
+    of R(G)I(H) has its basis lifted back and the modulus seeded again."""
+    G, m = span.group, span.ring.modulus
+    return ModuleSpan(G, span.ring, lattice_from_rows(span.ring_rows(), G.order, m))
 
 
 def composed_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> ModuleSpan:
@@ -354,22 +362,22 @@ def test_group_slice_examples():
 def test_dim_subgroup_brute_examples():
     C6 = build_group("cyclic:6")
     N = lower_central_series(C6)
-    assert dim_subgroup_brute(C6, trivial_subgroup(C6), N, 3, Z).is_trivial()
+    assert dim_subgroup_brute(C6, trivial_subgroup(C6), N, Z).is_trivial()
     D4 = build_group("dihedral:4")
     ND = lower_central_series(D4)
-    D = dim_subgroup_brute(D4, whole_group(D4), ND, 3, Z)
+    D = dim_subgroup_brute(D4, whole_group(D4), ND, Z)
     assert D == ND.term(2)
     with pytest.raises(GroupError):
-        dim_subgroup_brute(D4, whole_group(D4), ND, 3, CoeffRing.abstract({2: 1}))
+        dim_subgroup_brute(D4, whole_group(D4), ND, CoeffRing.abstract({2: 1}))
     with pytest.raises(GroupError):
         G, K, _ = make_counterexample(2, 1, 1)
-        dim_subgroup_brute(G, K, lower_central_series(G), 3, Z, max_order=32)
+        dim_subgroup_brute(G, K, lower_central_series(G), Z, max_order=32)
 
 
 def test_dim_brute_counterexample():
     G, K, z = make_counterexample(2, 1, 1)
     N = lower_central_series(G)
-    D = dim_subgroup_brute(G, K, N, 3, Z)
+    D = dim_subgroup_brute(G, K, N, Z)
     assert z in D
     k2n3 = join(G, [commutator_subgroup(G, K, K), N.term(3)])
     assert k2n3.is_trivial()
@@ -377,16 +385,56 @@ def test_dim_brute_counterexample():
 
 
 def test_dim_brute_antitone_in_weight():
+    """The slices of I(K)I(G) + J_n, built from `nseries_ideal_power` and
+    the rows of I(K)I(G), shrink as n grows, and at n = 3 they are the
+    brute dimension subgroup."""
     for spec in ["cyclic:4", "dihedral:4", "cyclic:6"]:
         G = build_group(spec)
         N = lower_central_series(G)
-        K = trivial_subgroup(G)
-        prev = None
-        for n in (1, 2, 3, 4):
-            D = dim_subgroup_brute(G, K, N, n, Z)
-            if prev is not None:
-                assert prev.contains_subgroup(D)
-            prev = D
+        for K in (trivial_subgroup(G), cyclic_subgroups(G)[-1]):
+            ik_ig = left_ideal_product(K, augmentation_ideal(G, whole_group(G), Z))
+            prev = None
+            for n in (1, 2, 3, 4):
+                D = group_slice(G, span_sum([ik_ig, nseries_ideal_power(G, N, n, Z)]))
+                if prev is not None:
+                    assert prev.contains_subgroup(D)
+                prev = D
+                if n == 3:
+                    assert D == dim_subgroup_brute(G, K, N, Z), (spec, K.generators)
+
+
+def test_weight_3_fold_does_not_hold_at_weight_4():
+    """Lemma A folds J_3 into I(N_3) + J_2*I(G), but the same fold one
+    weight up is wrong: for N = (C2, C2, 1) on C2, J_4 = 2*I(G) and
+    I(N_4) + J_3*I(G) = 4*I(G)."""
+    C2 = build_group("cyclic:2")
+    whole = whole_group(C2)
+    N = validate_nseries(C2, [whole, whole, trivial_subgroup(C2)])
+    J = {n: nseries_ideal_power(C2, N, n, Z) for n in (2, 3, 4)}
+    assert J[4].canonical() == ideal_power_naive(C2, N, 4, Z).canonical() == ((2, -2),)
+    for n in (3, 4):
+        folded = span_sum([augmentation_ideal(C2, N.term(n), Z), right_ideal_product(J[n - 1], whole)])
+        assert (folded == J[n]) == (n == 3), n
+    assert folded.canonical() == ((4, -4),)
+
+
+@pytest.mark.parametrize(
+    "spec", ["cyclic:2 x cyclic:4", "cyclic:9", "dihedral:4", "quaternion:8", "cyclic:3 x dihedral:3"]
+)
+def test_weight_3_module_matches_composition_for_every_series(spec):
+    """I(K)I(G) + J_3 built as I(N_3) + X*I(G) equals the composition of
+    separately built spans, for every series tag of the corpus (gamma,
+    double, powP), every cyclic K and G, over Z, Z/2, Z/3 and Z/4."""
+    G = build_group(spec)
+    tags = _series_tags(G)
+    assert "double" in tags and (not G.is_abelian() or any(t.startswith("pow") for t in tags))
+    for tag in tags:
+        N = resolve_series(G, tag)
+        for K in cyclic_subgroups(G) + [whole_group(G)]:
+            for m in (0, 2, 3, 4):
+                ring = CoeffRing.parse(m)
+                new, old = dim_modules(G, K, N, ring), composed_dim_modules(G, K, N, 3, ring)
+                assert [s.canonical() for s in new] == [s.canonical() for s in old], (tag, K.generators, m)
 
 
 def test_fox_brute_examples():
@@ -407,15 +455,20 @@ def test_fox_brute_examples():
 def test_fox_brute_prefix_forms_agree():
     """R(G)I(K)I(H) + I^n(G)I(H) (with `translate_closure`) and
     I(K)I(H) + I^n(G)I(H), each composed from separately built spans, are
-    both the one `fox_module`."""
-    for spec in ["cyclic:6", "dihedral:4", "quaternion:8"]:
+    both the one `fox_module`, lifted back from the coordinates of
+    R(G)I(H); H runs over cyclic and non-cyclic subgroups."""
+    for spec in ["cyclic:6", "dihedral:4", "quaternion:8", "cyclic:2 x cyclic:4"]:
         G = build_group(spec)
         subs = cyclic_subgroups(G)
-        for H in subs[:4]:
+        wider = [S for S in all_subgroups(G) if S not in subs]
+        assert wider or spec == "cyclic:6"
+        for H in subs[:4] + wider:
             for K in subs[:4]:
                 for n in (1, 2):
                     for ring in (Z, CoeffRing.mod(2), CoeffRing.mod(6)):
-                        module = fox_module(G, H, K, n, ring).canonical()
+                        span = fox_module(G, H, K, n, ring)
+                        assert span.lattice.ncols == G.order - G.order // len(H)
+                        module = lifted(span).canonical()
                         prefixed, plain = composed_fox_modules(G, H, K, n, ring)
                         assert prefixed.canonical() == module == plain.canonical(), (spec, n, ring)
 
@@ -434,6 +487,49 @@ def test_fox_module_asserts_a_left_ideal(monkeypatch):
         fox_module(G, W, W, 2, Z)
 
 
+def test_fox_module_asserts_each_row_lies_in_R_G_I_H(monkeypatch):
+    """A generated row outside R(G)I(H) is refused before it is projected
+    to the coordinates of R(G)I(H); here the right products b(t - 1) by a
+    non-normal H are taken on the wrong side, as (t - 1)b."""
+    G = build_group("dihedral:4")
+    H = _non_normal_first(G)[0]
+    assert not H.is_normal()
+    for n in (1, 2):
+        fox_module(G, H, trivial_subgroup(G), n, Z)
+    monkeypatch.setattr(G, "mul_cols", G.mul_rows)
+    for n in (1, 2):
+        with pytest.raises(GroupError, match=r"not in R\(G\)I\(H\)"):
+            fox_module(G, H, trivial_subgroup(G), n, Z)
+
+
+@pytest.mark.parametrize("m", [0, 2, 4, 6])
+def test_span_in_coset_coordinates_reads_like_its_lift(m):
+    """A Fox module kept in the coordinates of R(G)I(H) answers membership
+    like the same module lifted back to R(G), for rows of the module (over
+    Z/m shifted by multiples of m), rows of R(G)I(H), g - 1 for every g and
+    random rows; products and closures take its rows in R(G)."""
+    G = build_group("dihedral:4")
+    ring = CoeffRing.parse(m)
+    rng = random.Random(m)
+    H, K = _non_normal_first(G)[:2]
+    span = fox_module(G, H, K, 2, ring)
+    full = lifted(span)
+    basis = span.ring_rows()
+    cosets = fox_module(G, H, K, 0, ring).canonical()
+    rows = [elem_minus_one(G, g) for g in G.elements()]
+    for _ in range(60):
+        picks = basis if rng.random() < 0.5 else cosets
+        row = [sum(rng.randint(-3, 3) * b[j] for b in picks) for j in range(G.order)]
+        rows.append([x + m * rng.randint(-2, 2) for x in row])
+        rows.append([rng.randint(-2, 2) for _ in range(G.order)])
+    hits = [span.contains_row(row) for row in rows]
+    assert hits == [full.contains_row(row) for row in rows]
+    assert 0 < sum(hits) < len(rows)
+    ig = augmentation_ideal(G, whole_group(G), ring)
+    assert span_product(ig, span) == span_product(ig, full)
+    assert translate_closure(span) == translate_closure(full)
+
+
 def test_fox_equals_dim_when_h_is_g():
     """I(K)I(G) + I^2(G)I(G) = I(K)I(G) + I^3(G) as slices."""
     for spec in ["cyclic:4", "dihedral:4", "cyclic:2 x cyclic:4"]:
@@ -444,7 +540,7 @@ def test_fox_equals_dim_when_h_is_g():
                 continue
             for ring in (Z, CoeffRing.mod(2), CoeffRing.mod(3)):
                 fox = fox_subgroup_brute(G, whole_group(G), K, 2, ring)
-                dim = dim_subgroup_brute(G, K, N, 3, ring)
+                dim = dim_subgroup_brute(G, K, N, ring)
                 assert fox == dim
 
 
@@ -561,7 +657,7 @@ def test_dim_subgroup_brute_never_calls_span_product(monkeypatch):
     G = build_group("dihedral:4")
     K = generated_subgroup(G, [G.index_of("f")])
     for ring in (Z, CoeffRing.mod(4)):
-        dim_subgroup_brute(G, K, lower_central_series(G), 3, ring)
+        dim_subgroup_brute(G, K, lower_central_series(G), ring)
 
 
 # -- brute slices over Z/gcd(m, |G|^w) against direct builds over Z/m ----------
@@ -573,8 +669,8 @@ def _direct_slices(case: dict, G: FiniteGroup) -> tuple:
     K = generated_subgroup(G, case["K"])
     if case["kind"] == "dim3":
         N = resolve_series(G, case["series"])
-        direct = group_slice(G, dim_modules(G, K, N, 3, ring)[1])
-        return dim_subgroup_brute(G, K, N, 3, ring), direct
+        direct = group_slice(G, dim_modules(G, K, N, ring)[1])
+        return dim_subgroup_brute(G, K, N, ring), direct
     H = generated_subgroup(G, case["H"])
     return fox_subgroup_brute(G, H, K, case["n"], ring), group_slice(G, fox_module(G, H, K, case["n"], ring))
 
@@ -601,8 +697,10 @@ def _check_modules_match_compositions(keep) -> None:
     over its `slice_ring`, the one-lattice `nseries_ideal_power` and
     `dim_modules` have the canonical forms of the compositions of
     separately built spans, and both composed Fox forms (with and without
-    the R(G) prefix) have the canonical form of `fox_module`; R(G)I(H) from
-    its coset basis is the translate closure of I(H)."""
+    the R(G) prefix) have the canonical form of `fox_module`, lifted back
+    from the coordinates of R(G)I(H); R(G)I(H) from its coset basis is the
+    translate closure of I(H).  The brute slice equals the slice of the
+    composed module."""
     groups: dict = {}
     checked = Counter()
     for case in build_cases(CorpusConfig()):
@@ -614,17 +712,21 @@ def _check_modules_match_compositions(keep) -> None:
         R = slice_ring(G, CoeffRing.parse(case["m"]), w)
         if R is None:
             continue
+        ring = CoeffRing.parse(case["m"])
         if case["kind"] == "dim3":
             N = resolve_series(G, case["series"])
             assert nseries_ideal_power(G, N, 3, R).canonical() == composed_ideal_power(G, N, 3, R).canonical()
-            new, old = dim_modules(G, K, N, 3, R), composed_dim_modules(G, K, N, 3, R)
+            new, old = dim_modules(G, K, N, R), composed_dim_modules(G, K, N, 3, R)
+            brute = dim_subgroup_brute(G, K, N, ring)
         else:
             H = generated_subgroup(G, case["H"])
-            module = fox_module(G, H, K, case["n"], R)
+            module = lifted(fox_module(G, H, K, case["n"], R))
             new, old = (module, module), composed_fox_modules(G, H, K, case["n"], R)
             cosets = fox_module(G, H, K, 0, R)
             assert cosets.canonical() == translate_closure(augmentation_ideal(G, H, R)).canonical(), case
+            brute = fox_subgroup_brute(G, H, K, case["n"], ring)
         assert [s.canonical() for s in new] == [s.canonical() for s in old], case
+        assert brute == group_slice(G, old[1]), case
         checked[case["kind"], case.get("n"), "Z" if R == Z else "Z/d"] += 1
     assert len(checked) == 8 and min(checked.values()) > 0, checked
 
@@ -661,12 +763,12 @@ def test_slice_modulus_examples():
     N = lower_central_series(C6)
     K = trivial_subgroup(C6)
     assert fox_subgroup_brute(C6, H, K, 2, CoeffRing.mod(5)) == H
-    assert dim_subgroup_brute(C6, K, N, 3, CoeffRing.mod(5)) == whole_group(C6)
+    assert dim_subgroup_brute(C6, K, N, CoeffRing.mod(5)) == whole_group(C6)
     # the caps and the ring are still checked when nothing is built
     with pytest.raises(GroupError, match="capped at order 4"):
         fox_subgroup_brute(C6, H, K, 1, CoeffRing.mod(5), max_order=4)
     with pytest.raises(GroupError, match="capped at order 4"):
-        dim_subgroup_brute(C6, K, N, 3, CoeffRing.mod(5), max_order=4)
+        dim_subgroup_brute(C6, K, N, CoeffRing.mod(5), max_order=4)
     with pytest.raises(GroupError, match="concrete ring"):
         fox_subgroup_brute(C6, H, K, 1, CoeffRing.abstract({2: 1}))
     with pytest.raises(GroupError, match="n in"):

@@ -75,7 +75,7 @@ def test_random_abelian_tables():
         assert G.order == n and G.is_abelian()
         for m in (0, 2, 3):
             ctx = FormulaContext(G, trivial_subgroup(G), CoeffRing.parse(m))
-            brute = dim_subgroup_brute(G, trivial_subgroup(G), ctx.N, 3, CoeffRing.parse(m))
+            brute = dim_subgroup_brute(G, trivial_subgroup(G), ctx.N, CoeffRing.parse(m))
             assert brute == dim3_formula(ctx).result
             ctx2 = FormulaContext(G, trivial_subgroup(G), CoeffRing.parse(m), H=whole_group(G))
             assert fox_subgroup_brute(G, whole_group(G), trivial_subgroup(G), 1, CoeffRing.parse(m)) == fox1_formula(ctx2)

@@ -171,7 +171,7 @@ def test_derivation_law_reads_each_product_row_through_coords():
     from dimfox.verify import DERIVATION_SAMPLES, DERIVATION_SEED, _derivation_law_failures
 
     G = build_group("cyclic:4")
-    ig, mspan = dim_modules(G, trivial_subgroup(G), lower_central_series(G), 3, Z)
+    ig, mspan = dim_modules(G, trivial_subgroup(G), lower_central_series(G), Z)
     pres, coords = module_quotient_presentation(mspan, ig)
     assert pres.group.invariants and not _derivation_law_failures(G, coords, pres.group)
 
@@ -214,7 +214,7 @@ def test_z2_literal_reading_is_flagged_and_rejected():
     f = dim3_formula(ctx)
     literal = dim3_sigma_route(ctx, literal_z2=True)
     assert literal != dim3_sigma_route(ctx)  # the readings genuinely differ here
-    brute = dim_subgroup_brute(G, trivial_subgroup(G), N, 3, ring)
+    brute = dim_subgroup_brute(G, trivial_subgroup(G), N, ring)
     assert f.result == brute
     assert literal != brute  # the literal reading would be wrong
 
