@@ -558,10 +558,17 @@ def subgroup_lattice(group: FgAb, gens: Iterable[Sequence[int]]) -> IntLattice:
 
 def hom_preimage_lattice(f: AbHom, target: IntLattice) -> IntLattice:
     """Preimage lattice of a subgroup lattice of the codomain; with
-    target = relation_lattice(f.cod) it is the kernel of f."""
-    pre = preimage_lattice([list(r) for r in f.rows], target)
-    pre.add_all(diagonal_rows(f.dom.invariants))
-    return pre
+    target = relation_lattice(f.cod) it is the kernel of f.
+
+    The target must contain the codomain's relation rows, which is
+    checked.  Then `preimage_lattice`, {x : x.rows in target}, already
+    holds the domain's relation rows d_i*e_i: their image d_i*f.rows[i]
+    is zero in the codomain (`AbHom` checks this), so it lies in
+    relation_lattice(f.cod), inside the target.
+    """
+    if not all(target.contains(row) for row in diagonal_rows(f.cod.invariants)):
+        raise AbelianError("target lattice does not contain the codomain's relations")
+    return preimage_lattice([list(r) for r in f.rows], target)
 
 
 def check_wedge_kernel_identity(A: FgAb, b_gens: Sequence[Sequence[int]]) -> CheckReport:

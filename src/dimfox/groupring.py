@@ -13,7 +13,7 @@ than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -60,10 +60,18 @@ def row_multiply(G: FiniteGroup, a: Sequence[int], b: Sequence[int]) -> list[int
     return out
 
 
-def row_translate(G: FiniteGroup, g: int, v: Sequence[int]) -> list[int]:
-    """g * v, the left translate of a coefficient row."""
-    out = [0] * G.order
+def _as_map(row: Sequence[int] | dict[int, int]) -> dict[int, int]:
+    """A coefficient row as a {column: entry} map; a map is kept as it is."""
+    return row if isinstance(row, dict) else {j: c for j, c in enumerate(row) if c}
+
+
+def row_translate(G: FiniteGroup, g: int, v: Sequence[int] | dict[int, int]) -> list[int] | dict[int, int]:
+    """g * v, the left translate of a coefficient row, in the form v came
+    in: a dense list, or a {column: entry} map."""
     row = G.mul_rows()[g]
+    if isinstance(v, dict):
+        return {row[j]: c for j, c in v.items()}
+    out = [0] * G.order
     for j, c in enumerate(v):
         if c:
             out[row[j]] = c
@@ -95,10 +103,16 @@ class CosetFrame:
     entries at cols: |G| - |G:H| of them.  L is saturated in Z^|G| (it is
     the kernel of Z(G) -> Z(G/H)), so a lattice with modulus d in these
     coordinates is M + d*L for the M its rows span.
+
+    Rows of R(G) and of coordinates are {column: entry} maps here, which
+    is how the lattice takes them: a Fox row has at most 4 nonzeros and a
+    generator-product row twice its basis row's.
     """
 
     tops: tuple[int, ...]  # tops[y] = top(yH)
     cols: tuple[int, ...]  # the y with y != top(yH), ascending
+    # y -> its coordinate, the position of y in cols; read off cols
+    slot: dict[int, int] = field(compare=False, repr=False)
 
     @classmethod
     def of(cls, G: FiniteGroup, H: Subgroup) -> CosetFrame:
@@ -111,32 +125,39 @@ class CosetFrame:
                 top = max(coset)
                 for c in coset:
                     tops[c] = top
-        return cls(tuple(tops), tuple(y for y, t in enumerate(tops) if y != t))
+        cols = tuple(y for y, t in enumerate(tops) if y != t)
+        return cls(tuple(tops), cols, {y: i for i, y in enumerate(cols)})
 
-    def holds(self, row: Sequence[int], m: int = 0) -> bool:
+    def holds(self, row: dict[int, int], m: int = 0) -> bool:
         """Whether the sums of row over the cosets vanish (modulo m when
         m > 0): row lies in L, or in L + m*Z^|G|."""
-        sums = [0] * len(self.tops)
+        sums: dict[int, int] = {}
         tops = self.tops
-        for y, c in enumerate(row):
-            if c:
-                sums[tops[y]] += c
-        return not any(s % m for s in sums) if m else not any(sums)
+        for y, c in row.items():
+            t = tops[y]
+            sums[t] = sums.get(t, 0) + c
+        return not any(s % m for s in sums.values()) if m else not any(sums.values())
 
-    def coords(self, row: Sequence[int]) -> list[int]:
+    def project(self, row: dict[int, int]) -> dict[int, int]:
+        """The entries of row at cols, in coordinates (no check)."""
+        slot = self.slot
+        return {slot[y]: c for y, c in row.items() if y in slot}
+
+    def coords(self, row: dict[int, int]) -> dict[int, int]:
         """The coordinates of a row of L; a row outside L is refused."""
         if not self.holds(row):
             raise GroupError("a generated row is not in R(G)I(H)")
-        return [row[y] for y in self.cols]
+        return self.project(row)
 
-    def lift(self, coords: Sequence[int]) -> list[int]:
+    def lift(self, coords: dict[int, int]) -> dict[int, int]:
         """The row of R(G) with the given coordinates."""
-        row = [0] * len(self.tops)
-        tops = self.tops
-        for y, c in zip(self.cols, coords):
-            if c:
-                row[y] = c
-                row[tops[y]] -= c
+        row: dict[int, int] = {}
+        tops, cols = self.tops, self.cols
+        for i, c in coords.items():
+            y = cols[i]
+            t = tops[y]
+            row[y] = c
+            row[t] = row.get(t, 0) - c
         return row
 
 
@@ -147,8 +168,8 @@ class ModuleSpan:
 
     With a `frame` the module lies in L = R(G)I(H) and the lattice holds
     its coordinates (`CosetFrame`), so `canonical()` and `basis_rows()`
-    are coordinate rows; `add_row`, `ring_rows` and `contains_row` speak
-    rows of R(G) either way.
+    are coordinate rows; `add_row`, `ring_maps`, `ring_rows` and
+    `contains_row` speak rows of R(G) either way.
     """
 
     def __init__(
@@ -173,26 +194,35 @@ class ModuleSpan:
     def basis_rows(self):
         return self.lattice.basis_rows()
 
-    def add_row(self, row: Sequence[int]) -> bool:
-        """Add a row of R(G), asserted to lie in L first in a frame;
-        returns True if the span grew."""
-        return self.lattice.add(row if self.frame is None else self.frame.coords(row))
+    def add_row(self, row: Sequence[int] | dict[int, int]) -> bool:
+        """Add a row of R(G), dense or a {column: entry} map, asserted to
+        lie in L first in a frame; returns True if the span grew."""
+        return self.lattice.add(row if self.frame is None else self.frame.coords(_as_map(row)))
 
-    def ring_rows(self):
-        """The canonical basis as rows of R(G)."""
-        rows = self.canonical()
+    def ring_maps(self) -> list[dict[int, int]]:
+        """The canonical basis as rows of R(G), {column: entry} maps."""
+        rows = self.lattice.canonical_maps()
         return rows if self.frame is None else [self.frame.lift(r) for r in rows]
 
-    def contains_row(self, row: Sequence[int]) -> bool:
-        """Whether a row of R(G) lies in the module.  In a frame over Z/m:
-        the preimage M + m*Z^|G| meets L in M + m*L (L is saturated), and
-        a row whose coset sums are divisible by m differs from the row of
-        L with the same entries at cols by a multiple of m at the tops."""
+    def ring_rows(self):
+        """The canonical basis as dense rows of R(G)."""
+        if self.frame is None:
+            return self.canonical()
+        n = self.group.order
+        return [[r.get(y, 0) for y in range(n)] for r in self.ring_maps()]
+
+    def contains_row(self, row: Sequence[int] | dict[int, int]) -> bool:
+        """Whether a row of R(G), dense or a {column: entry} map, lies in
+        the module.  In a frame over Z/m: the preimage M + m*Z^|G| meets L
+        in M + m*L (L is saturated), and a row whose coset sums are
+        divisible by m differs from the row of L with the same entries at
+        cols by a multiple of m at the tops."""
         frame = self.frame
         if frame is not None:
+            row = _as_map(row)
             if not frame.holds(row, self.ring.modulus):
                 return False
-            row = [row[y] for y in frame.cols]
+            row = frame.project(row)
         return self.lattice.contains(row)
 
     def is_zero(self) -> bool:
@@ -260,14 +290,14 @@ def _add_generator_product(out: ModuleSpan, M: ModuleSpan, S: Subgroup, shifts: 
     small generating set of S."""
     if S.parent is not M.group:
         raise GroupError("subgroup of a different group")
-    basis = M.ring_rows()
+    basis = M.ring_maps()
     for t in small_generators(M.group, S.members):
         perm = shifts[t]
         for b in basis:
-            row = [-c for c in b]
-            for j, c in enumerate(b):
-                if c:
-                    row[perm[j]] += c
+            row = {j: -c for j, c in b.items()}
+            for j, c in b.items():
+                k = perm[j]
+                row[k] = row.get(k, 0) + c
             out.add_row(row)
 
 
@@ -312,7 +342,7 @@ def translate_closure(span: ModuleSpan) -> ModuleSpan:
     """
     G = span.group
     out = ModuleSpan(G, span.ring)
-    queue = [list(row) for row in span.ring_rows()]
+    queue = span.ring_maps()
     for row in queue:
         out.lattice.add(row)
     gens = small_generators(G, G.elements())
@@ -365,8 +395,10 @@ def group_slice(G: FiniteGroup, span: ModuleSpan) -> Subgroup:
 
 
 def _slice_of(G: FiniteGroup, candidates: Iterable[int], span: ModuleSpan) -> Subgroup:
-    """{g in candidates : g - 1 in span}, with subgroup closure asserted."""
-    hits = [g for g in candidates if span.contains_row(elem_minus_one(G, g))]
+    """{g in candidates : g - 1 in span}, with subgroup closure asserted;
+    1 - 1 = 0 lies in every span."""
+    one = G.identity
+    hits = [g for g in candidates if g == one or span.contains_row({g: 1, one: -1})]
     try:
         return subgroup_from_members(G, hits)
     except ClosureError as exc:
@@ -487,9 +519,20 @@ def fox_module(
     I^2(G)I(H) = I(G)*I(G)I(H) is the `left_ideal_product` by G of
     I(G)I(H), a left ideal.  I^2(G) is never built.  For n = 1 that is
     the module: I(K)I(H) lies in I(G)I(H), and I(G)I(H) is a left ideal.
-    For n = 2 the rows (k - 1)(h - 1), which span I(K)I(H), are added,
-    giving M = I(K)I(H) + I^2(G)I(H).  M is then asserted to be a left
-    ideal: the left translate by every t in a small generating set of G
+
+    For n = 2 the rows (s - 1)(t - 1) are added, for s in a small
+    generating set of K and t in one of H, giving M = I(K)I(H) +
+    I^2(G)I(H).  They are enough, as (k - 1)(h - 1) is bilinear modulo
+    I^2(G)I(H):
+        (kk' - 1)(h - 1) = (k - 1)(h - 1) + (k' - 1)(h - 1)
+                           + (k - 1)(k' - 1)(h - 1),
+        (k - 1)(hh' - 1) = (k - 1)(h - 1) + (k - 1)(h' - 1)
+                           + (k - 1)(h - 1)(h' - 1),
+    and each last term lies in I(G)I(G)I(H) = I^2(G)I(H), as h - 1 lies
+    in I(G).  K and H are finite, so every k and h is a word in the
+    generators with no inverses, and induction on the word lengths puts
+    every (k - 1)(h - 1) in M: |T_K||T_H| rows instead of
+    (|K| - 1)(|H| - 1).  M is then asserted to be a left ideal: the left translate by every t in a small generating set of G
     of every product row that grew M must lie in M.  That is enough:
     I^2(G)I(H) is a left ideal, and M is spanned by I^2(G)I(H) and the
     rows that grew it (a row that did not grow M lies in the span of
@@ -513,15 +556,12 @@ def fox_module(
     rows = G.mul_rows()
     one = G.identity
     grew = []
-    for k in K.sorted_members():
-        for h in H.sorted_members():
-            if k == one or h == one:
-                continue
-            row = [0] * G.order
-            row[rows[k][h]] += 1
-            row[k] -= 1
-            row[h] -= 1
-            row[one] += 1
+    for k in small_generators(G, K.members):
+        for h in small_generators(G, H.members):
+            # (k - 1)(h - 1) = kh - k - h + 1; kh may be 1, and k may be h
+            row = {one: 1}
+            for y, c in ((rows[k][h], 1), (k, -1), (h, -1)):
+                row[y] = row.get(y, 0) + c
             if module.add_row(row):
                 grew.append(row)
     for t in small_generators(G, G.elements()):

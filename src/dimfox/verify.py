@@ -240,10 +240,7 @@ def _middle_kernel(G: FiniteGroup, proj, reps: list[int], jq: ModuleSpan) -> Int
     pairs = ((g, top[proj[g]]) for g in range(n) if g != top[proj[g]])
     lat = IntLattice.from_differences(n, pairs, jq.ring.modulus)
     for jrow in jq.canonical():
-        row = [0] * n
-        for c, x in enumerate(jrow):
-            row[reps[c]] = x
-        lat.add(row)
+        lat.add({reps[c]: x for c, x in enumerate(jrow) if x})
     return lat
 
 

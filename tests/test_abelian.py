@@ -23,11 +23,13 @@ from dimfox.abelian import (
     hom_on_generators,
     hom_preimage_lattice,
     relation_lattice,
+    subgroup_lattice,
     symmetric_square,
     tau3,
     tensor,
     tor1,
 )
+from dimfox.intlinalg import lattice_from_rows
 
 
 @st.composite
@@ -372,6 +374,23 @@ def test_kernel_lattice_matches_elementwise_kernel(shape):
         lat = hom_preimage_lattice(f, relation_lattice(f.cod))
         assert lat.ncols == f.dom.rank  # 0 for the map out of FgAb(())
         assert frozenset(a for a in f.dom.elements(cap) if lat.contains(a)) == f.kernel_set(cap)
+
+
+@pytest.mark.parametrize("shape", all_invariant_shapes(16), ids=str)
+def test_hom_preimage_lattice_holds_the_domain_relations(shape):
+    """The domain's relation rows d_i*e_i lie in the preimage already, for
+    the relation lattice of the codomain and for a subgroup lattice above it."""
+    for f in _kernel_path_maps(FgAb(shape)):
+        for target in (relation_lattice(f.cod), subgroup_lattice(f.cod, f.cod.basis()[:1])):
+            lat = hom_preimage_lattice(f, target)
+            assert all(lat.contains(row) for row in diagonal_rows(f.dom.invariants))
+
+
+def test_hom_preimage_lattice_refuses_a_target_without_the_codomain_relations():
+    A = FgAb((2, 4))
+    identity = AbHom(A, A, A.basis())
+    with pytest.raises(AbelianError, match="codomain's relations"):
+        hom_preimage_lattice(identity, lattice_from_rows([[2, 0]], 2))
 
 
 def test_all_invariant_shapes():

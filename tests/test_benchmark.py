@@ -48,6 +48,23 @@ def test_every_function_statistic_names_a_traced_function(monkeypatch):
     assert not missing, f"FUNCTION_STATS names no traced function for {missing}"
 
 
+def test_entry_bits_read_the_entries_of_a_z_span_not_its_columns(monkeypatch):
+    """entry_bits_max.Z is read from `lattice.rows`, which must stay the
+    dense rows: a sparse row held as a {column: entry} map would report the
+    bits of its column indices.  Here the one entry is 5 (3 bits) at
+    column 40 (6 bits); a span over Z/m reports nothing."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+    from dimfox.groupring import CoeffRing, ModuleSpan
+    from dimfox.groups import build_group
+
+    G = build_group("cyclic:64")
+    span = ModuleSpan(G, CoeffRing.integers())
+    span.lattice.add({40: 5})
+    assert tracer._entry_bits_z(span) == 3
+    assert tracer._entry_bits_z(ModuleSpan(G, CoeffRing.mod(4))) is None
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} in the result line")
 

@@ -473,6 +473,37 @@ def test_fox_brute_prefix_forms_agree():
                         assert prefixed.canonical() == module == plain.canonical(), (spec, n, ring)
 
 
+def _all_pairs_fox_module(G, H, K, ring) -> ModuleSpan:
+    """I(K)I(H) + I^2(G)I(H) from the rows (k - 1)(h - 1) for every pair
+    k in K, h in H, in the coordinates of R(G)I(H)."""
+    module = fox_module(G, H, trivial_subgroup(G), 2, ring)
+    one = G.identity
+    for k in K.sorted_members():
+        for h in H.sorted_members():
+            if k != one and h != one:
+                row = [0] * G.order
+                row[G.mul(k, h)] += 1
+                row[k] -= 1
+                row[h] -= 1
+                row[one] += 1
+                module.add_row(row)
+    return module
+
+
+@pytest.mark.parametrize("spec", [s for s in DEFAULT_GROUPS if build_group(s).order <= 16])
+def test_fox_module_of_weight_2_from_generator_pairs_equals_the_all_pairs_module(spec):
+    """The rows (s - 1)(t - 1) for s, t in small generating sets of K and H
+    span the same weight-2 Fox module as all (|K| - 1)(|H| - 1) rows, over
+    Z, Z/2 and Z/4, for H and K every cyclic subgroup and G."""
+    G = build_group(spec)
+    subs = cyclic_subgroups(G) + [whole_group(G)]
+    for H in subs:
+        for K in subs:
+            for ring in (Z, CoeffRing.mod(2), CoeffRing.mod(4)):
+                expected = _all_pairs_fox_module(G, H, K, ring).canonical()
+                assert fox_module(G, H, K, 2, ring).canonical() == expected, (H.generators, K.generators, ring)
+
+
 def test_fox_module_asserts_a_left_ideal(monkeypatch):
     """A translate of a product row that falls outside the module is
     refused; here every translate is the unit e_1, which no module inside

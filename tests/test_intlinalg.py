@@ -1,6 +1,7 @@
 """Lattice engine against independent sympy normal-form oracles."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,25 +22,30 @@ from dimfox.intlinalg import (
 )
 
 
-def sympy_member(rows, vec):
-    """Row-span membership through sympy's Smith decomposition.
+def sympy_membership(rows, m=0):
+    """Row-span membership through sympy's Smith decomposition, as a
+    predicate on vectors; with m > 0, membership in rowspan + m*Z^n.
 
     With D = S * M * T (S, T unimodular), v lies in rowspan(M) iff v*T
-    lies in rowspan(D), which is a divisibility check per column.
+    lies in rowspan(D), which is a divisibility check per column; m*Z^n*T
+    is m*Z^n, so modulo m column j divides by gcd(d_j, m).
     """
     M = Matrix([list(r) for r in rows])
     dm = DomainMatrix.from_Matrix(M).convert_to(ZZ)
     D, S, T = smith_normal_decomp(dm)
     D, T = D.to_Matrix(), T.to_Matrix()
-    w = Matrix([list(vec)]) * T
-    for j in range(M.cols):
-        d = D[j, j] if j < min(D.rows, D.cols) else 0
-        if d == 0:
-            if w[0, j] != 0:
-                return False
-        elif w[0, j] % d:
-            return False
-    return True
+    divisors = [gcd(int(D[j, j]) if j < min(D.rows, D.cols) else 0, m) for j in range(M.cols)]
+
+    def member(vec):
+        w = Matrix([list(vec)]) * T
+        return all(w[0, j] == 0 if d == 0 else w[0, j] % d == 0 for j, d in enumerate(divisors))
+
+    return member
+
+
+def sympy_member(rows, vec):
+    """Row-span membership over Z (`sympy_membership`)."""
+    return sympy_membership(rows)(vec)
 
 
 small_entries = st.integers(min_value=-6, max_value=6)
@@ -127,16 +133,18 @@ def test_smith_transform_diagonalizes(rows):
 
 
 def sympy_canonical_mod(rows, ncols, m):
-    """The Hermite form of rows plus m*I through sympy, read modulo m.
+    """The Hermite form of rows plus m*I through sympy, read modulo m; for
+    m = 0 the Hermite form of rows over Z.
 
     sympy's form of the column span of A^T, transposed, is lower
-    triangular with each column reduced below its pivot; reversing the
-    coordinates and then the rows turns it into the upper echelon form
-    with each column reduced above its pivot that IntLattice keeps.
+    triangular with each column reduced below its pivot (zero columns
+    dropped); reversing the coordinates and then the rows turns it into
+    the upper echelon form with each column reduced above its pivot that
+    IntLattice keeps.
     """
-    A = Matrix([list(r)[::-1] for r in rows] + (m * eye(ncols)).tolist())
+    A = Matrix([list(r)[::-1] for r in rows] + ((m * eye(ncols)).tolist() if m else []))
     H = hermite_normal_form(A.T).T
-    out = [tuple(int(x) % m for x in H.row(i))[::-1] for i in range(H.rows)][::-1]
+    out = [tuple(int(x) % m if m else int(x) for x in H.row(i))[::-1] for i in range(H.rows)][::-1]
     return tuple(r for r in out if any(r))
 
 
@@ -145,6 +153,56 @@ def sympy_canonical_mod(rows, ncols, m):
 def test_canonical_mod_m_matches_sympy_hermite(rows, m):
     cols = len(rows[0])
     assert lattice_from_rows(rows, cols, m).canonical() == sympy_canonical_mod(rows, cols, m)
+
+
+@st.composite
+def wide_sparse_rows(draw):
+    """1-8 rows of 16-81 columns with 2-6 nonzero entries each, the shape
+    of the lattices of R(G), and a modulus (0 for Z)."""
+    ncols = draw(st.integers(16, 81))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(2, 6))
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=k, max_size=k, unique=True))
+        row = [0] * ncols
+        for c in cols:
+            row[c] = draw(st.integers(-6, 6).filter(bool))
+        rows.append(row)
+    return rows, ncols, draw(st.sampled_from([0, 2, 3, 4, 6, 9]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_sparse_rows(), st.randoms(use_true_random=False))
+def test_wide_sparse_rows_match_sympy(case, rng):
+    """Over Z and Z/m, any insertion order of the rows, each given dense or
+    as a {column: entry} map, reaches sympy's canonical form, keeps the
+    Hermite invariants, and answers membership like sympy for sums of the
+    rows, their sums plus a unit vector, and sparse random vectors."""
+    rows, ncols, m = case
+    expected = sympy_canonical_mod(rows, ncols, m)
+    member = sympy_membership(rows, m)
+    probes = []
+    for _ in range(4):
+        v = [sum(rng.randint(-2, 2) * r[j] for r in rows) for j in range(ncols)]
+        probes.append(v)
+        w = list(v)
+        w[rng.randrange(ncols)] += 1
+        probes.append(w)
+        u = [0] * ncols
+        for c in rng.sample(range(ncols), rng.randint(1, 6)):
+            u[c] = rng.randint(-4, 4)
+        probes.append(u)
+    answers = [member(v) for v in probes]
+    for _ in range(3):
+        order = rng.sample(rows, len(rows))
+        lat = IntLattice(ncols, m)
+        for row in order:
+            lat.add({j: x for j, x in enumerate(row) if x} if rng.random() < 0.5 else row)
+        _assert_hermite_invariants(lat)
+        assert lat.canonical() == expected
+        _assert_hermite_invariants(lat)
+        assert [lat.contains(v) for v in probes] == answers
+        assert [lat.contains({j: x for j, x in enumerate(v) if x}) for v in probes] == answers
 
 
 def test_howell_saturation_example():
@@ -232,14 +290,16 @@ def test_reduce_with_coeffs_reconstructs():
 
 
 def _assert_hermite_invariants(lat):
-    """Strictly increasing positive pivots, zeros left of each pivot and
-    below it, entries above each pivot in [0, pivot), and over Z/m every
-    entry in [0, m) apart from the pivots m of untouched seed rows."""
+    """Read on the dense view `rows`: strictly increasing positive pivots,
+    zeros left of each pivot and below it, and over Z/m every entry in
+    [0, m) apart from the pivots m of untouched seed rows.  Once normalized
+    (no pending change), entries above each pivot also lie in [0, pivot)."""
     m, piv, rows = lat.modulus, lat.pivcols, lat.rows
     assert len(rows) == len(piv) and all(a < b for a, b in zip(piv, piv[1:]))
     for k, (c, row) in enumerate(zip(piv, rows)):
         assert len(row) == lat.ncols and not any(row[:c]) and row[c] > 0
-        assert all(0 <= other[c] < row[c] for other in rows[:k])
+        if not lat._changes:
+            assert all(0 <= other[c] < row[c] for other in rows[:k])
         assert not any(other[c] for other in rows[k + 1 :])
         if m:
             assert all(0 <= x < m or (j == c and x == m) for j, x in enumerate(row))
@@ -276,7 +336,7 @@ def test_from_differences_writes_the_hermite_basis_that_row_insertion_reaches():
         for m in (0, 2, 3, 4, 6):
             lat = IntLattice.from_differences(ncols, pairs, m)
             _assert_hermite_invariants(lat)
-            assert (lat._stale, lat._changes, lat._canonical) == (set(), 0, None)
+            assert (lat._changes, lat._canonical) == (0, None)
             oracle = lattice_from_rows(_difference_rows(ncols, pairs), ncols, m)
             assert lat.pivcols == oracle.pivcols, (ncols, pairs, m)
             assert lat.basis_rows() == oracle.basis_rows(), (ncols, pairs, m)
