@@ -111,7 +111,8 @@ class CosetFrame:
 
     tops: tuple[int, ...]  # tops[y] = top(yH)
     cols: tuple[int, ...]  # the y with y != top(yH), ascending
-    # y -> its coordinate, the position of y in cols; read off cols
+    # y -> its coordinate, the position of y in cols; derived from cols,
+    # so it takes no part in comparison or hashing
     slot: dict[int, int] = field(compare=False, repr=False)
 
     @classmethod
@@ -532,8 +533,9 @@ def fox_module(
     in I(G).  K and H are finite, so every k and h is a word in the
     generators with no inverses, and induction on the word lengths puts
     every (k - 1)(h - 1) in M: |T_K||T_H| rows instead of
-    (|K| - 1)(|H| - 1).  M is then asserted to be a left ideal: the left translate by every t in a small generating set of G
-    of every product row that grew M must lie in M.  That is enough:
+    (|K| - 1)(|H| - 1).  M is then asserted to be a left ideal: the left
+    translate by every t in a small generating set of G of every product
+    row that grew M must lie in M.  That is enough:
     I^2(G)I(H) is a left ideal, and M is spanned by I^2(G)I(H) and the
     rows that grew it (a row that did not grow M lies in the span of
     those before it), so tM lies in M for each t, and gM in M for every

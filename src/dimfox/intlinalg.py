@@ -62,23 +62,15 @@ def _combine(s: int, x: dict[int, int], t: int, y: dict[int, int], m: int) -> di
     return {c: e for c, e in out.items() if e}
 
 
-def _subtract(v: dict[int, int], q: int, row: dict[int, int], m: int) -> list[int]:
-    """v -= q*row in place, modulo m when m > 0, zeros dropped; returns the
-    columns that were zero in v and are not now (its fill-in)."""
-    fill = []
+def _subtract(v: dict[int, int], q: int, row: dict[int, int], m: int) -> None:
+    """v -= q*row in place, modulo m when m > 0, zeros dropped."""
+    get = v.get
     for c, y in row.items():
-        if c in v:
-            x = (v[c] - q * y) % m if m else v[c] - q * y
-            if x:
-                v[c] = x
-            else:
-                del v[c]
-        else:
-            x = -q * y % m if m else -q * y
-            if x:
-                v[c] = x
-                fill.append(c)
-    return fill
+        x = (get(c, 0) - q * y) % m if m else get(c, 0) - q * y
+        if x:
+            v[c] = x
+        elif c in v:
+            del v[c]
 
 
 class IntLattice:
@@ -244,9 +236,20 @@ class IntLattice:
                 continue
             if coeffs is not None:
                 coeffs[c] = q
-            for k in _subtract(v, q, row, m):
-                if k in rows:
-                    heappush(todo, k)
+            # v -= q*row, inline as it is the innermost loop of every reduction
+            for k, y in row.items():
+                if k in v:
+                    z = (v[k] - q * y) % m if m else v[k] - q * y
+                    if z:
+                        v[k] = z
+                    else:
+                        del v[k]
+                else:
+                    z = -q * y % m if m else -q * y
+                    if z:
+                        v[k] = z
+                        if k in rows:
+                            heappush(todo, k)
 
     def _touch(self) -> None:
         self._canonical = None
