@@ -391,7 +391,14 @@ def nseries_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> 
 
 
 def group_slice(G: FiniteGroup, span: ModuleSpan) -> Subgroup:
-    """{g : g - 1 in span}, with subgroup closure asserted."""
+    """{g : g - 1 in span}, with subgroup closure asserted.
+
+    The span is normalized first (`canonical()`): the |G| reductions then
+    run against reduced rows, which are sparser than the rows a build's
+    last `NORMALIZE_EVERY` window leaves, so less fills in.  The Fox
+    slices test only the members of H and skip this.
+    """
+    span.canonical()
     return _slice_of(G, G.elements(), span)
 
 
