@@ -287,12 +287,13 @@ def span_product(A: ModuleSpan, B: ModuleSpan) -> ModuleSpan:
 
 def _add_generator_product(out: ModuleSpan, M: ModuleSpan, S: Subgroup, shifts: list[list[int]]) -> None:
     """Add to `out` the rows b*t - b (shifts = G.mul_cols()) or t*b - b
-    (shifts = G.mul_rows()) for b in basis(M), as rows of R(G), and t in a
-    small generating set of S."""
+    (shifts = G.mul_rows()) for b in basis(M), as rows of R(G), and t in
+    S's own generators, less those the ones before it already generate
+    (`small_generators`); for the whole group these are G.generators."""
     if S.parent is not M.group:
         raise GroupError("subgroup of a different group")
     basis = M.ring_maps()
-    for t in small_generators(M.group, S.members):
+    for t in small_generators(M.group, S.generators):
         perm = shifts[t]
         for b in basis:
             row = {j: -c for j, c in b.items()}
@@ -334,19 +335,19 @@ def left_ideal_product(S: Subgroup, M: ModuleSpan, frame: CosetFrame | None = No
 def translate_closure(span: ModuleSpan) -> ModuleSpan:
     """R(G)*span: the R-span of all left G-translates of the given span.
 
-    Every row of the span is queued; the translates of a queued row by a
-    small generating set of G are added, and a translate is queued in turn
-    only when it grew the span.  Then every row of a spanning set of the
-    result (the rows of the span and the rows that grew it) has its
-    generator translates inside, so the result is closed under left
-    translation by G.
+    Every row of the span is queued; the translates of a queued row by the
+    generators of G (`small_generators`) are added, and a translate is
+    queued in turn only when it grew the span.  Then every row of a
+    spanning set of the result (the rows of the span and the rows that
+    grew it) has its generator translates inside, so the result is closed
+    under left translation by G.
     """
     G = span.group
     out = ModuleSpan(G, span.ring)
     queue = span.ring_maps()
     for row in queue:
         out.lattice.add(row)
-    gens = small_generators(G, G.elements())
+    gens = small_generators(G, G.generators)
     while queue:
         row = queue.pop()
         for t in gens:
@@ -366,7 +367,7 @@ def nseries_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> 
     factor g - 1 on either side and is a two-sided ideal.  Splitting off
     the last factor gives J_n = I(N_n) + sum_{j<n} J_{n-j}*I(N_j), and
     each J_{n-j}*I(N_j) is spanned by the `right_ideal_product` rows
-    b(t - 1), b in basis(J_{n-j}) and t in a small generating set of N_j.
+    b(t - 1), b in basis(J_{n-j}) and t in the generators of N_j.
 
     For n >= 3 the term j = n - 1, J_1*I(N_{n-1}) = I(G)I(N_{n-1}), is
     not needed (N_1 = G), by Lemma A: I(G)I(N_j) lies in
@@ -426,7 +427,7 @@ def dim_modules(G: FiniteGroup, K: Subgroup, N: NSeries, ring: CoeffRing) -> tup
     (a - 1)g = (a - 1) + (a - 1)(g - 1), so X*I(G) is spanned by the
     `right_ideal_product` rows b(t - 1), b in basis(X), and X by I(KN_2)
     and the rows b(t - 1), b in basis(I(G)): two generator products, t in
-    a small generating set of G.  The fold is special to weight 3: at
+    the generators of G.  The fold is special to weight 3: at
     weight 4 the term J_2*I(N_2) stays, and N = (C2, C2, 1) has
     J_4 = 2*I(G) but I(N_4) + J_3*I(G) = 4*I(G).
     """
@@ -528,8 +529,8 @@ def fox_module(
     I(G)I(H), a left ideal.  I^2(G) is never built.  For n = 1 that is
     the module: I(K)I(H) lies in I(G)I(H), and I(G)I(H) is a left ideal.
 
-    For n = 2 the rows (s - 1)(t - 1) are added, for s in a small
-    generating set of K and t in one of H, giving M = I(K)I(H) +
+    For n = 2 the rows (s - 1)(t - 1) are added, for s in the generators
+    of K and t in those of H (`small_generators`), giving M = I(K)I(H) +
     I^2(G)I(H).  They are enough, as (k - 1)(h - 1) is bilinear modulo
     I^2(G)I(H):
         (kk' - 1)(h - 1) = (k - 1)(h - 1) + (k' - 1)(h - 1)
@@ -541,8 +542,8 @@ def fox_module(
     generators with no inverses, and induction on the word lengths puts
     every (k - 1)(h - 1) in M: |T_K||T_H| rows instead of
     (|K| - 1)(|H| - 1).  M is then asserted to be a left ideal: the left
-    translate by every t in a small generating set of G of every product
-    row that grew M must lie in M.  That is enough:
+    translate by every generator t of G of every product row that grew M
+    must lie in M.  That is enough:
     I^2(G)I(H) is a left ideal, and M is spanned by I^2(G)I(H) and the
     rows that grew it (a row that did not grow M lies in the span of
     those before it), so tM lies in M for each t, and gM in M for every
@@ -565,15 +566,16 @@ def fox_module(
     rows = G.mul_rows()
     one = G.identity
     grew = []
-    for k in small_generators(G, K.members):
-        for h in small_generators(G, H.members):
+    hgens = small_generators(G, H.generators)
+    for k in small_generators(G, K.generators):
+        for h in hgens:
             # (k - 1)(h - 1) = kh - k - h + 1; kh may be 1, and k may be h
             row = {one: 1}
             for y, c in ((rows[k][h], 1), (k, -1), (h, -1)):
                 row[y] = row.get(y, 0) + c
             if module.add_row(row):
                 grew.append(row)
-    for t in small_generators(G, G.elements()):
+    for t in small_generators(G, G.generators):
         for row in grew:
             if not module.contains_row(row_translate(G, t, row)):
                 raise GroupError("I(K)I(H) + I^2(G)I(H) is not a left ideal")

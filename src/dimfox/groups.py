@@ -490,10 +490,13 @@ def subgroup_from_members(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
     return Subgroup(G, frozenset(int(m) for m in members))
 
 
-def small_generators(G: FiniteGroup, members: Iterable[int]) -> tuple[int, ...]:
-    """Greedy generating set of a subgroup, scanning members in index order
-    (at most log2 |members| of them, see _Span)."""
-    return tuple(_Span(G, sorted(members)).gens)
+def small_generators(G: FiniteGroup, seeds: Iterable[int]) -> tuple[int, ...]:
+    """The seeds in their order, less each one that those before it already
+    generate (_Span): a generating set of the subgroup they generate, with
+    at most log2 of its order elements.  Pass a subgroup's own generators
+    rather than its members where it has them; its members in index order
+    give the greedy generating set."""
+    return tuple(_Span(G, seeds).gens)
 
 
 def join(G: FiniteGroup, parts: Sequence[Subgroup]) -> Subgroup:
@@ -732,7 +735,7 @@ def abelian_quotient(G: FiniteGroup, A: Subgroup, S: Subgroup) -> AbelianSection
     com = commutator_subgroup(G, A, A)
     if not S.contains_subgroup(com):
         raise GroupError("quotient is not abelian")
-    gens = small_generators(G, A.members)
+    gens = small_generators(G, sorted(A.members))
     rows = G.mul_rows()
     smembers = list(S.members)
     coset_of: dict[int, int] = {}
@@ -840,12 +843,46 @@ def _cyclic(n: int) -> _Table:
     return _Table(table, names, [1] if n > 1 else [], f"cyclic:{n}")
 
 
+def _compose_table(order: int, gen_rows: Mapping[int, list[int]]) -> list[list[int]]:
+    """The Cayley table of an associative law on range(order) with identity
+    0, from the rows of its generators alone: gen_rows[s][b] = s*b.
+
+    The walk starts from the identity row and takes row(g*s) =
+    row(g) o row(s), as (g*s)*b = g*(s*b) by associativity, one map per
+    row; g*s is read from row(g) itself.  Right products by the
+    generators reach the whole group when they generate it (s^-1 is a
+    power of s); rows that reach fewer elements are refused.
+    """
+    table: list[list[int] | None] = [None] * order
+    table[0] = list(range(order))
+    reached = [0]
+    for g in reached:  # the list grows while it is walked
+        row = table[g]
+        for s, srow in gen_rows.items():
+            h = row[s]
+            if table[h] is None:
+                table[h] = list(map(row.__getitem__, srow))
+                reached.append(h)
+    if len(reached) != order:
+        raise GroupError(
+            f"generator rows {sorted(gen_rows)} do not generate the group: "
+            f"they reach {len(reached)} of its {order} elements"
+        )
+    return table
+
+
 def _dihedral(n: int) -> _Table:
     if n < 1:
         raise GroupError("dihedral parameter must be >= 1")
     # elements r^a f^b encoded as a + n*b; (a, b)(c, d) = (a + (-1)^b c, b xor d)
     pairs = [(a, b) for b in range(2) for a in range(n)]
-    table = [[(a + (1 - 2 * b) * c) % n + n * (b ^ d) for c, d in pairs] for a, b in pairs]
+
+    def row(g):
+        a, b = pairs[g]
+        return [(a + (1 - 2 * b) * c) % n + n * (b ^ d) for c, d in pairs]
+
+    gens = [1, n] if n > 1 else [n]
+    table = _compose_table(2 * n, {g: row(g) for g in gens})
     names = []
     for b in range(2):
         for a in range(n):
@@ -853,7 +890,7 @@ def _dihedral(n: int) -> _Table:
             if b:
                 r = "f" if a == 0 else r + "f"
             names.append(r)
-    return _Table(table, names, [1, n] if n > 1 else [n], f"dihedral:{n}")
+    return _Table(table, names, gens, f"dihedral:{n}")
 
 
 def _quaternion8() -> _Table:
@@ -871,7 +908,8 @@ def _class2(p: int, s: int) -> _Table:
     Elements are triples (i, j, k) mod q = p^(s+1) in the normal form
     x^i y^j c^k with c = [x, y]; the product law
     (i1,j1,k1)(i2,j2,k2) = (i1+i2, j1+j2, k1+k2 - i2*j1) realizes
-    y^j x^i = c^(-ij) x^i y^j.  Order q^3.
+    y^j x^i = c^(-ij) x^i y^j.  Order q^3.  The law is evaluated for the
+    rows of x and y only (`_compose_table`).
     """
     if p < 2 or s < 1:
         raise GroupError("class2 needs a prime p >= 2 and s >= 1")
@@ -881,10 +919,13 @@ def _class2(p: int, s: int) -> _Table:
         return (i * q + j) * q + k
 
     triples = [(i, j, k) for i in range(q) for j in range(q) for k in range(q)]
-    table = [
-        [enc((i1 + i2) % q, (j1 + j2) % q, (k1 + k2 - i2 * j1) % q) for i2, j2, k2 in triples]
-        for i1, j1, k1 in triples
-    ]
+
+    def row(g):
+        i1, j1, k1 = triples[g]
+        return [enc((i1 + i2) % q, (j1 + j2) % q, (k1 + k2 - i2 * j1) % q) for i2, j2, k2 in triples]
+
+    gens = [enc(1, 0, 0), enc(0, 1, 0)]
+    table = _compose_table(q**3, {g: row(g) for g in gens})
     names = []
     for i, j, k in triples:
         parts = []
@@ -895,7 +936,7 @@ def _class2(p: int, s: int) -> _Table:
         if k:
             parts.append(f"c{k}" if k > 1 else "c")
         names.append("*".join(parts) if parts else "1")
-    return _Table(table, names, [enc(1, 0, 0), enc(0, 1, 0)], f"class2:{p},{s}")
+    return _Table(table, names, gens, f"class2:{p},{s}")
 
 
 def _direct_product(t1: _Table, t2: _Table) -> _Table:

@@ -62,17 +62,6 @@ def _combine(s: int, x: dict[int, int], t: int, y: dict[int, int], m: int) -> di
     return {c: e for c, e in out.items() if e}
 
 
-def _subtract(v: dict[int, int], q: int, row: dict[int, int], m: int) -> None:
-    """v -= q*row in place, modulo m when m > 0, zeros dropped."""
-    get = v.get
-    for c, y in row.items():
-        x = (get(c, 0) - q * y) % m if m else get(c, 0) - q * y
-        if x:
-            v[c] = x
-        elif c in v:
-            del v[c]
-
-
 class IntLattice:
     """A lattice in Z^n kept in row-echelon (Hermite) shape.
 
@@ -199,7 +188,15 @@ class IntLattice:
             b = v[j]
             # v and row both vanish left of the pivot column j
             if b % a == 0:
-                _subtract(v, b // a, row, m)
+                # v -= q*row in place, inline as every insertion runs it
+                q = b // a
+                get = v.get
+                for c, y in row.items():
+                    x = (get(c, 0) - q * y) % m if m else get(c, 0) - q * y
+                    if x:
+                        v[c] = x
+                    elif c in v:
+                        del v[c]
             else:
                 g, s, t = xgcd(a, b)
                 # the new pivot s*a + t*b = g lies in (0, m) over Z/m: a <= m

@@ -41,7 +41,9 @@ from dimfox.groups import (
     lower_central_series,
     make_counterexample,
     normal_subgroups,
+    nseries_from_level2,
     quotient_group,
+    small_generators,
     trivial_subgroup,
     validate_nseries,
     whole_group,
@@ -492,12 +494,11 @@ def _all_pairs_fox_module(G, H, K, ring) -> ModuleSpan:
 
 @pytest.mark.parametrize("spec", [s for s in DEFAULT_GROUPS if build_group(s).order <= 16])
 def test_fox_module_of_weight_2_from_generator_pairs_equals_the_all_pairs_module(spec):
-    """The rows (s - 1)(t - 1) for s, t in small generating sets of K and H
+    """The rows (s - 1)(t - 1) for s, t in the generators of K and H
     span the same weight-2 Fox module as all (|K| - 1)(|H| - 1) rows, over
     Z, Z/2 and Z/4, for H and K each of the two smallest and two largest
-    cyclic subgroups and G (whose small generating set has more than one
-    element unless G is cyclic, so both variables of the bilinearity are
-    exercised)."""
+    cyclic subgroups and G (which has more than one generator unless G is
+    cyclic, so both variables of the bilinearity are exercised)."""
     G = build_group(spec)
     cyclic = cyclic_subgroups(G)
     subs = list({S.members: S for S in cyclic[:2] + cyclic[-2:] + [whole_group(G)]}.values())
@@ -680,6 +681,54 @@ def test_generator_products_match_span_product(spec, m):
     ik_ih = span_product(ik, ih)
     assert translate_closure(ik_ih) == translate_closure_naive(ik_ih)
     assert translate_closure(ih) == translate_closure_naive(ih)
+
+
+def _greedy_scan(G, seeds):
+    """The generating set the generator products once took: a greedy scan
+    of the members of the subgroup the seeds generate, in index order."""
+    return small_generators(G, sorted(generated_subgroup(G, seeds).members))
+
+
+def _module_forms(G, subs, series, rings) -> list:
+    """The canonical forms of every module the brute side builds from
+    generator products, over the sampled subgroups, series and rings."""
+    out = []
+    for ring in rings:
+        for N in series:
+            out += [nseries_ideal_power(G, N, n, ring).canonical() for n in (1, 2, 3, 4)]
+            for K in subs:
+                out += [module.canonical() for module in dim_modules(G, K, N, ring)]
+        for H in subs:
+            for K in subs:
+                out += [fox_module(G, H, K, n, ring).canonical() for n in (1, 2)]
+    return out
+
+
+@pytest.mark.parametrize("spec", [s for s in DEFAULT_GROUPS if build_group(s).order <= 16] + ["class2:2,1"])
+def test_generator_products_over_own_generators_match_the_greedy_scan(spec, monkeypatch):
+    """`dim_modules`, `fox_module` (n = 1, 2) and `nseries_ideal_power`
+    take T from each subgroup's own generators; with T from the greedy
+    scan of its members they build the same modules.  Hermite forms are
+    unique, so the canonical forms must agree exactly.  K and H run over
+    the two smallest and two largest cyclic subgroups, the join of the
+    largest two (whose generators may be redundant) and G; the series are
+    the lower central one and those from level 2 through each normal K."""
+    import dimfox.groupring as groupring
+
+    G = build_group(spec)
+    cyclic = cyclic_subgroups(G)
+    subs = cyclic[:2] + cyclic[-2:] + [join(G, cyclic[-2:]), whole_group(G)]
+    subs = list({S.members: S for S in subs}.values())
+    series = [lower_central_series(G)] + [nseries_from_level2(G, K) for K in subs if K.is_normal()]
+    rings = (Z, CoeffRing.mod(4))
+    new = _module_forms(G, subs, series, rings)
+    monkeypatch.setattr(groupring, "small_generators", _greedy_scan)
+    assert _module_forms(G, subs, series, rings) == new
+    if spec == "class2:2,1":
+        # the scan takes c = [x, y] first, which x and y generate anyway
+        x, y = G.generators
+        assert small_generators(G, G.generators) == (x, y)
+        assert _greedy_scan(G, G.generators) == (G.comm(x, y), y, x)
 
 
 def test_dim_subgroup_brute_never_calls_span_product(monkeypatch):

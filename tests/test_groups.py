@@ -38,7 +38,7 @@ from dimfox.groups import (
     validate_nseries,
     whole_group,
 )
-from dimfox.groups import _dihedral, _quaternion8
+from dimfox.groups import _class2, _compose_table, _dihedral, _quaternion8
 from dimfox.verify import DEFAULT_GROUPS
 
 SAMPLE_SPECS = [
@@ -302,6 +302,42 @@ def test_dihedral_and_quaternion_tables_follow_their_product_laws():
     built = [(_dihedral(n), _dihedral_law(n)) for n in range(1, 41)] + [(_quaternion8(), _quaternion8_law())]
     for t, (table, names, generators) in built:
         assert (t.table, t.names, t.generators) == (table.tolist(), names, generators), t.spec
+
+
+def _class2_law(p, s):
+    """class2:p,s written out: x^i y^j c^k at (i*q + j)*q + k with
+    q = p^(s+1), y^j x^i = c^(-ij) x^i y^j and c central."""
+    q = p ** (s + 1)
+    triples = list(iproduct(range(q), repeat=3))
+    table = np.zeros((q**3, q**3), dtype=np.int32)
+    for a, (i1, j1, k1) in enumerate(triples):
+        for b, (i2, j2, k2) in enumerate(triples):
+            # (x^i1 y^j1 c^k1)(x^i2 y^j2 c^k2) = x^(i1+i2) y^(j1+j2) c^(k1+k2-i2*j1)
+            table[a, b] = (((i1 + i2) % q) * q + (j1 + j2) % q) * q + (k1 + k2 - i2 * j1) % q
+    power = lambda letter, e: letter if e == 1 else f"{letter}{e}"
+    names = ["*".join(power(t, e) for t, e in zip("xyc", ijk) if e) or "1" for ijk in triples]
+    return table, names, [q * q, q]
+
+
+@pytest.mark.parametrize(
+    "p,s", [(2, 1), (2, 2), pytest.param(3, 1, marks=pytest.mark.slow)]
+)
+def test_class2_tables_follow_their_product_law(p, s):
+    """The class2 table, composed from the rows of x and y, equals the
+    entry-by-entry product law, with the same names and generators."""
+    t = _class2(p, s)
+    table, names, generators = _class2_law(p, s)
+    assert (t.table, t.names, t.generators) == (table.tolist(), names, generators), t.spec
+
+
+def test_compose_table_refuses_rows_that_do_not_generate():
+    """Generator rows that reach part of the group only are refused, by
+    the generators and the count they reach: r^2 in dihedral:4 reaches
+    the rotations 1 and r^2."""
+    rows = _dihedral(4).table
+    assert _compose_table(8, {1: rows[1], 4: rows[4]}) == rows
+    with pytest.raises(GroupError, match=r"generator rows \[2\] do not generate the group: they reach 2 of its 8"):
+        _compose_table(8, {2: rows[2]})
 
 
 def test_ingested_table_roundtrip():
