@@ -78,7 +78,9 @@ def _memoized(method):
 @dataclass
 class FormulaContext:
     """The tuple (G, K, H, N, R) threaded through the closed formulas; each
-    per-case subgroup the formulas share is built once per context."""
+    per-case subgroup the formulas share is built once per context.  The
+    whole group and its lower central series are facts of G, which G
+    keeps (`whole_group`, `lower_central_series`)."""
 
     G: FiniteGroup
     K: Subgroup
@@ -93,8 +95,8 @@ class FormulaContext:
 
     @property
     def N(self) -> NSeries:
-        """The given series, or the lower central series, built on first read."""
-        return self.series if self.series is not None else self.gamma()
+        """The given series, or the lower central series, which G keeps."""
+        return self.series if self.series is not None else lower_central_series(self.G)
 
     @property
     def m(self) -> int:
@@ -102,12 +104,8 @@ class FormulaContext:
             raise GroupError(f"this formula needs Z or Z/m, not sigma {dict(self.ring.sigma)}")
         return self.ring.modulus
 
-    @_memoized
-    def gamma(self) -> NSeries:
-        return lower_central_series(self.G)
-
     def G2(self) -> Subgroup:
-        return self.gamma().term(2)
+        return lower_central_series(self.G).term(2)
 
     @_memoized
     def power_of_G(self, m: int) -> Subgroup:

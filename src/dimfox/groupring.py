@@ -593,17 +593,24 @@ def fox_subgroup_brute(
     """G cut along the `fox_module` of weight n, over the `slice_ring` of
     weight max(n, 1).
 
-    Only the members of H are tested: the module lies in L = R(G)I(H),
-    and over Z/d (d = 0 for Z) g - 1 in L + d*Z^|G| maps to e_gH - e_H,
-    which lies in d*Z(G/H), so gH = H.  For n = 1, 2 each h - 1 is tested
-    in the coordinates of L the module is built in, where the lattice over
-    Z/d is M + d*L, the module `slice_ring` reads the slice from.
+    For n = 1, 2 only the members of H are tested: the module lies in
+    L = R(G)I(H), as each of its rows is asserted to, and over Z/d (d = 0
+    for Z) g - 1 in L + d*Z^|G| maps to e_gH - e_H, which lies in
+    d*Z(G/H), so gH = H.  Each h - 1 is tested in the coordinates of L the
+    module is built in, where the lattice over Z/d is M + d*L, the module
+    `slice_ring` reads the slice from.  For n = 0 every g in G is tested,
+    |G| reductions in place of |H|: the module is L itself, written down
+    with no such assertion, and its formula is H, so a slice over H alone
+    would only ask whether the module holds I(H), and a module that is too
+    large would pass.  By the same coset argument a correct module gives
+    the same slice either way.
     """
     _check_fox(G, n, max_order)
     R = slice_ring(G, ring, max(n, 1))
     if R is None:
         return H
-    return _slice_of(G, H.members, fox_module(G, H, K, n, R, max_order))
+    candidates = G.elements() if n == 0 else H.members
+    return _slice_of(G, candidates, fox_module(G, H, K, n, R, max_order))
 
 
 def module_quotient_presentation(sub: ModuleSpan, sup: ModuleSpan):

@@ -22,6 +22,12 @@ from .intlinalg import IntLattice
 
 DEFAULT_ORDER_CAP = 1024
 
+# build_group's memo of family groups by stripped spec text, least recently
+# used first, and its bounds: groups, and table entries (sum of |G|^2)
+_MEMO_GROUPS = 64
+_MEMO_ENTRIES = 1 << 18
+_built: dict[str, "FiniteGroup"] = {}
+
 
 class GroupError(ValueError):
     """Invalid table, bad family parameters, or an exceeded order cap."""
@@ -128,14 +134,25 @@ class FiniteGroup:
     """A finite group given by its Cayley table.
 
     table[a][b] is the index of the product a*b.  The identity, the
-    inverse list and element orders are derived.  Nothing writes to an
-    instance or its lists after construction, so it is safe to share.
+    inverse list and element orders are derived.  With check=True the
+    table and generators are outside input, and every group axiom is
+    checked.
 
     The table is one list of int rows, which mul_rows() returns itself;
-    each table derived from it is kept once, as plain int lists built on
-    first read: the columns, the powers (the one source of element orders
-    and the exponent) and the commutators.  With check=True the table and
-    generators are outside input, and every group axiom is checked.
+    each fact of the whole group is kept once, built on first read: the
+    columns, the powers (the one source of element orders and the
+    exponent) and the commutators as plain int lists, and the whole group
+    and its lower central series as a Subgroup and an NSeries
+    (`whole_group`, `lower_central_series`).
+
+    An instance is shared: `build_group` hands the same one to every
+    caller that names the same family spec in a process, so every case of
+    a campaign on that group reads one table and one set of derived facts.
+    Sharing is safe because nothing writes to an instance or to any list
+    or set it holds after construction; a derived fact is written once,
+    on first read, and depends on the table alone, so every reader sees
+    the same value whichever builds it.  Facts that depend on a subgroup,
+    a ring or a modulus are not kept here.
     """
 
     def __init__(
@@ -168,6 +185,8 @@ class FiniteGroup:
         self._cols: list[list[int]] | None = None
         self._powers: list[list[int]] | None = None
         self._comm_rows: list[list[int]] | None = None
+        self._whole: Subgroup | None = None
+        self._lower_central: NSeries | None = None
         self.generators = self._generating_set(generators, check)
         if check:
             self._check_associative()
@@ -481,7 +500,10 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def whole_group(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, frozenset(G.elements()), G.generators)
+    """G as a subgroup of itself, built on first read and kept on G."""
+    if G._whole is None:
+        G._whole = Subgroup(G, frozenset(G.elements()), G.generators)
+    return G._whole
 
 
 def subgroup_from_members(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
@@ -617,13 +639,17 @@ def validate_nseries(G: FiniteGroup, chain: Sequence[Subgroup]) -> NSeries:
 
 
 def lower_central_series(G: FiniteGroup) -> NSeries:
-    chain = [whole_group(G)]
-    while True:
-        nxt = commutator_subgroup(G, chain[-1], chain[0])
-        if nxt == chain[-1]:
-            break
-        chain.append(nxt)
-    return NSeries(tuple(chain))
+    """G = G_1 > G_2 = [G, G] > ... > G_(i+1) = [G_i, G], up to the first
+    term that repeats; built on first read and kept on G."""
+    if G._lower_central is None:
+        chain = [whole_group(G)]
+        while True:
+            nxt = commutator_subgroup(G, chain[-1], chain[0])
+            if nxt == chain[-1]:
+                break
+            chain.append(nxt)
+        G._lower_central = NSeries(tuple(chain))
+    return G._lower_central
 
 
 def nseries_from_level2(G: FiniteGroup, M: Subgroup) -> NSeries:
@@ -1070,6 +1096,20 @@ def build_group(spec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     for an explicit (fully checked) Cayley table, whose order, when given,
     must be the table's size, or {"perm_gens": [...]} for permutation
     generators in cycle notation.
+
+    A family string builds one FiniteGroup per spec text (stripped) per
+    process: the group is kept in a memo and the same instance is returned
+    to every later call, which shares its table and derived facts (see
+    FiniteGroup for why that is safe).  The order cap is checked on every
+    call, before the memo is read, and a refused spec is never kept.  The
+    memo holds at most 64 groups (_MEMO_GROUPS) whose |G|^2 sum to at most
+    2^18 table entries (_MEMO_ENTRIES), dropping the least recently used;
+    a group of order above 512 is not kept.  With every derived table
+    built (columns, commutators, powers, whole group, lower central
+    series), order-512 groups measured 33-43 bytes per table entry, so
+    the memo pins at most about 12 MB beyond the small per-instance
+    overhead of its groups.  Dict and JSON specs are built fresh on every
+    call.
     """
     if isinstance(spec, str):
         text = spec.strip()
@@ -1085,9 +1125,15 @@ def build_group(spec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             if order > max_order:
                 shown = order if order.bit_length() < 10000 else "past 2^10000"
                 raise GroupError(f"group order {shown} exceeds the cap {max_order}")
+            G = _built.pop(text, None)
+            if G is not None:
+                _built[text] = G  # now the most recently used
+                return G
             t = reduce(_direct_product, [build() for _, build in families])
             # closed multiplication laws: no check needed
-            return FiniteGroup(t.table, t.names, t.generators, spec=t.spec, check=False)
+            G = FiniteGroup(t.table, t.names, t.generators, spec=t.spec, check=False)
+            _remember(text, G)
+            return G
     if isinstance(spec, dict):
         if "table" in spec:
             table = spec["table"]
@@ -1103,6 +1149,17 @@ def build_group(spec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             return group_from_permutations(spec["perm_gens"], max_order)
         raise GroupError("group dict needs 'table' or 'perm_gens'")
     raise GroupError(f"cannot interpret group spec {spec!r}")
+
+
+def _remember(text: str, G: FiniteGroup) -> None:
+    """Keep G in build_group's memo as its most recently used group, then
+    drop the least recently used groups until the memo is within its
+    bounds; a group over the entry bound on its own is not kept."""
+    if G.order**2 > _MEMO_ENTRIES:
+        return
+    _built[text] = G
+    while len(_built) > _MEMO_GROUPS or sum(H.order**2 for H in _built.values()) > _MEMO_ENTRIES:
+        del _built[next(iter(_built))]
 
 
 def make_counterexample(p: int, r: int, s: int, max_order: int = DEFAULT_ORDER_CAP):

@@ -634,44 +634,33 @@ def test_dim3_formula_builds_each_U_once(monkeypatch):
             assert sorted(calls) == [0, 4]
 
 
-def test_formula_context_builds_lower_central_series_once(monkeypatch):
-    import dimfox.formulas as formulas
-
-    calls = []
-
-    def counting(G):
-        calls.append(G)
-        return lower_central_series(G)
-
-    monkeypatch.setattr(formulas, "lower_central_series", counting)
+def test_formula_contexts_read_the_lower_central_series_their_group_keeps():
+    """The lower central series is a fact of G, built once: every context on
+    G, and every formula it runs, reads the one series that G keeps."""
     G, K, _ = make_counterexample(2, 1, 1)
-    ctx = FormulaContext(G, K, CoeffRing.mod(4))
-    ctx.KG2Gm(4)
-    ctx.KN2Gm(2)
-    remark_lower_bound(ctx)
-    assert len(calls) == 1
-    assert ctx.N is ctx.gamma()
+    series = lower_central_series(G)
+    for ctx in (FormulaContext(G, K, CoeffRing.mod(4)), FormulaContext(G, trivial_subgroup(G), Z)):
+        ctx.KG2Gm(4)
+        ctx.KN2Gm(2)
+        remark_lower_bound(ctx)
+        assert ctx.N is series and ctx.G2() is series.term(2)
+    assert lower_central_series(G) is series
 
 
-def test_formula_context_builds_the_series_on_first_read(monkeypatch):
-    """Fox cases of weight 0 and 1 never build the lower central series; a
-    weight-2 case builds it once; an explicit series is returned as is."""
-    calls = []
+def test_the_lower_central_series_is_built_on_first_read(monkeypatch):
+    """Fox cases of weight 0 and 1 never build the lower central series of
+    their group; a weight-2 case builds it and leaves it on the group; an
+    explicit series is returned as is."""
+    import dimfox.groups as groups
 
-    def counting(G):
-        calls.append(G)
-        return lower_central_series(G)
-
-    monkeypatch.setattr(formulas, "lower_central_series", counting)
-    for n, expected in ((0, 0), (1, 0), (2, 1)):
-        calls.clear()
-        report = run_case({"kind": "fox", "group": "dihedral:4", "H": ["r"], "K": ["f"], "n": n, "m": 2})
-        assert report["equal"] and len(calls) == expected, (n, calls)
+    monkeypatch.setattr(groups, "_built", {})
     G = build_group("dihedral:4")
+    for n in (0, 1, 2):
+        report = run_case({"kind": "fox", "group": "dihedral:4", "H": ["r"], "K": ["f"], "n": n, "m": 2})
+        assert report["equal"] and (G._lower_central is not None) == (n == 2), n
     series = resolve_series(G, "double")
-    calls.clear()
     ctx = FormulaContext(G, trivial_subgroup(G), Z, series)
-    assert ctx.N is series and calls == []
+    assert ctx.N is series
 
 
 def _commutator_built_members(m):

@@ -526,8 +526,12 @@ def test_fox_module_asserts_a_left_ideal(monkeypatch):
 def test_fox_module_asserts_each_row_lies_in_R_G_I_H(monkeypatch):
     """A generated row outside R(G)I(H) is refused before it is projected
     to the coordinates of R(G)I(H); here the right products b(t - 1) by a
-    non-normal H are taken on the wrong side, as (t - 1)b."""
-    G = build_group("dihedral:4")
+    non-normal H are taken on the wrong side, as (t - 1)b.  The group is
+    built from a table spec, so the patched instance is not the one that
+    build_group shares for "dihedral:4"."""
+    D = build_group("dihedral:4")
+    G = build_group({"table": [row[:] for row in D.table], "names": list(D.names), "generators": list(D.generators)})
+    assert G is not D
     H = _non_normal_first(G)[0]
     assert not H.is_normal()
     for n in (1, 2):

@@ -259,7 +259,10 @@ Q8 = build_group("quaternion:8")
 )
 def test_product_builds_are_pinned(spec, names, generators, mul, monkeypatch):
     """Products keep their element order, nested names, generators, identity
-    and spec (names appear in reports and configs), and build one group."""
+    and spec (names appear in reports and configs), and build one group on
+    a cold memo and none on a warm one."""
+    import dimfox.groups as groups
+
     built = []
     init = FiniteGroup.__init__
 
@@ -267,11 +270,77 @@ def test_product_builds_are_pinned(spec, names, generators, mul, monkeypatch):
         built.append(kwargs.get("spec"))
         init(self, *args, **kwargs)
 
+    monkeypatch.setattr(groups, "_built", {})
     monkeypatch.setattr(FiniteGroup, "__init__", counted)
     G = build_group(spec)
     assert built == [spec]
+    assert build_group(spec) is G and built == [spec]
     assert (list(G.names), G.generators, G.identity, G.spec) == (names, generators, 0, spec)
     assert G.table == [[mul(a, b) for b in range(G.order)] for a in range(G.order)]
+
+
+def test_a_family_spec_builds_one_group_per_spec_text(monkeypatch):
+    import dimfox.groups as groups
+
+    monkeypatch.setattr(groups, "_built", {})
+    G = build_group("cyclic:4")
+    assert build_group(" cyclic:4 ") is G
+    assert build_group("cyclic:4", max_order=4) is G
+
+
+def test_the_order_cap_is_checked_on_a_warm_memo(monkeypatch):
+    """A spec over the cap is refused even when the memo holds its group,
+    and a refused spec is never kept."""
+    import dimfox.groups as groups
+
+    monkeypatch.setattr(groups, "_built", {})
+    G = build_group("cyclic:512")
+    with pytest.raises(GroupError, match="group order 512 exceeds the cap 256"):
+        build_group("cyclic:512", max_order=256)
+    with pytest.raises(GroupError, match="group order 300 exceeds the cap 256"):
+        build_group("cyclic:300", max_order=256)
+    assert groups._built == {"cyclic:512": G}
+    assert build_group("cyclic:512") is G
+
+
+def test_dict_and_table_specs_are_built_fresh(monkeypatch):
+    import dimfox.groups as groups
+
+    monkeypatch.setattr(groups, "_built", {})
+    D = build_group("dihedral:4")
+    specs = [
+        json.loads(json.dumps({"table": D.table, "names": D.names, "generators": D.generators})),
+        {"perm_gens": [[[0, 1, 2, 3]], [[0, 2]]]},
+    ]
+    for spec in specs + [json.dumps(spec) for spec in specs]:
+        a, b = build_group(spec), build_group(spec)
+        assert a is not b and a.table == b.table and a.order == 8
+    assert groups._built == {"dihedral:4": D}
+
+
+def test_the_group_memo_keeps_its_bounds(monkeypatch):
+    """At most 64 groups, the least recently used dropped first, of at most
+    2^18 table entries in all; a group over that alone is never kept."""
+    import dimfox.groups as groups
+
+    monkeypatch.setattr(groups, "_built", {})
+    first = build_group("cyclic:1")
+    for n in range(2, 65):
+        build_group(f"cyclic:{n}")
+    assert build_group("cyclic:1") is first  # now the most recently used
+    build_group("cyclic:65")
+    assert len(groups._built) == 64 and "cyclic:2" not in groups._built and "cyclic:1" in groups._built
+    big = build_group("cyclic:512")  # 512^2 = 2^18 entries: every other group is dropped
+    assert groups._built == {"cyclic:512": big}
+    assert build_group("cyclic:513") is not build_group("cyclic:513")
+    assert groups._built == {"cyclic:512": big}
+
+
+def test_whole_group_and_lower_central_series_are_kept_on_the_group():
+    G = build_group("dihedral:4")
+    assert whole_group(G) is whole_group(G)
+    assert lower_central_series(G) is lower_central_series(G)
+    assert lower_central_series(G).term(1) is whole_group(G)
 
 
 def _dihedral_law(n):

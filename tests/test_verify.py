@@ -1,5 +1,6 @@
 """Verification drivers, corpus runs, and the command-line interface."""
 
+import hashlib
 import json
 import random
 import re
@@ -614,6 +615,52 @@ def test_counterexample_verdict_needs_z_in_the_slice(monkeypatch):
     assert failed["containments"]["z_in_brute"] is False and failed["extra"]["z_in_brute"] is False
     assert failed["containments"]["strictly_exceeds_k2n3"] is True
     assert cli_main(["example-2-4", "--p", "2", "--r", "1", "--s", "1"]) == 1
+
+
+def _group_fingerprint(G) -> str:
+    tables = [G.table, G.inverse, list(G.generators), G.mul_cols(), G.power_rows(), G.comm_rows()]
+    return hashlib.sha256(json.dumps(tables).encode()).hexdigest()
+
+
+def test_corpus_output_is_the_same_on_a_cold_and_a_warm_group_memo(monkeypatch):
+    """Cases share the groups that build_group keeps; no case writes to one.
+    A run on a cleared memo and a run on the memo it leaves give the same
+    output, and after each run every kept group's tables hash the same as
+    those of a fresh build of its spec."""
+    import dimfox.groups as groups
+
+    cfg = CorpusConfig(groups=["cyclic:6", "dihedral:4", "quaternion:8"], moduli=[0, 2])
+    monkeypatch.setattr(groups, "_built", {})
+    cold = run_corpus(cfg)
+    kept = dict(groups._built)
+    assert sorted(kept) == ["class2:2,1", "cyclic:6", "dihedral:4", "quaternion:8"]
+    after_cold = {spec: _group_fingerprint(G) for spec, G in kept.items()}
+    warm = run_corpus(cfg)
+    assert cold.ok and warm.to_json(include_timings=False) == cold.to_json(include_timings=False)
+    assert groups._built == kept and all(groups._built[spec] is G for spec, G in kept.items())
+    after_warm = {spec: _group_fingerprint(G) for spec, G in kept.items()}
+    monkeypatch.setattr(groups, "_built", {})
+    fresh = {spec: _group_fingerprint(build_group(spec)) for spec in kept}
+    assert after_cold == after_warm == fresh
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_fox_weight_0_fails_on_a_module_that_is_too_large(monkeypatch, m):
+    """The weight-0 slice runs over all of G, so a module larger than
+    R(G)I(H), here I(G), gives a failed report instead of a pass."""
+    import dimfox.groupring as groupring
+
+    real = groupring.fox_module
+
+    def too_large(G, H, K, n, ring, max_order):
+        return augmentation_ideal(G, whole_group(G), ring) if n == 0 else real(G, H, K, n, ring, max_order)
+
+    case = {"kind": "fox", "group": "dihedral:4", "H": ["r"], "K": [], "n": 0, "m": m}
+    assert run_case(case)["equal"]
+    monkeypatch.setattr(groupring, "fox_module", too_large)
+    report = run_case(case)
+    assert not report["equal"] and report["lhs"] == sorted(build_group("dihedral:4").names)
+    assert report["witnesses"] == ["f", "r2f", "r3f", "rf"]
 
 
 def test_every_report_of_a_small_corpus_has_a_positive_time():
