@@ -654,8 +654,7 @@ def lower_central_series(G: FiniteGroup) -> NSeries:
 
 def nseries_from_level2(G: FiniteGroup, M: Subgroup) -> NSeries:
     """Fastest-descending valid series with N_2 = M*[G,G]."""
-    g2 = commutator_subgroup(G, whole_group(G), whole_group(G))
-    chain = [whole_group(G), join(G, [M, g2])]
+    chain = [whole_group(G), join(G, [M, lower_central_series(G).term(2)])]
     while True:
         k = len(chain) + 1
         parts = [
