@@ -23,7 +23,7 @@ OK, MISMATCH, BAD_INPUT = 0, 1, 2
 
 def _run(case: dict, args) -> int:
     """Run a case through run_case and print its report."""
-    report = run_case(case, max_order=args.max_order, slow=getattr(args, "slow", False))
+    report = run_case(case, max_order=args.max_order)
     ok = report_ok(report)
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=1))
@@ -134,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--nseries", default="gamma")
     d.add_argument("--ring", default="Z", help="Z or Z/m")
     d.add_argument("--check-reduction", action="store_true")
-    d.add_argument("--slow", action="store_true", help="lift the order-256 brute cap")
     d.add_argument("--json", action="store_true")
     d.set_defaults(func=_cmd_dim3)
 
@@ -144,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--K", default="")
     f.add_argument("--n", type=int, choices=(0, 1, 2), required=True)
     f.add_argument("--ring", default="Z")
-    f.add_argument("--slow", action="store_true", help="lift the order-256 brute cap")
     f.add_argument("--json", action="store_true")
     f.set_defaults(func=_cmd_fox)
 
@@ -164,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--p", type=int, required=True)
     e.add_argument("--r", type=int, required=True)
     e.add_argument("--s", type=int, required=True)
-    e.add_argument("--slow", action="store_true", help="lift the order-256 brute cap")
     e.add_argument("--json", action="store_true")
     e.set_defaults(func=_cmd_example_2_4)
 

@@ -48,7 +48,10 @@ from .groups import (
 # budgets of the fox2 enumerations: fox2_formula enumerates at most
 # FOX2_TUPLE_CAP exponent tuples; fox2_generator_family runs for |H| at most
 # FOX_FAMILY_CAP and keeps at most FAMILY_STATE_CAP scan states and
-# obstruction classes
+# obstruction classes.  These are the measured costs that bound what dimfox
+# certifies under the group order cap, not the brute side: fox --n 2 on
+# dihedral:128 with H = G enumerates 2,097,152 tuples and took 15 s on a
+# 2-core x86-64 host, where its brute slice took 0.03 s.
 FOX2_TUPLE_CAP = 1 << 22
 # The |H| cap is a real time and memory guard: with H = G at order 64-81 a
 # case took up to 22 s (0.03-0.14 s by brute force), and class2:3,1 (order
@@ -161,14 +164,21 @@ def W_subgroup(ctx: FormulaContext, m: int) -> Subgroup:
     return _power_preimage(ctx.G, ctx.H.members, m // 2, ctx.KG2Gm(m).members)
 
 
-def Z2_subgroup(ctx: FormulaContext, literal_exponent: bool = False) -> Subgroup:
+def Z2_subgroup(ctx: FormulaContext) -> Subgroup:
     """The 2-primary factor of the sigma-decomposition formula.
 
     Trivial when 2 is not in sigma(R); otherwise
-    t_2(G mod U_0 N_3) meet (U_q N_3 G^(2q) V^q) with q = 2^e(2), where
-    V collects elements whose 2^(e-1)-th power falls into K N_2 G^q when
-    e > 0, and V = G when e = 0.  With literal_exponent the printed
-    exponent e(2)-1 is used as-is instead of 2^(e(2)-1).
+    t_2(G mod U_0 N_3) meet (U_q N_3 V^q) with q = 2^e(2), where V
+    collects the elements whose 2^(e-1)-th power falls into K N_2 G^q when
+    e > 0, and V = G when e = 0.
+
+    The paper prints the join as U_q N_3 G^(2q) V^q, with the exponent
+    e(2) - 1 for V.  Read as 2^(e-1) = q/2, the term G^(2q) lies in V^q:
+    for b in G, (b^2)^(q/2) = b^q is in G^q <= K N_2 G^q, so b^2 is in V
+    and b^(2q) = (b^2)^q in V^q; at e = 0, V = G and G^2 <= V^q = G.  So
+    the term is dropped.  The printed exponent e - 1 gives no such proof,
+    and disagrees with brute force (the tests keep the printed form as an
+    oracle for both facts).
     """
     G = ctx.G
     e = ctx.ring.sigma_exponent(2)
@@ -179,11 +189,8 @@ def Z2_subgroup(ctx: FormulaContext, literal_exponent: bool = False) -> Subgroup
     if e == 0:
         V = whole_group(G)
     else:
-        exp = (e - 1) if literal_exponent else 2 ** (e - 1)
-        V = _power_preimage(G, whole_group(G).members, exp, ctx.KN2Gm(q).members)
-    bulk = join(
-        G, [U_subgroup(ctx, q), ctx.N.term(3), power_subgroup(G, whole_group(G), 2 * q), power_subgroup(G, V, q)]
-    )
+        V = _power_preimage(G, whole_group(G).members, 2 ** (e - 1), ctx.KN2Gm(q).members)
+    bulk = join(G, [U_subgroup(ctx, q), ctx.N.term(3), power_subgroup(G, V, q)])
     return subgroup_from_members(G, tors2.members & bulk.members)
 
 
@@ -209,7 +216,7 @@ def _primes_dividing(n: int) -> list[int]:
     return out
 
 
-def dim3_sigma_route(ctx: FormulaContext, literal_z2: bool = False) -> Subgroup:
+def dim3_sigma_route(ctx: FormulaContext) -> Subgroup:
     """U_0 N_3 Z_2 * prod over odd p in sigma(R) of the p-torsion factors.
 
     The product is restricted to primes dividing |G|: for p coprime to
@@ -217,7 +224,7 @@ def dim3_sigma_route(ctx: FormulaContext, literal_z2: bool = False) -> Subgroup:
     """
     G = ctx.G
     u0n3 = ctx.U0N3()
-    parts = [u0n3, Z2_subgroup(ctx, literal_exponent=literal_z2)]
+    parts = [u0n3, Z2_subgroup(ctx)]
     for p in _primes_dividing(G.order):
         if p == 2:
             continue
@@ -232,7 +239,12 @@ def dim3_sigma_route(ctx: FormulaContext, literal_z2: bool = False) -> Subgroup:
 
 
 def dim3_per_modulus(ctx: FormulaContext) -> Subgroup:
-    """The specialization to Z (m = 0) and Z/m coefficients."""
+    """The specialization to Z (m = 0) and Z/m coefficients.
+
+    For even m the paper's join U_m N_3 G^(2m) V^m has no G^(2m) here: for
+    b in G, (b^2)^(m/2) = b^m is in G^m <= K N_2 G^m, so b^2 is in
+    V = {a : a^(m/2) in K N_2 G^m} and b^(2m) = (b^2)^m in V^m.
+    """
     G = ctx.G
     m = ctx.m
     n3 = ctx.N.term(3)
@@ -240,11 +252,7 @@ def dim3_per_modulus(ctx: FormulaContext) -> Subgroup:
         return ctx.U0N3()
     if m % 2:
         return join(G, [U_subgroup(ctx, m), n3, power_subgroup(G, whole_group(G), m)])
-    V = V_subgroup(ctx, m)
-    return join(
-        G,
-        [U_subgroup(ctx, m), n3, power_subgroup(G, whole_group(G), 2 * m), power_subgroup(G, V, m)],
-    )
+    return join(G, [U_subgroup(ctx, m), n3, power_subgroup(G, V_subgroup(ctx, m), m)])
 
 
 def dim3_formula(ctx: FormulaContext) -> Dim3Formula:

@@ -37,15 +37,18 @@ from dimfox.groups import (
     commutator_subgroup,
     cyclic_subgroups,
     generated_subgroup,
+    is_prime,
     join,
     lower_central_series,
     make_counterexample,
+    p_torsion_mod,
     power_subgroup,
     subgroup_exponent,
+    subgroup_from_members,
     trivial_subgroup,
     whole_group,
 )
-from dimfox.verify import DEFAULT_GROUPS, CorpusConfig, build_cases, resolve_series, run_case
+from dimfox.verify import DEFAULT_GROUPS, CorpusConfig, _series_tags, build_cases, resolve_series, run_case
 
 Z = CoeffRing.integers()
 
@@ -118,6 +121,71 @@ def test_Z2_subgroup_examples():
     ctx4 = FormulaContext(C4, trivial_subgroup(C4), CoeffRing.mod(4))
     brute = dim_subgroup_brute(C4, trivial_subgroup(C4), ctx4.N, CoeffRing.mod(4))
     assert dim3_sigma_route(ctx4) == brute
+
+
+def _printed_V(ctx, q, k):
+    """{a : a^k in K N_2 G^q}, element by element."""
+    G = ctx.G
+    target = ctx.KN2Gm(q).members
+    return subgroup_from_members(G, [a for a in G.elements() if G.power(a, k) in target])
+
+
+def printed_per_modulus(ctx):
+    """The paper's per-modulus formula as printed: U_m N_3 G^(2m) V^m for
+    even m, with the G^(2m) term that dim3_per_modulus proves redundant."""
+    G, m = ctx.G, ctx.m
+    if m == 0:
+        return ctx.U0N3()
+    n3 = ctx.N.term(3)
+    if m % 2:
+        return join(G, [U_subgroup(ctx, m), n3, power_subgroup(G, whole_group(G), m)])
+    V = _printed_V(ctx, m, m // 2)
+    return join(G, [U_subgroup(ctx, m), n3, power_subgroup(G, whole_group(G), 2 * m), power_subgroup(G, V, m)])
+
+
+def printed_sigma_route(ctx, literal_exponent=False):
+    """The paper's sigma-decomposition formula as printed: Z_2 joins
+    U_q N_3 G^(2q) V^q, q = 2^e(2), with V read through the power
+    2^(e(2)-1), or through the printed exponent e(2) - 1 itself with
+    literal_exponent."""
+    G = ctx.G
+    u0n3 = ctx.U0N3()
+    n3 = ctx.N.term(3)
+    parts = [u0n3]
+    for p in range(2, G.order + 1):
+        e = ctx.ring.sigma_exponent(p)
+        if G.order % p or not is_prime(p) or e is None:
+            continue
+        q = p**e
+        bulk = [U_subgroup(ctx, q), n3, power_subgroup(G, whole_group(G), q)]
+        if p == 2:
+            k = 0 if e == 0 else (e - 1) if literal_exponent else 2 ** (e - 1)
+            bulk[2:] = [power_subgroup(G, whole_group(G), 2 * q), power_subgroup(G, _printed_V(ctx, q, k), q)]
+        tors = p_torsion_mod(G, u0n3, p)
+        parts.append(subgroup_from_members(G, tors.members & join(G, bulk).members))
+    return join(G, parts)
+
+
+def test_dim3_formulas_match_the_printed_forms():
+    """Dropping G^(2m) and G^(2q) changes no formula: dim3_per_modulus and
+    dim3_sigma_route equal the paper's printed joins over the default
+    groups, each cyclic K, each series tag of the corpus, Z/m for m in
+    {2, 4, 6, 8} and the sigma rings with e(2) in {0, 1, 2, 3}."""
+    rings = [CoeffRing.mod(m) for m in (2, 4, 6, 8)] + [CoeffRing.abstract({2: e}) for e in range(4)]
+    count = 0
+    for spec in DEFAULT_GROUPS:
+        G = build_group(spec)
+        for tag in _series_tags(G):
+            N = resolve_series(G, tag)
+            for K in cyclic_subgroups(G):
+                for ring in rings:
+                    ctx = FormulaContext(G, K, ring, N)
+                    assert dim3_sigma_route(ctx) == printed_sigma_route(ctx), (spec, tag, K.generators, ring)
+                    count += 1
+                    if ring.is_concrete:
+                        assert dim3_per_modulus(ctx) == printed_per_modulus(ctx), (spec, tag, K.generators, ring)
+                        count += 1
+    assert count == 6060
 
 
 @pytest.mark.parametrize("spec", ["cyclic:4", "cyclic:6", "cyclic:9", "dihedral:4", "quaternion:8", "dihedral:3"])

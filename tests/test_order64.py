@@ -27,7 +27,7 @@ def big():
 @pytest.mark.parametrize("m", [0, 2, 4])
 def test_dim3_counterexample_all_rings(big, m):
     G, K, z = big
-    r = verify_dim3(G, K, lower_central_series(G), CoeffRing.parse(m), max_order=64)
+    r = verify_dim3(G, K, lower_central_series(G), CoeffRing.parse(m))
     assert r.equal and all(r.containments.values())
     if m == 0:
         assert r.counterexample and G.names[z] in r.lhs
@@ -40,7 +40,7 @@ def test_dim3_other_subgroups(big, m):
     c = G.comm(x, y)
     for gens in ([], [c], [G.power(x, 2)], [x], [G.mul(x, y)]):
         Ksub = generated_subgroup(G, gens)
-        r = verify_dim3(G, Ksub, lower_central_series(G), CoeffRing.parse(m), max_order=64)
+        r = verify_dim3(G, Ksub, lower_central_series(G), CoeffRing.parse(m))
         assert r.equal and all(r.containments.values()), (m, gens)
 
 
@@ -49,7 +49,7 @@ def test_fox_weight2_h_equals_g(big, m):
     G, K, z = big
     from dimfox.groups import whole_group
 
-    r = verify_fox(G, whole_group(G), K, 2, CoeffRing.parse(m), max_order=64)
+    r = verify_fox(G, whole_group(G), K, 2, CoeffRing.parse(m))
     assert r.equal and all(r.containments.values())
     if m == 0:
         assert G.names[z] in r.lhs

@@ -1,5 +1,6 @@
 """Static checks over the package source."""
 
+import argparse
 import ast
 import re
 import subprocess
@@ -134,6 +135,35 @@ def test_no_src_module_imports_numpy_and_tables_are_kept_once():
     for name, tree in trees.items():
         found = _names(tree)
         assert not [n for n in ("ix_", "comm_table", "_inv") if found[n]], name
+
+
+def _parser_actions(parser: argparse.ArgumentParser):
+    """Every option and positional of parser and of its subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parser_actions(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            yield action
+
+
+def test_every_cli_flag_is_read():
+    """cli.py reads each option and positional of every verb as
+    args.<dest>, never through getattr with a default, so a flag that no
+    code reads fails here."""
+    from dimfox import cli
+
+    tree = ast.parse((SRC / "cli.py").read_text())
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+    getattrs = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "getattr"]
+    dests = {action.dest for action in _parser_actions(cli.build_parser())}
+    assert dests, "no parser actions found"
+    assert not dests - read, f"CLI flags that cli.py never reads: {sorted(dests - read)}"
+    assert not getattrs, f"cli.py calls getattr at lines {getattrs}"
 
 
 def test_importing_the_package_leaves_numpy_unloaded():

@@ -28,6 +28,7 @@ from dimfox.verify import (
     CorpusConfig,
     Report,
     build_cases,
+    report_ok,
     resolve_series,
     run_case,
     run_corpus,
@@ -207,29 +208,18 @@ def test_z2_literal_reading_is_flagged_and_rejected():
     and the corrected reading is the one matching brute force."""
     from dimfox.formulas import FormulaContext, dim3_formula, dim3_sigma_route
     from dimfox.groupring import dim_subgroup_brute
+    from test_formulas import printed_sigma_route
 
     G = build_group("cyclic:4")
     N = resolve_series(G, "gamma")
     ring = CoeffRing.mod(2)
     ctx = FormulaContext(G, trivial_subgroup(G), ring, N)
     f = dim3_formula(ctx)
-    literal = dim3_sigma_route(ctx, literal_z2=True)
+    literal = printed_sigma_route(ctx, literal_exponent=True)
     assert literal != dim3_sigma_route(ctx)  # the readings genuinely differ here
     brute = dim_subgroup_brute(G, trivial_subgroup(G), N, ring)
     assert f.result == brute
     assert literal != brute  # the literal reading would be wrong
-
-
-def test_verify_dim3_checks_brute_cap_before_formula(monkeypatch):
-    import dimfox.verify as verify
-
-    def no_formula(ctx):
-        raise AssertionError("dim3_formula ran before the brute-force cap was checked")
-
-    monkeypatch.setattr(verify, "dim3_formula", no_formula)
-    G = build_group("dihedral:4")
-    with pytest.raises(GroupError, match="capped at order 4"):
-        verify_dim3(G, trivial_subgroup(G), lower_central_series(G), Z, max_order=4)
 
 
 def test_resolve_series_variants():
@@ -358,20 +348,54 @@ def test_cli_fox(capsys):
     assert code == 0
 
 
-def test_cli_slow_tier_gate(capsys):
-    # order 729 exceeds the default brute cap; the flag lifts it
-    code = cli_main(["example-2-4", "--p", "3", "--r", "1", "--s", "1"])
-    err = capsys.readouterr().err
-    assert code == 2 and "capped" in err
+def test_cli_example_2_4_at_order_729_needs_no_flag(capsys):
+    """The order-729 member of the family runs under the group order cap
+    alone: verified, with the slice {1, c3, c6} strictly above K_2G_3."""
+    code = cli_main(["example-2-4", "--p", "3", "--r", "1", "--s", "1", "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and data["equal"] and all(data["containments"].values())
+    assert data["counterexample"] is True
+    assert data["lhs"] == ["1", "c3", "c6"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim3", "--group", "cyclic:2", "--slow"],
+        ["fox", "--group", "cyclic:2", "--n", "0", "--slow"],
+        ["example-2-4", "--p", "2", "--r", "1", "--s", "1", "--slow"],
+    ],
+)
+def test_cli_has_no_slow_flag(capsys, argv):
+    assert cli_main(argv) == 2
+    assert "unrecognized arguments: --slow" in capsys.readouterr().err
+
+
+def test_dim3_reduction_check_runs_on_an_order_729_quotient():
+    """The reduction check slices G/N_3, which for class2:3,1 with the lower
+    central series is all 729 elements, under no cap but the group's."""
+    case = {"kind": "dim3", "group": "class2:3,1", "K": [], "series": "gamma", "m": 0, "check_reduction": True}
+    report = run_case(case)
+    assert report_ok(report) and report["extra"]["reduction_agrees"] is True
 
 
 @pytest.mark.slow
-def test_counterexample_p3_verified():
-    """The order-729 member of the family, with the brute-force cap lifted."""
-    G, K, _ = make_counterexample(3, 1, 1)
-    r = verify_dim3(G, K, lower_central_series(G), Z, max_order=G.order)
-    assert r.ok and r.counterexample
-    assert r.lhs == ["1", "c3", "c6"]
+@pytest.mark.parametrize(
+    "case",
+    [
+        {"kind": "dim3", "group": "dihedral:512", "K": "r", "m": 0},
+        {"kind": "dim3", "group": "dihedral:512", "K": "r", "m": 4},
+        {"kind": "dim3", "group": "cyclic:2 x class2:2,2", "K": [], "m": 4, "check_reduction": True},
+        {"kind": "fox", "group": "cyclic:2 x class2:2,2", "H": ["(x,1)", "(1,x)", "(1,y)"], "K": [], "n": 1, "m": 0},
+        {"kind": "fox", "group": "dihedral:512", "H": "r", "K": "f", "n": 2, "m": 0},
+    ],
+)
+def test_cases_of_order_512_to_1024_verify(case):
+    """Cases at orders 512-1024 verify, with the group order cap (1024) as
+    the only size guard."""
+    report = run_case(case)
+    assert report_ok(report), report["witnesses"]
+    assert report["extra"].get("reduction_agrees", True) is True
 
 
 def test_cli_homology(capsys):
@@ -550,15 +574,21 @@ def test_case_elements_are_names_indices_or_one_string():
             run_case({**base, "K": bad})
 
 
-def test_run_case_takes_the_cli_caps():
+def test_run_case_takes_the_cli_caps(monkeypatch):
+    import dimfox.groups as groups
+
     case = {"kind": "dim3", "group": "dihedral:4", "K": [], "series": "gamma", "m": 0}
     with pytest.raises(GroupError, match="exceeds the cap 4"):
         run_case(case, max_order=4)
+    # the group order cap refuses the order-729 flagship before its table is built
+    def no_table(*args):
+        raise AssertionError("a table was built before the group order cap refused it")
+
+    monkeypatch.setattr(groups, "_built", {})
+    monkeypatch.setattr(groups, "_class2", no_table)
     flagship = {"kind": "counterexample", "p": 3, "r": 1, "s": 1}
-    with pytest.raises(GroupError, match="capped at order"):
-        run_case(flagship)
     with pytest.raises(GroupError, match="group order 729 exceeds the cap 512"):
-        run_case(flagship, max_order=512, slow=True)
+        run_case(flagship, max_order=512)
 
 
 # The `dimfox` examples of the README whose verbs run a case.
@@ -652,8 +682,8 @@ def test_fox_weight_0_fails_on_a_module_that_is_too_large(monkeypatch, m):
 
     real = groupring.fox_module
 
-    def too_large(G, H, K, n, ring, max_order):
-        return augmentation_ideal(G, whole_group(G), ring) if n == 0 else real(G, H, K, n, ring, max_order)
+    def too_large(G, H, K, n, ring):
+        return augmentation_ideal(G, whole_group(G), ring) if n == 0 else real(G, H, K, n, ring)
 
     case = {"kind": "fox", "group": "dihedral:4", "H": ["r"], "K": [], "n": 0, "m": m}
     assert run_case(case)["equal"]
