@@ -1,15 +1,17 @@
 """Closed-form subgroup expressions for third dimension and second Fox subgroups.
 
 Every right-hand side the workbench verifies is built here as an
-explicit Subgroup by direct enumeration: the commutator families U_m,
-T_1, T_2, the power-condition sets V and W, the 2-primary correction
-Z_2, the assembled third-dimension formulas (both the per-modulus form
-and the sigma-decomposition form), the Fox formulas for n = 0, 1, 2,
-and the generator-family enumeration behind the n = 2 description.
+explicit Subgroup: the commutator families U_m, T_1, T_2 and the
+power-condition sets V and W, from the group layer's commutator, power
+and power-preimage subgroups; the 2-primary correction Z_2; the assembled
+third-dimension formulas (both the per-modulus form and the
+sigma-decomposition form); the Fox formulas for n = 0, 1, 2; and the
+generator-family enumeration behind the n = 2 description.
 
 Exponents that range over the integers are enumerated over one full
-period modulo the exponent of the relevant group; powers in a finite
-group are periodic with that period.
+period modulo the exponent of the relevant group, as powers in a finite
+group are periodic with that period; the commutator families need only
+the divisors of the exponent (_build_power_commutators).
 """
 
 from __future__ import annotations
@@ -29,16 +31,15 @@ from .groups import (
     Subgroup,
     abelian_quotient,
     centre,
-    commutator_seeds,
     commutator_subgroup,
     generated_subgroup,
     join,
     lower_central_series,
     normal_subgroups,
     p_torsion_mod,
+    power_preimage,
     power_subgroup,
     quotient_group,
-    shared_members,
     subgroup_exponent,
     subgroup_from_members,
     trivial_subgroup,
@@ -120,48 +121,56 @@ class FormulaContext:
         return join(self.G, [self.H2(), power_subgroup(self.G, self.H, m)])
 
 
-def _power_commutators(G: FiniteGroup, A: frozenset[int], M: frozenset[int]) -> Subgroup:
-    """sgp{[a, b^k] : a, b in A with a^k and b^k in M}, k over one period;
-    a pure function of (G, A, M), kept on G."""
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _power_commutators(G: FiniteGroup, A: Subgroup, M: Subgroup) -> Subgroup:
+    """sgp{[a, b^k] : a, b in A with a^k and b^k in M}, k over one period,
+    for a subgroup A and a normal M >= G_2; a pure function of (G, A, M),
+    kept on G."""
     return G.fact(_build_power_commutators, A, M)
 
 
-def _build_power_commutators(G: FiniteGroup, A: frozenset[int], M: frozenset[int]) -> Subgroup:
-    pairs = []
-    for ptab in G.power_rows():
-        admissible = [a for a in A if ptab[a] in M]
-        pairs.append((admissible, [ptab[b] for b in admissible]))
-    return generated_subgroup(G, commutator_seeds(G, pairs))
+def _build_power_commutators(G: FiniteGroup, A: Subgroup, M: Subgroup) -> Subgroup:
+    """The join over the divisors d of e = exp(G) of [A_d, A_d^(d)], with
+    A_k = {a in A : a^k in M} and A_k^(k) = sgp{b^k : b in A_k}.
 
-
-def _power_preimage(G: FiniteGroup, A: frozenset[int], k: int, M: frozenset[int]) -> Subgroup:
-    """{a in A : a^k in M}, asserted to be a subgroup; a pure function of
-    (G, A, k, M), kept on G."""
-    return G.fact(_build_power_preimage, A, k, M)
-
-
-def _build_power_preimage(G: FiniteGroup, A: frozenset[int], k: int, M: frozenset[int]) -> Subgroup:
-    ptab = G.power_rows()[k % G.exponent()]
-    return Subgroup(G, shared_members(G, frozenset(a for a in A if ptab[a] in M)))
+    Proof.  G/M is abelian, as M >= G_2, so a -> a^k M is a homomorphism
+    and A_k is a subgroup, normal in A (power_preimage).  For k fixed the
+    seeds are [a, c] with a in A_k and c in P_k = {b^k : b in A_k}, and P_k
+    is closed under conjugation by A_k, as ^y(b^k) = (^y b)^k.  By
+    [a, yz] = [a, y] ^y[a, z] and ^y[a, c] = [^y a, ^y c], induction on the
+    length of y as a word in P_k puts every [a, y], y in sgp(P_k) =
+    A_k^(k), in the subgroup the seeds generate; so it is [A_k, A_k^(k)].
+    With d = gcd(k, e) = uk + ve, a^d = (a^k)^u and a^k = (a^d)^(k/d), so
+    A_k = A_d and A_k^(k) = A_d^(d): only the divisors d of e matter, and
+    d = e is skipped, as A_e^(e) = 1.
+    """
+    parts = []
+    for d in _divisors(G.exponent())[:-1]:
+        Ad = power_preimage(G, A, d, M)
+        parts.append(commutator_subgroup(G, Ad, power_subgroup(G, Ad, d)))
+    return join(G, parts)
 
 
 def U_subgroup(ctx: FormulaContext, m: int) -> Subgroup:
     """sgp{[a, b^k] : a^k and b^k both fall into K N_2 G^m}."""
-    return _power_commutators(ctx.G, whole_group(ctx.G).members, ctx.KN2Gm(m).members)
+    return _power_commutators(ctx.G, whole_group(ctx.G), ctx.KN2Gm(m))
 
 
 def V_subgroup(ctx: FormulaContext, m: int) -> Subgroup:
     """{a : a^(m/2) in K N_2 G^m}; only defined for even m > 0."""
     if m <= 0 or m % 2:
         raise GroupError("V is defined for even m > 0")
-    return _power_preimage(ctx.G, whole_group(ctx.G).members, m // 2, ctx.KN2Gm(m).members)
+    return power_preimage(ctx.G, whole_group(ctx.G), m // 2, ctx.KN2Gm(m))
 
 
 def W_subgroup(ctx: FormulaContext, m: int) -> Subgroup:
     """{h in H : h^(m/2) in K G_2 G^m}; even m > 0."""
     if m <= 0 or m % 2:
         raise GroupError("W is defined for even m > 0")
-    return _power_preimage(ctx.G, ctx.H.members, m // 2, ctx.KG2Gm(m).members)
+    return power_preimage(ctx.G, ctx.H, m // 2, ctx.KG2Gm(m))
 
 
 def Z2_subgroup(ctx: FormulaContext) -> Subgroup:
@@ -189,7 +198,7 @@ def Z2_subgroup(ctx: FormulaContext) -> Subgroup:
     if e == 0:
         V = whole_group(G)
     else:
-        V = _power_preimage(G, whole_group(G).members, 2 ** (e - 1), ctx.KN2Gm(q).members)
+        V = power_preimage(G, whole_group(G), 2 ** (e - 1), ctx.KN2Gm(q))
     bulk = join(G, [U_subgroup(ctx, q), ctx.N.term(3), power_subgroup(G, V, q)])
     return subgroup_from_members(G, tors2.members & bulk.members)
 
@@ -538,26 +547,37 @@ def fox2_generator_family(
 
 
 def remark_lower_bound(ctx: FormulaContext) -> Subgroup:
-    """H_3 V_H T_1 T_2: the directly-verifiable lower bound for n = 2."""
+    """H_3 V_H T_1 T_2: the directly-verifiable lower bound for n = 2.
+
+    V_H is H^m, or W^m for even m > 0.  The paper prints H^(2m) W^m there,
+    but for h in H, (h^2)^(m/2) = h^m is in G^m <= K G_2 G^m, so h^2 is in
+    W and h^(2m) = (h^2)^m in W^m; the term is dropped.
+
+    T_1 = sgp{[h, k^q] : h, k in H with h^q and k^q in M = K G_2 G^m}
+    (_power_commutators).  T_2 = sgp{[h, k] : h in H ∩ M with h^q in H_2,
+    k in H ∩ K G_2 G^m G^q}, q over one period, is the join over q of
+    [X_q, Y_q] with X_q = {h in H ∩ M : h^q in H_2}, a subgroup as H/H_2 is
+    abelian, and Y_q = H ∩ K G_2 G^gcd(m, q), as G/G_2 is abelian.  As in
+    _build_power_commutators, X_q = X_d and G^n = G^gcd(n, e) for
+    d = gcd(q, e), e = exp(G) (q = 0 gives d = e); as
+    gcd(gcd(m, q), e) = gcd(m, d), also Y_q = Y_d, so q runs over the
+    divisors of e.
+    """
     G = ctx.G
     H = ctx.H
     m = ctx.m
     if m % 2 or m == 0:  # H^m, trivial at m = 0
         vh = power_subgroup(G, H, m)
     else:
-        vh = join(G, [power_subgroup(G, H, 2 * m), power_subgroup(G, W_subgroup(ctx, m), m)])
-    M = ctx.KG2Gm(m).members
-    T1 = _power_commutators(G, H.members, M)
-    # T_2 pairs h in H with h^q in H_2 against k in H with k in K G_2 G^m G^q,
-    # which is K G_2 G^gcd(m, q) because G/G_2 is abelian
-    h2 = ctx.H2().members
-    h_in_M = [h for h in H.members if h in M]
-    t2_pairs = []
-    for q, ptab in enumerate(G.power_rows()):
-        target = ctx.KG2Gm(gcd(m, q)).members
-        t2_pairs.append(([h for h in h_in_M if ptab[h] in h2], [k for k in H.members if k in target]))
-    T2 = generated_subgroup(G, commutator_seeds(G, t2_pairs))
-    return join(G, [ctx.H3(), vh, T1, T2])
+        vh = power_subgroup(G, W_subgroup(ctx, m), m)
+    M = ctx.KG2Gm(m)
+    parts = [ctx.H3(), vh, _power_commutators(G, H, M)]
+    h2, h_in_M = ctx.H2(), power_preimage(G, H, 1, M)
+    for d in _divisors(G.exponent()):
+        X = power_preimage(G, h_in_M, d, h2)
+        Y = power_preimage(G, H, 1, ctx.KG2Gm(gcd(m, d)))
+        parts.append(commutator_subgroup(G, X, Y))
+    return join(G, parts)
 
 
 def corollary_hypotheses(G: FiniteGroup, K: Subgroup) -> dict[str, bool]:
@@ -574,10 +594,8 @@ def corollary_hypotheses(G: FiniteGroup, K: Subgroup) -> dict[str, bool]:
     cond2 = False
     zg = centre(G)
     for N in normal_subgroups(G):
-        if len(N) * len(K) < G.order:
-            continue
-        prod = {G.mul(n, k) for n in N.members for k in K.members}
-        if len(prod) == G.order and (N.members & K.members) <= zg.members:
+        # NK = <N, K> as N is normal
+        if join(G, [N, K]).is_whole() and (N.members & K.members) <= zg.members:
             cond2 = True
             break
     cond3 = False

@@ -144,28 +144,28 @@ class FiniteGroup:
 
     The table is one list of int rows, which mul_rows() returns itself;
     each fact of the whole group is kept once, built on first read: the
-    columns, the element orders (the source of the exponent), the powers
-    and the commutators as plain int lists, and the whole group and its
-    lower central series as a Subgroup and an NSeries (`whole_group`,
-    `lower_central_series`).
+    columns, the element orders and the powers as plain int lists, the
+    exponent, and the whole group and its lower central series as a
+    Subgroup and an NSeries (`whole_group`, `lower_central_series`).
 
     The group also keeps a memo of subgroup facts (`fact`): values that
     depend only on the table and on the member sets or generator tuples
     passed in.  generated_subgroup, commutator_subgroup, power_subgroup,
-    abelian_quotient and the formula helpers that are pure functions of
-    (G, member sets) read it.  Each fact is keyed by its builder and
-    exactly the inputs the builder reads: the seed set of
+    power_preimage, abelian_quotient and the formula helpers that are pure
+    functions of (G, member sets) read it.  Each fact is keyed by its
+    builder and exactly the inputs the builder reads: the seed set of
     generated_subgroup, the generator tuples of commutator_subgroup, the
-    member sets (a Subgroup hashes and compares by its members) for the
-    others; the seed tuple of generated_subgroup is also its generators.  Equal keys build equal values, generators included, so a hit
-    returns the very object a miss would build.  The memo holds at most
-    _FACT_SLOTS // |G| facts (2^16 member slots; 4096 facts at order 16,
-    64 at order 1024) and drops the least recently used first; the whole
-    default corpus leaves 7,453 facts on its 33 groups, 1.9 MB under
-    tracemalloc.  The kept subgroups share one frozenset per distinct
-    member set (shared_members).  Facts that depend on a ring or a
-    modulus, or on anything but the table and these inputs, are not kept
-    here.
+    member sets (a Subgroup hashes and compares by its members) and
+    exponents for the others; the seed tuple of generated_subgroup is also
+    its generators.  Equal keys build equal values, generators included,
+    so a hit returns the very object a miss would build.  The memo holds
+    at most _FACT_SLOTS // |G| facts (2^16 member slots; 4096 facts at
+    order 16, 64 at order 1024) and drops the least recently used first;
+    the whole default corpus leaves 9,748 facts on its 33 groups, 2.4 MB
+    under tracemalloc.  The kept subgroups share one frozenset per
+    distinct member set (shared_members).  Facts that depend on a ring or
+    a modulus, or on anything but the table and these inputs, are not
+    kept here.
 
     An instance is shared: `build_group` hands the same one to every
     caller that names the same family spec in a process, so every case of
@@ -208,8 +208,8 @@ class FiniteGroup:
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
         self._cols: list[list[int]] | None = None
         self._orders: list[int] | None = None
+        self._exponent: int | None = None
         self._powers: list[list[int]] | None = None
-        self._comm_rows: list[list[int]] | None = None
         self._whole: Subgroup | None = None
         self._lower_central: NSeries | None = None
         self._facts: dict[tuple, object] = {}
@@ -276,16 +276,6 @@ class FiniteGroup:
             self._powers = powers
         return self._powers
 
-    def comm_rows(self) -> list[list[int]]:
-        """comm_rows()[a][b] = [a, b] = (ab)(a^-1 b^-1), as plain int lists, built once."""
-        if self._comm_rows is None:
-            rows, inv = self.table, self.inverse
-            self._comm_rows = [
-                [rows[ab][w] for ab, w in zip(row, map(rows[inv[a]].__getitem__, inv))]
-                for a, row in enumerate(rows)
-            ]
-        return self._comm_rows
-
     # -- construction checks ------------------------------------------------
 
     def _find_identity(self) -> int:
@@ -351,7 +341,9 @@ class FiniteGroup:
         return self.element_orders()[a]
 
     def exponent(self) -> int:
-        return lcm(*self.element_orders())
+        if self._exponent is None:
+            self._exponent = lcm(*self.element_orders())
+        return self._exponent
 
     def fact(self, build: Callable, *args):
         """build(self, *args), kept in the group's memo of subgroup facts
@@ -610,20 +602,6 @@ def join(G: FiniteGroup, parts: Sequence[Subgroup]) -> Subgroup:
     return generated_subgroup(G, seeds)
 
 
-def commutator_seeds(
-    G: FiniteGroup, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]
-) -> list[int]:
-    """The distinct [a, b] for a in A, b in B over the (A, B) pairs, in index
-    order, read from rows of the commutator table."""
-    rows = G.comm_rows()
-    seen: set[int] = set()
-    for A, B in pairs:
-        B = list(dict.fromkeys(B))
-        for a in A:
-            seen.update(map(rows[a].__getitem__, B))
-    return sorted(seen)
-
-
 def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
     """[A, B], the normal closure in J = <A, B> of the [x, y] for x over the
     generators X of A and y over the generators Y of B (Robinson, A Course
@@ -666,6 +644,21 @@ def power_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
 def _power(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
     powers = G.power_rows()[m % G.exponent()]
     return generated_subgroup(G, {powers[a] for a in A.members})
+
+
+def power_preimage(G: FiniteGroup, A: Subgroup, k: int, M: Subgroup) -> Subgroup:
+    """{a in A : a^k in M}, asserted to be a subgroup: a set that is not
+    closed raises ClosureError.  k = 1 gives A ∩ M.  It is a subgroup
+    whenever A ∩ M is normal in A with A/(A ∩ M) abelian, as
+    a -> a^k (A ∩ M) is then a homomorphism with this kernel.  Kept on G
+    by the members of A and M and k mod the exponent, as a^k reads only
+    that residue."""
+    return G.fact(_power_preimage, A, k % G.exponent(), M)
+
+
+def _power_preimage(G: FiniteGroup, A: Subgroup, k: int, M: Subgroup) -> Subgroup:
+    powers, target = G.power_rows()[k], M.members
+    return Subgroup(G, shared_members(G, frozenset(a for a in A.members if powers[a] in target)))
 
 
 def centre(G: FiniteGroup) -> Subgroup:
@@ -761,34 +754,32 @@ def nseries_from_level2(G: FiniteGroup, M: Subgroup) -> NSeries:
 def p_torsion_mod(
     G: FiniteGroup, S: Subgroup, p: int, within: Subgroup | None = None
 ) -> Subgroup:
-    """{g : g^(p^k) in S for some k >= 0}, asserted to be a subgroup.
+    """{g in the ambient : g^(p^j) in S for some j >= 0}, asserted to be a
+    subgroup.
 
     Sound whenever the ambient-mod-S quotient is nilpotent (always true
     in this workbench's call sites: S contains a term under which the
     quotient is abelian-by-central).  A closure failure is surfaced,
     never repaired.
+
+    The set is {g : g^q in S} for q = p^b the p-part of exp(G), one power
+    row (power_preimage).  Proof.  Let g have order p^a n' with p not
+    dividing n', so a <= b.  With u n' + v p^a = 1, g = xy for the powers
+    x = g^(u n') and y = g^(v p^a) of g, where x^(p^a) = 1 and y^n' = 1.
+    If g^(p^j) is in S: for j <= b, g^q = (g^(p^j))^(p^(b-j)) is in S; for
+    j > b, g^(p^j) = y^(p^j), and p^j is a unit mod n', so y is a power of
+    g^(p^j) and lies in S, and g^q = y^q is in S.  Conversely take j = b.
     """
     ambient = within if within is not None else whole_group(G)
     if not S.members <= ambient.members:
         raise GroupError("p_torsion_mod: S must lie in the ambient subgroup")
     if not _normalizes(G, ambient.generators, S):
         raise GroupError("p_torsion_mod: S is not normal in the ambient subgroup")
-    kmax = 1
-    q = p
-    while q < G.order:
+    q, e = 1, G.exponent()
+    while e % (q * p) == 0:
         q *= p
-        kmax += 1
-    ptab = G.power_rows()[p % G.exponent()]
-    hits = set()
-    for g in ambient.members:
-        x = g
-        for _ in range(kmax + 1):
-            if x in S.members:
-                hits.add(g)
-                break
-            x = ptab[x]
     try:
-        return subgroup_from_members(G, hits)
+        return power_preimage(G, ambient, q, S)
     except ClosureError as exc:
         raise ClosureError(f"p-torsion set mod S is not a subgroup: {exc}") from exc
 

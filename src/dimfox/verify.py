@@ -82,10 +82,6 @@ class Report:
     extra: dict = field(default_factory=dict)
     ms: float = 0.0
 
-    @property
-    def ok(self) -> bool:
-        return self.equal and all(self.containments.values())
-
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
@@ -498,12 +494,25 @@ def _series_tags(G: FiniteGroup) -> list[str]:
     return tags
 
 
+def _split_names(text: str) -> list[str]:
+    """text cut at its commas outside parentheses, as the element names of
+    a direct product, such as ((x,1),x), hold commas of their own."""
+    names, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "()":
+            depth += 1 if ch == "(" else -1
+        elif ch == "," and depth == 0:
+            names.append(text[start:i])
+            start = i + 1
+    return names + [text[start:]]
+
+
 def _generated(G: FiniteGroup, tokens) -> Subgroup:
     """The subgroup generated by the elements that tokens name: a list of
     element names and indices, or one comma-separated string of names.
     "1" is the identity, and an empty name is skipped."""
     if isinstance(tokens, str):
-        tokens = tokens.split(",")
+        tokens = _split_names(tokens)
     gens = []
     for t in tokens:
         if isinstance(t, str):

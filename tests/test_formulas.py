@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd
 
@@ -29,9 +30,11 @@ from dimfox.formulas import (
 )
 from dimfox.groupring import CoeffRing, dim_subgroup_brute, fox_subgroup_brute
 from dimfox.groups import (
+    ClosureError,
     FiniteGroup,
     GroupError,
     abelian_quotient,
+    all_subgroups,
     build_group,
     centre,
     commutator_subgroup,
@@ -41,6 +44,7 @@ from dimfox.groups import (
     join,
     lower_central_series,
     make_counterexample,
+    normal_subgroups,
     p_torsion_mod,
     power_subgroup,
     subgroup_exponent,
@@ -683,6 +687,138 @@ def test_remark_lower_bound_pieces():
             assert G.comm(h, k) in lb.members
 
 
+# -- literal-definition oracles of the commutator families and torsion sets
+#
+# The formulas build U_m, T_1, T_2 and the p-torsion sets from subgroup
+# primitives; these walk the defining element pairs and powers instead.
+
+
+@lru_cache(maxsize=256)  # printed_lower_bound reads the T_1 just compared
+def literal_power_commutators(G, A, M):
+    """sgp{[a, b^k] : a, b in A with a^k and b^k in M}, k over one period,
+    pair by pair."""
+    seeds = set()
+    for row in G.power_rows():
+        admissible = [a for a in A.members if row[a] in M.members]
+        powers = {row[b] for b in admissible}
+        seeds.update(G.comm(a, c) for a in admissible for c in powers)
+    return generated_subgroup(G, seeds)
+
+
+def literal_T2(ctx):
+    """sgp{[h, k] : h in H ∩ M with h^q in H_2, k in H ∩ K G_2 G^gcd(m, q)},
+    M = K G_2 G^m and q over one period, pair by pair."""
+    G, H, m = ctx.G, ctx.H, ctx.m
+    M, h2 = ctx.KG2Gm(m).members, ctx.H2().members
+    seeds = set()
+    targets = {d: ctx.KG2Gm(d).members for d in {gcd(m, q) for q in range(G.exponent())}}
+    for q, row in enumerate(G.power_rows()):
+        target = targets[gcd(m, q)]
+        xs = [h for h in H.members if h in M and row[h] in h2]
+        ys = [k for k in H.members if k in target]
+        seeds.update(G.comm(h, k) for h in xs for k in ys)
+    return generated_subgroup(G, seeds)
+
+
+def printed_lower_bound(ctx):
+    """The remark's H_3 V_H T_1 T_2 as printed, with V_H = H^(2m) W^m for
+    even m > 0 (W element by element), and T_1, T_2 walked pair by pair."""
+    G, H, m = ctx.G, ctx.H, ctx.m
+    vh = [power_subgroup(G, H, m)]
+    if m and m % 2 == 0:
+        target = ctx.KG2Gm(m).members
+        W = subgroup_from_members(G, [h for h in H.members if G.power(h, m // 2) in target])
+        vh = [power_subgroup(G, H, 2 * m), power_subgroup(G, W, m)]
+    T1 = literal_power_commutators(G, H, ctx.KG2Gm(m))
+    return join(G, [ctx.H3(), *vh, T1, literal_T2(ctx)])
+
+
+def literal_p_torsion(G, S, p, ambient):
+    """{g in ambient : g^(p^j) in S for some j}, walking j while p^j < |G|
+    and one step past."""
+    kmax, q = 1, p
+    while q < G.order:
+        q *= p
+        kmax += 1
+    hits = set()
+    for g in ambient.members:
+        x = g
+        for _ in range(kmax + 1):
+            if x in S.members:
+                hits.add(g)
+                break
+            x = G.power(x, p)
+    return frozenset(hits)
+
+
+def _check_families_match_literal_walks(groups, subgroups_of):
+    """U_m over every series tag, T_1, the lower bound (T_2 and V_H) and
+    p_torsion_mod against the literal walks, for m in {0, 2, 3, 4, 6, 8}
+    and the lists (subs, hs) = subgroups_of(G): K, the torsion ambient and
+    S over subs, H over hs.  Each function is compared once per distinct
+    input it reads; returns the count of comparisons."""
+    count = 0
+    for spec in groups:
+        G = build_group(spec)
+        subs, hs = subgroups_of(G)
+        G2 = lower_central_series(G).term(2)
+        seen = set()  # the member sets K N_2 G^m that U_m has been compared on
+        for m in (0, 2, 3, 4, 6, 8):
+            ring = CoeffRing.parse(m)
+            for tag in _series_tags(G):
+                N = resolve_series(G, tag)
+                for K in subs:
+                    ctx = FormulaContext(G, K, ring, N)
+                    if ctx.KN2Gm(m).members not in seen:
+                        seen.add(ctx.KN2Gm(m).members)
+                        assert U_subgroup(ctx, m) == literal_power_commutators(G, whole_group(G), ctx.KN2Gm(m)), (spec, tag, K.generators, m)
+                        count += 1
+            # T_1 and the lower bound read K through K G_2 alone
+            for K in {join(G, [K, G2]).members: K for K in subs}.values():
+                for H in hs:
+                    ctx = FormulaContext(G, K, ring, H=H)
+                    M = ctx.KG2Gm(m)
+                    assert formulas._power_commutators(G, H, M) == literal_power_commutators(G, H, M), (spec, H.generators, K.generators, m)
+                    assert remark_lower_bound(ctx) == printed_lower_bound(ctx), (spec, H.generators, K.generators, m)
+                    count += 2
+        primes = [p for p in range(2, G.order + 1) if G.order % p == 0 and is_prime(p)]
+        for A in subs:
+            for S in subs:
+                if not (S.members <= A.members and all(G.conj(a, s) in S.members for a in A.generators for s in S.generators)):
+                    continue
+                for p in primes:
+                    hits = literal_p_torsion(G, S, p, A)
+                    try:
+                        closed = subgroup_from_members(G, hits)
+                    except ClosureError:
+                        with pytest.raises(ClosureError, match="p-torsion set mod S is not a subgroup"):
+                            p_torsion_mod(G, S, p, within=A)
+                    else:
+                        assert p_torsion_mod(G, S, p, within=A) == closed, (spec, A.generators, S.generators, p)
+                    count += 1
+    return count
+
+
+def test_commutator_families_and_torsion_sets_match_literal_walks():
+    """The default groups of order <= 16, with all their subgroups."""
+    small = [spec for spec in DEFAULT_GROUPS if build_group(spec).order <= 16]
+    assert _check_families_match_literal_walks(small, lambda G: (all_subgroups(G),) * 2) == 79249
+
+
+@pytest.mark.slow
+def test_commutator_families_and_torsion_sets_match_literal_walks_at_orders_64_to_729():
+    """All subgroups up to order 81.  At order 729, the cyclic subgroups and
+    G, with H cyclic: the walk of T_2 over H = G takes |G|^2 exp(G) steps."""
+
+    def subgroups_of(G):
+        if G.order <= 81:
+            return (all_subgroups(G),) * 2
+        return cyclic_subgroups(G) + [whole_group(G)], cyclic_subgroups(G)
+
+    groups = ["class2:2,1", "dihedral:32", "cyclic:9 x cyclic:9", "class2:3,1"]
+    assert _check_families_match_literal_walks(groups, subgroups_of) == 54084
+
+
 def test_dim3_formula_builds_each_U_once(monkeypatch):
     """U_m is a fact of G, kept by its member sets: on a cold memo each
     distinct U is built once, and a second context on G builds none."""
@@ -802,6 +938,13 @@ def test_corollary_hypotheses():
                 if all(p % q for q in range(2, p))
             )
             assert corollary_hypotheses(G, K)["divisible_image"] == divisible, (spec, sorted(K.members))
+            # central_complement against the literal test: some normal N with NK = G, N ∩ K central
+            complement = any(
+                len({G.mul(n, k) for n in N.members for k in K.members}) == G.order
+                and N.members & K.members <= centre(G).members
+                for N in normal_subgroups(G)
+            )
+            assert corollary_hypotheses(G, K)["central_complement"] == complement, (spec, sorted(K.members))
 
 
 def test_corollary_collapse_when_hypotheses_hold():

@@ -27,6 +27,7 @@ from dimfox.verify import (
     DEFAULT_GROUPS,
     CorpusConfig,
     Report,
+    _generated,
     build_cases,
     report_ok,
     resolve_series,
@@ -323,6 +324,38 @@ def test_cli_parse_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim3", "--group", "cyclic:2 x dihedral:4", "--K", "(x,r)"],
+        ["fox", "--group", "cyclic:2 x class2:2,2", "--H", "(x,1),(1,x),(1,y)", "--n", "1"],
+        [
+            "dim3",
+            "--group",
+            "cyclic:2 x cyclic:2 x cyclic:2",
+            "--K",
+            "((x,1),x),((1,x),1)",
+            "--nseries",
+            "((x,1),1),((1,x),x);((x,1),1)",
+        ],
+    ],
+)
+def test_cli_reads_the_element_names_of_direct_products(capsys, argv):
+    """A direct product's element names hold commas, so a list of them is
+    cut only at the commas outside parentheses: in --K, --H and each level
+    of a series."""
+    assert cli_main(argv) == 0, capsys.readouterr().err
+
+
+def test_element_lists_of_a_product_name_each_element():
+    G = build_group("cyclic:2 x cyclic:2 x cyclic:2")
+    names = ["((x,1),x)", "((1,x),1)"]
+    assert _generated(G, ",".join(names)) == _generated(G, names)
+    assert len(_generated(G, " ((x,1),x) , ,((1,x),1)")) == 4
+    N = resolve_series(G, "((x,1),1),((1,x),x);((x,1),1)")
+    assert [len(t) for t in N.chain] == [8, 4, 2]
+
+
 def test_cli_unknown_flag():
     assert cli_main(["dim3", "--nope"]) == 2
 
@@ -386,6 +419,7 @@ def test_dim3_reduction_check_runs_on_an_order_729_quotient():
         {"kind": "dim3", "group": "dihedral:512", "K": "r", "m": 0},
         {"kind": "dim3", "group": "dihedral:512", "K": "r", "m": 4},
         {"kind": "dim3", "group": "cyclic:2 x class2:2,2", "K": [], "m": 4, "check_reduction": True},
+        {"kind": "dim3", "group": "cyclic:1024", "K": [], "m": 4},
         {"kind": "fox", "group": "cyclic:2 x class2:2,2", "H": ["(x,1)", "(1,x)", "(1,y)"], "K": [], "n": 1, "m": 0},
         {"kind": "fox", "group": "dihedral:512", "H": "r", "K": "f", "n": 2, "m": 0},
     ],
@@ -648,7 +682,8 @@ def test_counterexample_verdict_needs_z_in_the_slice(monkeypatch):
 
 
 def _group_fingerprint(G) -> str:
-    tables = [G.table, G.inverse, list(G.generators), G.mul_cols(), G.power_rows(), G.comm_rows()]
+    comm = [[G.comm(a, b) for b in G.elements()] for a in G.elements()]
+    tables = [G.table, G.inverse, list(G.generators), G.mul_cols(), G.power_rows(), comm]
     return hashlib.sha256(json.dumps(tables).encode()).hexdigest()
 
 
