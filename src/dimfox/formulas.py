@@ -573,10 +573,13 @@ def remark_lower_bound(ctx: FormulaContext) -> Subgroup:
     M = ctx.KG2Gm(m)
     parts = [ctx.H3(), vh, _power_commutators(G, H, M)]
     h2, h_in_M = ctx.H2(), power_preimage(G, H, 1, M)
+    Y: dict[int, Subgroup] = {}  # Y_d, which depends on d through gcd(m, d) alone
     for d in _divisors(G.exponent()):
         X = power_preimage(G, h_in_M, d, h2)
-        Y = power_preimage(G, H, 1, ctx.KG2Gm(gcd(m, d)))
-        parts.append(commutator_subgroup(G, X, Y))
+        g = gcd(m, d)
+        if g not in Y:
+            Y[g] = power_preimage(G, H, 1, ctx.KG2Gm(g))
+        parts.append(commutator_subgroup(G, X, Y[g]))
     return join(G, parts)
 
 

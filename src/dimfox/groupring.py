@@ -6,9 +6,9 @@ demand and cached, so span equality is canonical-form equality and
 membership is row reduction.  A span inside L = R(G)I(H) may keep its
 lattice in the coordinates of L instead (`CosetFrame`).  Dimension and
 Fox subgroups are computed by brute force as {g : g - 1 lies in the
-relevant span}, with subgroup closure of the slice, the left-ideal
-property of the Fox module, and each Fox row lying in L asserted rather
-than assumed.
+relevant span}, with subgroup closure of the slice, the right-ideal
+property of the dim3 module, the left-ideal property of the Fox module,
+and each Fox row lying in L asserted rather than assumed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .groups import (
     NSeries,
     Subgroup,
     join,
+    lower_central_series,
     small_generators,
     subgroup_from_members,
     whole_group,
@@ -76,14 +77,26 @@ def row_translate(G: FiniteGroup, g: int, v: Sequence[int] | dict[int, int]) -> 
     return out
 
 
-def row_translate_right(G: FiniteGroup, v: Sequence[int], g: int) -> list[int]:
-    """v * g, the right translate of a coefficient row."""
-    out = [0] * G.order
+def row_translate_right(G: FiniteGroup, v: Sequence[int] | dict[int, int], g: int) -> list[int] | dict[int, int]:
+    """v * g, the right translate of a coefficient row, in the form v came
+    in: a dense list, or a {column: entry} map."""
     col = G.mul_cols()[g]
+    if isinstance(v, dict):
+        return {col[j]: c for j, c in v.items()}
+    out = [0] * G.order
     for j, c in enumerate(v):
         if c:
             out[col[j]] = c
     return out
+
+
+def _product_row(G: FiniteGroup, s: int, t: int) -> dict[int, int]:
+    """(s - 1)(t - 1) = st - s - t + 1 as a {column: entry} map; st may be
+    1, and s may be t."""
+    row = {G.identity: 1}
+    for y, c in ((G.mul_rows()[s][t], 1), (s, -1), (t, -1)):
+        row[y] = row.get(y, 0) + c
+    return row
 
 
 @dataclass(frozen=True)
@@ -287,10 +300,16 @@ def _add_generator_product(out: ModuleSpan, M: ModuleSpan, S: Subgroup, shifts: 
     """Add to `out` the rows b*t - b (shifts = G.mul_cols()) or t*b - b
     (shifts = G.mul_rows()) for b in basis(M), as rows of R(G), and t in
     S's own generators, less those the ones before it already generate
-    (`small_generators`); for the whole group these are G.generators."""
+    (`small_generators`); for the whole group these are G.generators.
+
+    The basis rows are taken from the last pivot up: the rows they give
+    lead in late columns too, so the bottom of the echelon fills first and
+    each later row lands above fewer rows, with less fill-in.  Building
+    I^3(G) on the order-729 group of Example 2.4 took 0.06-0.07 s in this
+    order and 0.17-0.27 s in pivot order (2-core x86-64 host)."""
     if S.parent is not M.group:
         raise GroupError("subgroup of a different group")
-    basis = M.ring_maps()
+    basis = M.ring_maps()[::-1]
     for t in small_generators(M.group, S.generators):
         perm = shifts[t]
         for b in basis:
@@ -412,6 +431,25 @@ def _slice_of(G: FiniteGroup, candidates: Iterable[int], span: ModuleSpan) -> Su
         raise ClosureError(f"group slice is not a subgroup: {exc}") from exc
 
 
+def _cube_rows(G: FiniteGroup, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The Hermite rows of I^3(G) over Z/d (Z for d = 0), the frozen fact
+    that `dim_modules` keeps on G, built as the weight-3 ideal of the lower
+    central series (`nseries_ideal_power`).
+
+    That ideal is I^3(G).  It holds every product of three factors g - 1,
+    and each of its products (a_1 - 1)...(a_r - 1), a_i in G_(k_i), lies in
+    I^3(G), as a - 1 lies in I^k(G) for a in G_k.  By induction on k: G_k
+    is generated by the [x, y] with x in G_(k-1) and y in G, and
+        [x, y] - 1 = ((x - 1)(y - 1) - (y - 1)(x - 1))x^-1 y^-1
+    lies in I^k(G) once x - 1 lies in I^(k-1)(G); a product keeps this by
+    ab - 1 = (a - 1) + (b - 1) + (a - 1)(b - 1), and in a finite group an
+    inverse is a power.  The recursion starts its lattices from the
+    Hermite bases of I(G_2) and I(G_3), which fewer product rows then grow
+    than an empty lattice.
+    """
+    return nseries_ideal_power(G, lower_central_series(G), 3, CoeffRing(d)).lattice.hermite_rows()
+
+
 def dim_modules(G: FiniteGroup, K: Subgroup, N: NSeries, ring: CoeffRing) -> tuple[ModuleSpan, ModuleSpan]:
     """I(G) and I(K)I(G) + J_3 (the weight-3 filtration ideal), in that
     order.
@@ -421,21 +459,49 @@ def dim_modules(G: FiniteGroup, K: Subgroup, N: NSeries, ring: CoeffRing) -> tup
         I(K)I(G) + J_3 = I(N_3) + X*I(G),   X = I(KN_2) + I(G)I(G),
     since I(K) + I(N_2) + I(G)I(G) = X: it lies in X, and
     kn - 1 = (k - 1) + (n - 1) + (k - 1)(n - 1) gives the converse (KN_2
-    is a subgroup, N_2 being normal).  X*g lies in X for g in G, as
-    (a - 1)g = (a - 1) + (a - 1)(g - 1), so X*I(G) is spanned by the
-    `right_ideal_product` rows b(t - 1), b in basis(X), and X by I(KN_2)
-    and the rows b(t - 1), b in basis(I(G)): two generator products, t in
-    the generators of G.  The fold is special to weight 3: at
-    weight 4 the term J_2*I(N_2) stays, and N = (C2, C2, 1) has
-    J_4 = 2*I(G) but I(N_4) + J_3*I(G) = 4*I(G).
+    is a subgroup, N_2 being normal).  Expanding,
+    X*I(G) = I(KN_2)I(G) + I^3(G), and modulo I^3(G) the product
+    (p - 1)(g - 1) is bilinear:
+        (pq - 1)(g - 1) = (p - 1)(g - 1) + (q - 1)(g - 1)
+                          + (p - 1)(q - 1)(g - 1),
+        (p - 1)(gh - 1) = (p - 1)(g - 1) + (p - 1)(h - 1)
+                          + (p - 1)(g - 1)(h - 1),
+    each last term in I^3(G).  The group is finite, so every p and g is a
+    word in the generators with no inverses, and induction on the word
+    lengths gives
+        I(K)I(G) + J_3 = I^3(G) + I(N_3)
+                         + span{(s - 1)(t - 1) : s in T_KN2, t in T_G},
+    T_KN2 and T_G the generators of KN_2 and of G (`small_generators`).
+    The fold is special to weight 3: at weight 4 the term J_2*I(N_2)
+    stays, and N = (C2, C2, 1) has J_4 = 2*I(G) but
+    I(N_4) + J_3*I(G) = 4*I(G).
+
+    I^3(G) depends on G and the ring alone, so its Hermite rows are a fact
+    of G, keyed by the modulus (`_cube_rows`), and each case writes its
+    lattice from them (`IntLattice.from_hermite_rows`) and adds the basis
+    of I(N_3) and the |T_KN2||T_G| product rows.
+
+    M is then asserted to be a right ideal, as I(K)I(G) + J_3 is: the right
+    translate by every generator t of G of every row that grew M must lie
+    in M.  That is enough: I^3(G) is a two-sided ideal, and M is spanned
+    by I^3(G) and the rows that grew it (a row that did not grow M lies in
+    the span of those before it), so Mt lies in M for each t, and Mg in M
+    for every g, a product of the t (G is finite).
     """
     whole = whole_group(G)
-    cols = G.mul_cols()
     ig = augmentation_ideal(G, whole, ring)
-    x = augmentation_ideal(G, join(G, [K, N.term(2)]), ring)
-    _add_generator_product(x, ig, whole, cols)
-    module = augmentation_ideal(G, N.term(3), ring)
-    _add_generator_product(module, x, whole, cols)
+    lattice = IntLattice.from_hermite_rows(G.order, G.fact(_cube_rows, ring.modulus), ring.modulus)
+    module = ModuleSpan(G, ring, lattice)
+    n3 = N.term(3).sorted_members()
+    rows = [{c: 1, n3[-1]: -1} for c in n3[:-1]]  # I(N_3), as in `augmentation_ideal`
+    tgens = small_generators(G, G.generators)
+    kn2 = join(G, [K, N.term(2)])
+    rows += [_product_row(G, s, t) for s in small_generators(G, kn2.generators) for t in tgens]
+    grew = [row for row in rows if module.add_row(row)]
+    for t in tgens:
+        for row in grew:
+            if not module.contains_row(row_translate_right(G, row, t)):
+                raise GroupError("I(K)I(G) + J_3 is not a right ideal")
     return ig, module
 
 
@@ -545,18 +611,9 @@ def fox_module(G: FiniteGroup, H: Subgroup, K: Subgroup, n: int, ring: CoeffRing
     if n == 1:
         return module
     module = left_ideal_product(whole, module, frame)
-    rows = G.mul_rows()
-    one = G.identity
-    grew = []
     hgens = small_generators(G, H.generators)
-    for k in small_generators(G, K.generators):
-        for h in hgens:
-            # (k - 1)(h - 1) = kh - k - h + 1; kh may be 1, and k may be h
-            row = {one: 1}
-            for y, c in ((rows[k][h], 1), (k, -1), (h, -1)):
-                row[y] = row.get(y, 0) + c
-            if module.add_row(row):
-                grew.append(row)
+    rows = (_product_row(G, k, h) for k in small_generators(G, K.generators) for h in hgens)
+    grew = [row for row in rows if module.add_row(row)]
     for t in small_generators(G, G.generators):
         for row in grew:
             if not module.contains_row(row_translate(G, t, row)):

@@ -161,11 +161,13 @@ class FiniteGroup:
     so a hit returns the very object a miss would build.  The memo holds
     at most _FACT_SLOTS // |G| facts (2^16 member slots; 4096 facts at
     order 16, 64 at order 1024) and drops the least recently used first;
-    the whole default corpus leaves 9,748 facts on its 33 groups, 2.4 MB
+    the whole default corpus leaves 9,840 facts on its 33 groups, 2.6 MB
     under tracemalloc.  The kept subgroups share one frozenset per
-    distinct member set (shared_members).  Facts that depend on a ring or
-    a modulus, or on anything but the table and these inputs, are not
-    kept here.
+    distinct member set (shared_members).  One kind of fact depends on a
+    modulus d as well: the Hermite rows of I^3(G) over Z/d, which
+    `dim_modules` keeps under the key d, as a tuple of tuples.  Facts that
+    depend on K, H or anything but the table and their key are not kept
+    here.
 
     An instance is shared: `build_group` hands the same one to every
     caller that names the same family spec in a process, so every case of
@@ -175,8 +177,8 @@ class FiniteGroup:
     fact is written once, on first read, and depends on the table and its
     key alone, so every reader sees the same value whichever builds it.
     The kept values are frozen (Subgroup, NSeries and AbelianSection are
-    frozen dataclasses over frozensets and tuples), so no reader can change
-    a fact that another reads.
+    frozen dataclasses over frozensets and tuples, and the I^3(G) rows are
+    tuples), so no reader can change a fact that another reads.
     """
 
     def __init__(

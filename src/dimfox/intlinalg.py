@@ -84,12 +84,13 @@ class IntLattice:
     zero rows dropped), so two spans are equal iff their canonical forms
     are equal.
 
-    A lattice is built row by row with `add`, or, for the span of the
-    difference rows e_c - e_t, written directly in Hermite form by
-    `from_differences`.
+    A lattice is built row by row with `add`, or written directly in
+    Hermite form: the span of the difference rows e_c - e_t by
+    `from_differences`, and a basis read earlier by `hermite_rows` by
+    `from_hermite_rows`.
     """
 
-    __slots__ = ("ncols", "modulus", "pivcols", "_rows", "_canonical", "_changes")
+    __slots__ = ("ncols", "modulus", "pivcols", "_rows", "_canonical", "_changes", "_written")
 
     # structural changes tolerated before entries are re-reduced; keeps
     # intermediate integer growth bounded during long insertion runs
@@ -109,6 +110,9 @@ class IntLattice:
         # structural changes since the last normalization; none means every
         # entry above a pivot is reduced
         self._changes = 0
+        # the pivot columns whose rows `add` wrote since the last
+        # normalization: a new row, or a row with a new, smaller pivot
+        self._written: set[int] = set()
         if modulus:
             self.pivcols = list(range(ncols))
             self._rows = {j: {j: modulus} for j in range(ncols)}
@@ -167,6 +171,70 @@ class IntLattice:
             lat.pivcols = [c for c, _ in pairs]
         return lat
 
+    @classmethod
+    def from_hermite_rows(
+        cls, ncols: int, rows: Sequence[Sequence[tuple[int, int]]], modulus: int = 0
+    ) -> IntLattice:
+        """A lattice written from the rows of its reduced Hermite basis, in
+        the frozen form `hermite_rows` reads: each row a tuple of
+        (column, entry) pairs in ascending column order, the rows in
+        ascending pivot order.  The lattice copies the rows into maps of
+        its own, so the tuples can be shared.
+
+        Precondition, checked in O(#entries); a ValueError names the row
+        that breaks it:
+        - each row leads with a positive pivot, right of the pivot of the
+          row before it, and its columns ascend within [0, ncols) with no
+          zero entry;
+        - the rows are reduced: an entry at another row's pivot column c
+          lies in [0, pivot(c));
+        - over Z/m, every column holds a pivot that divides m, and a row
+          with pivot m is that seed row alone, as in any lattice that
+          holds m*Z^ncols (that the rows span such a lattice is not
+          checked).
+        Echelon rows with positive pivots, reduced above every pivot, are
+        the Hermite basis of their span, which is unique, so this is the
+        basis that inserting the rows one at a time with `add` and
+        normalizing would reach.  No change is pending and no canonical
+        form is cached.
+        """
+        pivots: dict[int, int] = {}
+        last = -1
+        for row in rows:
+            if not row or not last < row[0][0] < ncols or row[0][1] <= 0:
+                raise ValueError(
+                    f"from_hermite_rows: row {row} does not lead with a positive pivot in ({last}, {ncols})"
+                )
+            last, pivot = row[0]
+            if modulus and (modulus % pivot or (pivot == modulus and len(row) > 1)):
+                raise ValueError(f"from_hermite_rows: row {row} is not a Hermite row modulo {modulus}")
+            pivots[last] = pivot
+        if modulus and len(pivots) != ncols:
+            missing = min(set(range(ncols)) - pivots.keys())
+            raise ValueError(f"from_hermite_rows: column {missing} holds no pivot modulo {modulus}")
+        for row in rows:
+            prev = row[0][0]
+            for c, x in row[1:]:
+                if not prev < c < ncols or not x:
+                    raise ValueError(f"from_hermite_rows: row {row} has entry {(c, x)} out of order or zero")
+                if c in pivots and not 0 <= x < pivots[c]:
+                    raise ValueError(f"from_hermite_rows: row {row} is not reduced at pivot column {c}")
+                prev = c
+        lat = cls(ncols, modulus)
+        lat._rows = {row[0][0]: dict(row) for row in rows}
+        lat.pivcols = list(pivots)
+        return lat
+
+    def hermite_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The reduced Hermite basis of the (preimage) lattice, normalized
+        first, as the frozen rows that `from_hermite_rows` writes back:
+        tuples of (column, entry) pairs in ascending column order, in pivot
+        order."""
+        if self._changes:
+            self._normalize()
+        rows = self._rows
+        return tuple(tuple(sorted(rows[c].items())) for c in self.pivcols)
+
     def add(self, vec: Sequence[int] | dict[int, int]) -> bool:
         """Insert a vector, dense or a {column: entry} map; returns True if
         the span grew."""
@@ -182,6 +250,7 @@ class IntLattice:
                     v = {c: -x for c, x in v.items()}
                 rows[j] = v
                 insort(self.pivcols, j)
+                self._written.add(j)
                 self._touch()
                 return True
             a = row[j]
@@ -202,6 +271,7 @@ class IntLattice:
                 # the new pivot s*a + t*b = g lies in (0, m) over Z/m: a <= m
                 # and 0 < b < m, so g < m
                 rows[j] = _combine(s, row, t, v, m)
+                self._written.add(j)
                 v = _combine(a // g, v, -(b // g), row, m)
                 changed = True
             # v[j] is now 0 in both branches
@@ -290,10 +360,23 @@ class IntLattice:
     def _normalize(self) -> None:
         """Reduce every entry above a pivot into [0, pivot): one bottom-up
         pass, each row reduced against the rows below it, which are
-        reduced already."""
-        rows = self._rows
-        for c in reversed(self.pivcols):
-            self._eliminate(rows[c], c, self.modulus)
+        reduced already.
+
+        Only the rows with an entry at a written pivot column (`_written`,
+        their own pivot included) are reduced; every other row is reduced
+        already.  Proof: such a row is unchanged since the last
+        normalization, and so is the pivot of each pivot column where it
+        has an entry, as `add` writes a row only at a new pivot column or
+        with a smaller pivot, and reducing a row keeps its pivot.  So each
+        of its entries at a pivot column still lies in [0, pivot).
+        """
+        rows, written = self._rows, self._written
+        if written:
+            for c in reversed(self.pivcols):
+                row = rows[c]
+                if not written.isdisjoint(row):
+                    self._eliminate(row, c, self.modulus)
+            written.clear()
         self._changes = 0
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:

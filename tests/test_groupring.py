@@ -417,23 +417,169 @@ def test_weight_3_fold_does_not_hold_at_weight_4():
     assert folded.canonical() == ((4, -4),)
 
 
+def _series_through_a_normal_subgroup(G: FiniteGroup) -> list[NSeries]:
+    """The series (G, M, M) for each normal M that holds G_2: an N-series,
+    as [G, M] <= M, with N_2 = N_3 = M."""
+    g2 = lower_central_series(G).term(2)
+    return [validate_nseries(G, [whole_group(G), M, M]) for M in normal_subgroups(G) if M.contains_subgroup(g2)]
+
+
+def _assert_weight_3_modules_match(G, K, N, ring) -> None:
+    new, old = dim_modules(G, K, N, ring), composed_dim_modules(G, K, N, 3, ring)
+    label = (G.spec, [len(S) for S in N.chain], K.generators, ring.modulus)
+    assert [s.canonical() for s in new] == [s.canonical() for s in old], label
+
+
 @pytest.mark.parametrize(
     "spec", ["cyclic:2 x cyclic:4", "cyclic:9", "dihedral:4", "quaternion:8", "cyclic:3 x dihedral:3"]
 )
 def test_weight_3_module_matches_composition_for_every_series(spec):
-    """I(K)I(G) + J_3 built as I(N_3) + X*I(G) equals the composition of
-    separately built spans, for every series tag of the corpus (gamma,
-    double, powP), every cyclic K and G, over Z, Z/2, Z/3 and Z/4."""
+    """I(K)I(G) + J_3 built from the kept I^3(G) rows, I(N_3) and the
+    product rows equals the composition of separately built spans, for
+    every series tag of the corpus (gamma, double, powP) and every series
+    (G, M, M) through a normal M, whose N_3 = M need not lie in G_3, so
+    that the rows of I(N_3) and of N_2 matter; every subgroup K; over Z,
+    Z/2, Z/3 and Z/4."""
     G = build_group(spec)
     tags = _series_tags(G)
     assert "double" in tags and (not G.is_abelian() or any(t.startswith("pow") for t in tags))
-    for tag in tags:
+    series = [resolve_series(G, tag) for tag in tags] + _series_through_a_normal_subgroup(G)
+    g3 = lower_central_series(G).term(3)
+    assert any(not g3.contains_subgroup(N.term(3)) for N in series)
+    for N in series:
+        for K in all_subgroups(G):
+            for m in (0, 2, 3, 4):
+                _assert_weight_3_modules_match(G, K, N, CoeffRing.parse(m))
+
+
+def test_weight_3_module_matches_composition_as_kept_facts_are_reused_and_evicted(monkeypatch):
+    """Cases that alternate groups and rings, on fresh groups whose memos
+    keep at most 3 facts each: later cases read the I^3(G) rows an earlier
+    case on the same group and ring kept, other facts push them out and
+    they are built again, and every module equals the composition."""
+    import dimfox.groupring as groupring
+    import dimfox.groups as groups
+
+    monkeypatch.setattr(groups, "_built", {})
+    builds = Counter()
+    cube_rows = groupring._cube_rows
+
+    def counting(G, d):
+        builds[G.spec, d] += 1
+        return cube_rows(G, d)
+
+    monkeypatch.setattr(groupring, "_cube_rows", counting)
+    specs = ["dihedral:4", "cyclic:2 x cyclic:4", "quaternion:8"]
+    for spec in specs:
+        monkeypatch.setattr(build_group(spec), "_fact_cap", 3)
+    cases = 0
+    for m in (0, 4, 0, 2, 4):
+        for spec in specs:
+            G = build_group(spec)
+            for N in [lower_central_series(G)] + _series_through_a_normal_subgroup(G)[:2]:
+                for K in cyclic_subgroups(G):
+                    _assert_weight_3_modules_match(G, K, N, CoeffRing.parse(m))
+                    cases += 1
+    assert sum(builds.values()) < cases, builds
+    assert set(builds) == {(spec, m) for spec in specs for m in (0, 2, 4)}
+    assert all(builds[spec, m] > 1 for spec in specs for m in (0, 4)), builds
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ["class2:2,1", "dihedral:32", "cyclic:9 x cyclic:9", "cyclic:4 x quaternion:8"])
+def test_weight_3_module_matches_composition_at_orders_64_to_81(spec):
+    """The comparison above on groups of order 64 and 81, for every series
+    tag of the corpus, every cyclic K and G, over Z and Z/4."""
+    G = build_group(spec)
+    for tag in _series_tags(G):
         N = resolve_series(G, tag)
         for K in cyclic_subgroups(G) + [whole_group(G)]:
-            for m in (0, 2, 3, 4):
-                ring = CoeffRing.parse(m)
-                new, old = dim_modules(G, K, N, ring), composed_dim_modules(G, K, N, 3, ring)
-                assert [s.canonical() for s in new] == [s.canonical() for s in old], (tag, K.generators, m)
+            for m in (0, 4):
+                _assert_weight_3_modules_match(G, K, N, CoeffRing.parse(m))
+
+
+def test_dim_modules_asserts_a_right_ideal(monkeypatch):
+    """With its one product row taken away, the module for G = C4 = <x>,
+    K = 1 and N = (G, <x^2>, <x^2>) is I^3(G) + Z(x^2 - 1), which is not a
+    right ideal, and is refused: (x^2 - 1)x = (x^2 - 1) + (x^2 - 1)(x - 1),
+    and with u = x - 1, (x^2 - 1)(x - 1) = 2u^2 + u^3, while I(G)/I^3(G) is
+    Z/8 u + Z/2 (u^2 - 2u) (from (1 + u)^4 = 1, 4u = 2u^2 modulo I^3(G)),
+    so 2u^2 = 4u is no multiple of x^2 - 1 = 2u + u^2 = 4u + (u^2 - 2u)."""
+    import dimfox.groupring as groupring
+
+    G = build_group("cyclic:4")
+    x2 = generated_subgroup(G, [G.power(G.generators[0], 2)])
+    N = validate_nseries(G, [whole_group(G), x2, x2])
+    K = trivial_subgroup(G)
+    assert len(x2) == 2 and dim_modules(G, K, N, Z)[1] == composed_dim_modules(G, K, N, 3, Z)[1]
+    monkeypatch.setattr(groupring, "_product_row", lambda G, s, t: {})
+    with pytest.raises(GroupError, match="not a right ideal"):
+        dim_modules(G, K, N, Z)
+
+
+def test_dim_modules_builds_I3_once_and_adds_only_the_case_rows(monkeypatch):
+    """On a cold memo, two dim3 cases on one group and ring build I^3(G)
+    once, and the second adds at most |N_3| - 1 + |T_KN2||T_G| rows to its
+    lattice: the basis of I(N_3) and the product rows."""
+    import dimfox.groupring as groupring
+    import dimfox.groups as groups
+    from dimfox.intlinalg import IntLattice
+
+    monkeypatch.setattr(groups, "_built", {})
+    builds, adds = [], []
+    cube_rows, add = groupring._cube_rows, IntLattice.add
+
+    def counting_build(G, d):
+        builds.append(d)
+        return cube_rows(G, d)
+
+    def counting_add(lat, v):
+        adds.append(v)
+        return add(lat, v)
+
+    monkeypatch.setattr(groupring, "_cube_rows", counting_build)
+    monkeypatch.setattr(IntLattice, "add", counting_add)
+    for spec, series in (("class2:2,1", "gamma"), ("dihedral:8", "double"), ("cyclic:2 x cyclic:4", "pow2")):
+        G = build_group(spec)
+        N = resolve_series(G, series)
+        first, second = cyclic_subgroups(G)[1], cyclic_subgroups(G)[-1]
+        for ring in (Z, CoeffRing.mod(4)):
+            builds.clear()
+            dim_subgroup_brute(G, first, N, ring)
+            adds.clear()
+            dim_subgroup_brute(G, second, N, ring)
+            kn2 = join(G, [second, N.term(2)])
+            bound = len(N.term(3)) - 1 + len(small_generators(G, kn2.generators)) * len(G.generators)
+            assert builds == [ring.modulus] and len(adds) <= bound, (spec, ring, builds, len(adds), bound)
+    # the case from which the count was first read: a warm case on
+    # class2:2,1 with K = 1 adds the 2 rows (c - 1)(x - 1) and (c - 1)(y - 1)
+    G = build_group("class2:2,1")
+    adds.clear()
+    dim_subgroup_brute(G, trivial_subgroup(G), lower_central_series(G), Z)
+    assert len(adds) == 2
+
+
+def test_running_cases_leaves_the_kept_I3_rows_as_a_fresh_build_would(monkeypatch):
+    """The I^3(G) rows that dim3 cases and the exact-sequence checks keep on
+    a fresh G are tuples (frozen), and after the cases ran they equal a
+    fresh build over the same ring: no case writes to what it read."""
+    import dimfox.groupring as groupring
+    import dimfox.groups as groups
+    from dimfox.verify import verify_dim3, verify_four_term, verify_polynomial_sequence
+
+    monkeypatch.setattr(groups, "_built", {})
+    G = build_group("dihedral:4")
+    N = lower_central_series(G)
+    for K in normal_subgroups(G):
+        for m in (0, 2, 4):
+            verify_dim3(G, K, N, CoeffRing.parse(m))
+            verify_polynomial_sequence(G, K, N, CoeffRing.parse(m))
+        verify_four_term(G, K, N)
+    kept = {key[1]: fact for key, fact in G._facts.items() if key[0] is groupring._cube_rows}
+    assert set(kept) == {0, 2, 4}
+    for d, rows in kept.items():
+        assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+        assert rows == groupring._cube_rows(G, d), d
 
 
 def test_fox_brute_examples():

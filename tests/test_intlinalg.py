@@ -359,3 +359,78 @@ def test_from_differences_writes_the_hermite_basis_that_row_insertion_reaches():
 def test_from_differences_refuses_a_broken_precondition(pairs, message, m):
     with pytest.raises(ValueError, match=message):
         IntLattice.from_differences(5, pairs, m)
+
+
+def test_hermite_rows_round_trip_through_from_hermite_rows():
+    """On random lattices over Z, Z/2, Z/4 and Z/6, the frozen rows of a
+    lattice write back a lattice with the same pivots, basis and canonical
+    form, no pending change and no cached canonical form; the copy owns
+    its rows, and later adds agree with the original's."""
+    rng = random.Random(7)
+    for _ in range(150):
+        ncols = rng.randint(0, 8)
+        for m in (0, 2, 4, 6):
+            lat = lattice_from_rows(
+                [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randint(0, ncols + 1))], ncols, m
+            )
+            frozen = lat.hermite_rows()
+            assert all(isinstance(row, tuple) for row in frozen)
+            copy = IntLattice.from_hermite_rows(ncols, frozen, m)
+            _assert_hermite_invariants(copy)
+            assert (copy._changes, copy._canonical) == (0, None)
+            assert copy.pivcols == lat.pivcols and copy.basis_rows() == lat.basis_rows()
+            assert copy.canonical() == lat.canonical(), (ncols, m, frozen)
+            for _ in range(3):
+                v = [rng.randint(-3, 3) for _ in range(ncols)]
+                assert copy.add(v) == lat.add(v)
+                assert copy.canonical() == lat.canonical()
+            assert IntLattice.from_hermite_rows(ncols, frozen, m).hermite_rows() == frozen
+
+
+@pytest.mark.parametrize(
+    "rows, m, message",
+    [
+        ((((1, 2), (3, 1)), ((0, 1),)), 0, r"row \(\(0, 1\),\) does not lead with a positive pivot in \(1, 5\)"),
+        ((((1, -2),),), 0, r"row \(\(1, -2\),\) does not lead with a positive pivot"),
+        ((((5, 1),),), 0, r"row \(\(5, 1\),\) does not lead with a positive pivot in \(-1, 5\)"),
+        ((((0, 1), (3, 2), (2, 1)),), 0, r"row \(\(0, 1\), \(3, 2\), \(2, 1\)\) has entry \(2, 1\) out of order"),
+        ((((0, 1), (2, 0)),), 0, r"row \(\(0, 1\), \(2, 0\)\) has entry \(2, 0\) out of order or zero"),
+        ((((0, 1), (2, 3)), ((2, 3),)), 0, r"row \(\(0, 1\), \(2, 3\)\) is not reduced at pivot column 2"),
+        ((((0, 1), (2, -1)), ((2, 3),)), 0, r"row \(\(0, 1\), \(2, -1\)\) is not reduced at pivot column 2"),
+        ((((0, 3),), ((1, 4),), ((2, 4),), ((3, 4),), ((4, 4),)), 4, r"row \(\(0, 3\),\) is not a Hermite row modulo 4"),
+        ((((0, 4), (1, 1)), ((1, 4),), ((2, 4),), ((3, 4),), ((4, 4),)), 4, r"row \(\(0, 4\), \(1, 1\)\) is not a Hermite"),
+        ((((0, 1),), ((1, 4),), ((3, 4),), ((4, 4),)), 4, "column 2 holds no pivot modulo 4"),
+    ],
+    ids=[
+        "pivot-order", "pivot-negative", "pivot-out-of-range", "columns-unsorted", "zero-entry",
+        "unreduced-high", "unreduced-negative", "pivot-not-dividing-m", "seed-row-with-tail", "missing-pivot-mod-m",
+    ],
+)
+def test_from_hermite_rows_refuses_a_broken_precondition(rows, m, message):
+    with pytest.raises(ValueError, match=message):
+        IntLattice.from_hermite_rows(5, rows, m)
+
+
+def test_normalize_leaves_the_rows_a_pass_over_every_row_leaves():
+    """`_normalize` re-reduces only the rows with an entry at a pivot column
+    written since the last pass.  On random wide sparse lattices over Z
+    and Z/m, with passes every NORMALIZE_EVERY changes in between, the rows
+    it leaves equal those of a pass that reduces every row, at random
+    points of the insertion run."""
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(60):
+        ncols, m = rng.randint(8, 40), rng.choice([0, 2, 4, 6, 9])
+        lat = IntLattice(ncols, m)
+        for _ in range(rng.randint(10, 70)):
+            lat.add({c: rng.randint(-5, 5) or 1 for c in rng.sample(range(ncols), rng.randint(1, 5))})
+            if lat._changes and rng.random() < 0.3:
+                oracle = {c: dict(row) for c, row in lat._rows.items()}
+                for c in reversed(lat.pivcols):
+                    lat._eliminate(oracle[c], c, m)
+                skipped = len(lat.pivcols) - sum(not lat._written.isdisjoint(row) for row in lat._rows.values())
+                lat._normalize()
+                assert lat._rows == oracle, (ncols, m)
+                _assert_hermite_invariants(lat)
+                checked += skipped > 0
+    assert checked > 50
