@@ -200,26 +200,26 @@ class Presentation:
 
 
 def quotient_presentation(
-    lattice: IntLattice, sub_rows: Iterable[Sequence[int]]
-) -> tuple[Presentation, Callable[[Sequence[int]], tuple[int, ...]]]:
+    lattice: IntLattice, sub_rows: Iterable[Sequence[int] | dict[int, int]]
+) -> tuple[Presentation, Callable[[Sequence[int] | dict[int, int]], tuple[int, ...]]]:
     """L/S presented on the normalized basis of the lattice L, with its
     coordinate map.
 
     The relations are the `reduce_with_coeffs` coefficients of the rows of
     S against that basis.  coords(v) reduces a vector v of L the same way,
     checks that nothing is left over and pushes the coefficients to the
-    invariant-factor coordinates of L/S.  A row of S, or a vector given to
-    coords, outside L raises AbelianError.
+    invariant-factor coordinates of L/S.  Rows and vectors are dense or
+    {column: entry} maps, as the lattice takes them.  A row of S, or a
+    vector given to coords, outside L raises AbelianError.
     """
-    rank = len(lattice.basis_rows())  # normalizes, so the coefficients are deterministic
 
-    def coefficients(vec: Sequence[int]) -> list[int]:
-        residual, coeffs = lattice.reduce_with_coeffs(list(vec))
+    def coefficients(vec: Sequence[int] | dict[int, int]) -> list[int]:
+        residual, coeffs = lattice.reduce_with_coeffs(vec)
         if any(residual):
             raise AbelianError("vector is not in the lattice")
         return coeffs
 
-    pres = Presentation([coefficients(row) for row in sub_rows], rank)
+    pres = Presentation([coefficients(row) for row in sub_rows], lattice.rank())
     return pres, lambda vec: pres.push(coefficients(vec))
 
 

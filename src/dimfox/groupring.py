@@ -3,19 +3,22 @@
 A span is an R-submodule of the free module R^|G| given by generator
 rows, kept as an echelon lattice; its canonical form is computed on
 demand and cached, so span equality is canonical-form equality and
-membership is row reduction.  A span inside L = R(G)I(H) may keep its
-lattice in the coordinates of L instead (`CosetFrame`).  Dimension and
-Fox subgroups are computed by brute force as {g : g - 1 lies in the
-relevant span}, with subgroup closure of the slice, the right-ideal
-property of the dim3 module, the left-ideal property of the Fox module,
-and each Fox row lying in L asserted rather than assumed.
+membership is row reduction.  A row of R(G) is a {column: entry} map of
+its nonzero entries, in and out: a product or translate of g - 1 has a
+handful of nonzeros in a row |G| wide.  A span inside L = R(G)I(H) may
+keep its lattice in the coordinates of L instead (`CosetFrame`).
+Dimension and Fox subgroups are computed by brute force as
+{g : g - 1 lies in the relevant span}, with subgroup closure of the
+slice, the right-ideal property of the dim3 module, the left-ideal
+property of the Fox module, and each Fox row lying in L asserted rather
+than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .groups import (
     ClosureError,
@@ -37,57 +40,35 @@ from .abelian import AbelianError, quotient_presentation
 # -- ring element rows --------------------------------------------------------
 
 
-def elem_minus_one(G: FiniteGroup, g: int) -> list[int]:
-    row = [0] * G.order
-    if g != G.identity:
-        row[g] = 1
-        row[G.identity] = -1
-    return row
+def elem_minus_one(G: FiniteGroup, g: int) -> dict[int, int]:
+    """g - 1 as a {column: entry} map, empty for g = 1."""
+    return {g: 1, G.identity: -1} if g != G.identity else {}
 
 
-def row_multiply(G: FiniteGroup, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two group-algebra elements via table convolution, over Z;
-    IntLattice.add reduces the result modulo the lattice's modulus."""
-    out = [0] * G.order
+def row_multiply(G: FiniteGroup, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two group-algebra elements via table convolution, over Z,
+    as a map of its nonzero entries; IntLattice.add reduces the result
+    modulo the lattice's modulus."""
+    out: dict[int, int] = {}
     rows = G.mul_rows()
-    bsup = [(j, cb) for j, cb in enumerate(b) if cb]
-    for i, ca in enumerate(a):
-        if ca:
-            row = rows[i]
-            for j, cb in bsup:
-                out[row[j]] += ca * cb
-    return out
+    for i, ca in a.items():
+        row = rows[i]
+        for j, cb in b.items():
+            k = row[j]
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
 
 
-def _as_map(row: Sequence[int] | dict[int, int]) -> dict[int, int]:
-    """A coefficient row as a {column: entry} map; a map is kept as it is."""
-    return row if isinstance(row, dict) else {j: c for j, c in enumerate(row) if c}
-
-
-def row_translate(G: FiniteGroup, g: int, v: Sequence[int] | dict[int, int]) -> list[int] | dict[int, int]:
-    """g * v, the left translate of a coefficient row, in the form v came
-    in: a dense list, or a {column: entry} map."""
+def row_translate(G: FiniteGroup, g: int, v: dict[int, int]) -> dict[int, int]:
+    """g * v, the left translate of a coefficient row."""
     row = G.mul_rows()[g]
-    if isinstance(v, dict):
-        return {row[j]: c for j, c in v.items()}
-    out = [0] * G.order
-    for j, c in enumerate(v):
-        if c:
-            out[row[j]] = c
-    return out
+    return {row[j]: c for j, c in v.items()}
 
 
-def row_translate_right(G: FiniteGroup, v: Sequence[int] | dict[int, int], g: int) -> list[int] | dict[int, int]:
-    """v * g, the right translate of a coefficient row, in the form v came
-    in: a dense list, or a {column: entry} map."""
+def row_translate_right(G: FiniteGroup, v: dict[int, int], g: int) -> dict[int, int]:
+    """v * g, the right translate of a coefficient row."""
     col = G.mul_cols()[g]
-    if isinstance(v, dict):
-        return {col[j]: c for j, c in v.items()}
-    out = [0] * G.order
-    for j, c in enumerate(v):
-        if c:
-            out[col[j]] = c
-    return out
+    return {col[j]: c for j, c in v.items()}
 
 
 def _product_row(G: FiniteGroup, s: int, t: int) -> dict[int, int]:
@@ -115,8 +96,8 @@ class CosetFrame:
     the kernel of Z(G) -> Z(G/H)), so a lattice with modulus d in these
     coordinates is M + d*L for the M its rows span.
 
-    Rows of R(G) and of coordinates are {column: entry} maps here, which
-    is how the lattice takes them: a Fox row has at most 4 nonzeros and a
+    Rows of R(G) and of coordinates are {column: entry} maps, as
+    everywhere in this module: a Fox row has at most 4 nonzeros and a
     generator-product row twice its basis row's.
     """
 
@@ -177,11 +158,12 @@ class ModuleSpan:
     """An R-submodule of R(G), kept as an echelon lattice whose canonical
     form is computed on demand and cached: the zero module, or the given
     lattice in Z^|G| (over Z/m, the preimage lattice with modulus m).
+    The lattice normalizes on read, so no method here normalizes it.
 
     With a `frame` the module lies in L = R(G)I(H) and the lattice holds
     its coordinates (`CosetFrame`), so `canonical()` and `basis_rows()`
-    are coordinate rows; `add_row`, `ring_maps`, `ring_rows` and
-    `contains_row` speak rows of R(G) either way.
+    are coordinate rows; `add_row`, `ring_maps` and `contains_row` speak
+    rows of R(G) either way, {column: entry} maps only.
     """
 
     def __init__(
@@ -206,32 +188,23 @@ class ModuleSpan:
     def basis_rows(self):
         return self.lattice.basis_rows()
 
-    def add_row(self, row: Sequence[int] | dict[int, int]) -> bool:
-        """Add a row of R(G), dense or a {column: entry} map, asserted to
-        lie in L first in a frame; returns True if the span grew."""
-        return self.lattice.add(row if self.frame is None else self.frame.coords(_as_map(row)))
+    def add_row(self, row: dict[int, int]) -> bool:
+        """Add a row of R(G), asserted to lie in L first in a frame; returns
+        True if the span grew."""
+        return self.lattice.add(row if self.frame is None else self.frame.coords(row))
 
     def ring_maps(self) -> list[dict[int, int]]:
         """The canonical basis as rows of R(G), {column: entry} maps."""
         rows = self.lattice.canonical_maps()
         return rows if self.frame is None else [self.frame.lift(r) for r in rows]
 
-    def ring_rows(self):
-        """The canonical basis as dense rows of R(G)."""
-        if self.frame is None:
-            return self.canonical()
-        n = self.group.order
-        return [[r.get(y, 0) for y in range(n)] for r in self.ring_maps()]
-
-    def contains_row(self, row: Sequence[int] | dict[int, int]) -> bool:
-        """Whether a row of R(G), dense or a {column: entry} map, lies in
-        the module.  In a frame over Z/m: the preimage M + m*Z^|G| meets L
-        in M + m*L (L is saturated), and a row whose coset sums are
-        divisible by m differs from the row of L with the same entries at
-        cols by a multiple of m at the tops."""
+    def contains_row(self, row: dict[int, int]) -> bool:
+        """Whether a row of R(G) lies in the module.  In a frame over Z/m:
+        the preimage M + m*Z^|G| meets L in M + m*L (L is saturated), and a
+        row whose coset sums are divisible by m differs from the row of L
+        with the same entries at cols by a multiple of m at the tops."""
         frame = self.frame
         if frame is not None:
-            row = _as_map(row)
             if not frame.holds(row, self.ring.modulus):
                 return False
             row = frame.project(row)
@@ -290,8 +263,9 @@ def span_product(A: ModuleSpan, B: ModuleSpan) -> ModuleSpan:
         raise GroupError("span_product: group/ring mismatch")
     G = A.group
     out = ModuleSpan(G, A.ring)
-    for ra in A.ring_rows():
-        for rb in B.ring_rows():
+    brows = B.ring_maps()
+    for ra in A.ring_maps():
+        for rb in brows:
             out.lattice.add(row_multiply(G, ra, rb))
     return out
 
@@ -411,12 +385,11 @@ def nseries_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> 
 def group_slice(G: FiniteGroup, span: ModuleSpan) -> Subgroup:
     """{g : g - 1 in span}, with subgroup closure asserted.
 
-    The span is normalized first (`canonical()`): the |G| reductions then
-    run against reduced rows, which are sparser than the rows a build's
-    last `NORMALIZE_EVERY` window leaves, so less fills in.  The Fox
-    slices test only the members of H and skip this.
+    The span's lattice normalizes on read, so the |G| reductions run
+    against reduced rows, which are sparser than the rows a build's last
+    `NORMALIZE_EVERY` window leaves, and no dense canonical form is
+    built.
     """
-    span.canonical()
     return _slice_of(G, G.elements(), span)
 
 
@@ -424,7 +397,7 @@ def _slice_of(G: FiniteGroup, candidates: Iterable[int], span: ModuleSpan) -> Su
     """{g in candidates : g - 1 in span}, with subgroup closure asserted;
     1 - 1 = 0 lies in every span."""
     one = G.identity
-    hits = [g for g in candidates if g == one or span.contains_row({g: 1, one: -1})]
+    hits = [g for g in candidates if g == one or span.contains_row(elem_minus_one(G, g))]
     try:
         return subgroup_from_members(G, hits)
     except ClosureError as exc:
@@ -450,9 +423,8 @@ def _cube_rows(G: FiniteGroup, d: int) -> tuple[tuple[tuple[int, int], ...], ...
     return nseries_ideal_power(G, lower_central_series(G), 3, CoeffRing(d)).lattice.hermite_rows()
 
 
-def dim_modules(G: FiniteGroup, K: Subgroup, N: NSeries, ring: CoeffRing) -> tuple[ModuleSpan, ModuleSpan]:
-    """I(G) and I(K)I(G) + J_3 (the weight-3 filtration ideal), in that
-    order.
+def dim_modules(G: FiniteGroup, K: Subgroup, N: NSeries, ring: CoeffRing) -> ModuleSpan:
+    """I(K)I(G) + J_3, with J_3 the weight-3 filtration ideal.
 
     By Lemma A (`nseries_ideal_power`), J_3 = I(N_3) + J_2*I(G), and
     J_2 = I(N_2) + I(G)I(G) as N_1 = G.  So
@@ -488,8 +460,6 @@ def dim_modules(G: FiniteGroup, K: Subgroup, N: NSeries, ring: CoeffRing) -> tup
     the span of those before it), so Mt lies in M for each t, and Mg in M
     for every g, a product of the t (G is finite).
     """
-    whole = whole_group(G)
-    ig = augmentation_ideal(G, whole, ring)
     lattice = IntLattice.from_hermite_rows(G.order, G.fact(_cube_rows, ring.modulus), ring.modulus)
     module = ModuleSpan(G, ring, lattice)
     n3 = N.term(3).sorted_members()
@@ -502,7 +472,7 @@ def dim_modules(G: FiniteGroup, K: Subgroup, N: NSeries, ring: CoeffRing) -> tup
         for row in grew:
             if not module.contains_row(row_translate_right(G, row, t)):
                 raise GroupError("I(K)I(G) + J_3 is not a right ideal")
-    return ig, module
+    return module
 
 
 def slice_ring(G: FiniteGroup, ring: CoeffRing, w: int) -> CoeffRing | None:
@@ -547,7 +517,7 @@ def dim_subgroup_brute(G: FiniteGroup, K: Subgroup, N: NSeries, ring: CoeffRing)
     R = slice_ring(G, ring, 2)
     if R is None:
         return whole_group(G)
-    return group_slice(G, dim_modules(G, K, N, R)[1])
+    return group_slice(G, dim_modules(G, K, N, R))
 
 
 def _check_fox(n: int) -> None:

@@ -84,6 +84,10 @@ class IntLattice:
     zero rows dropped), so two spans are equal iff their canonical forms
     are equal.
 
+    The lattice normalizes on read: `add` leaves up to `NORMALIZE_EVERY`
+    changes pending, and every read settles them first through
+    `_normalize`, so a caller never normalizes a lattice itself.
+
     A lattice is built row by row with `add`, or written directly in
     Hermite form: the span of the difference rows e_c - e_t by
     `from_differences`, and a basis read earlier by `hermite_rows` by
@@ -230,8 +234,7 @@ class IntLattice:
         first, as the frozen rows that `from_hermite_rows` writes back:
         tuples of (column, entry) pairs in ascending column order, in pivot
         order."""
-        if self._changes:
-            self._normalize()
+        self._normalize()
         rows = self._rows
         return tuple(tuple(sorted(rows[c].items())) for c in self.pivcols)
 
@@ -329,22 +332,26 @@ class IntLattice:
             self.add(v)
 
     def reduce(self, vec: Sequence[int] | dict[int, int]) -> list[int] | dict[int, int]:
-        """Residual of vec after reduction against the rows (pure), in the
-        form vec came in: a dense list, or a map of its nonzero entries."""
+        """Residual of vec after reduction against the normalized rows, in
+        the form vec came in: a dense list, or a map of its nonzero
+        entries."""
+        self._normalize()
         v = _entry_map(vec, self.ncols, self.modulus)
         self._eliminate(v, -1, self.modulus)
         return v if isinstance(vec, dict) else self._dense(v)
 
     def reduce_with_coeffs(self, vec: Sequence[int] | dict[int, int]) -> tuple[list[int], list[int]]:
-        """Residual plus the coefficients used against each stored row, in
-        exact integer arithmetic: vec == coeffs . rows + residual.
+        """Residual plus the coefficients used against each row of the
+        normalized basis, in exact integer arithmetic:
+        vec == coeffs . rows + residual.
 
-        The rows are a basis of the (preimage) lattice, so the residual is
-        zero iff vec lies in it.  Nothing is reduced modulo m on the way:
-        that would drop multiples of m*e_j that the coefficients do not
-        record.  Rows should be normalized first if deterministic
-        coefficients matter.
+        The rows are the reduced Hermite basis of the (preimage) lattice,
+        which is unique, so the coefficients are too, and the residual is
+        zero iff vec lies in the lattice.  Nothing is reduced modulo m on
+        the way: that would drop multiples of m*e_j that the coefficients
+        do not record.
         """
+        self._normalize()
         v = _entry_map(vec, self.ncols, 0)
         used: dict[int, int] = {}
         self._eliminate(v, -1, 0, used)
@@ -360,7 +367,10 @@ class IntLattice:
     def _normalize(self) -> None:
         """Reduce every entry above a pivot into [0, pivot): one bottom-up
         pass, each row reduced against the rows below it, which are
-        reduced already.
+        reduced already.  Every read (`reduce`, `reduce_with_coeffs`,
+        `contains`, `canonical`, `canonical_maps`, `basis_rows`,
+        `hermite_rows`) calls it first; with no change pending it does
+        nothing.
 
         Only the rows with an entry at a written pivot column (`_written`,
         their own pivot included) are reduced; every other row is reduced
@@ -381,28 +391,25 @@ class IntLattice:
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
         """Unique reduced basis; over Z/m the Howell-form rows."""
-        if self._canonical is not None:
-            return self._canonical
-        if self._changes:
-            self._normalize()
-        m = self.modulus
-        rows = self._rows
-        # over Z/m every entry is already in [0, m): `add` and `_normalize`
-        # reduce what they write, and every pivot they write is below m.  So
-        # a row with pivot m is an untouched seed row m*e_j, zero modulo m.
-        self._canonical = tuple(tuple(self._dense(rows[c])) for c in self.pivcols if rows[c][c] != m)
+        if self._canonical is None:
+            self._canonical = tuple(tuple(self._dense(row)) for row in self.canonical_maps())
         return self._canonical
 
     def canonical_maps(self) -> list[dict[int, int]]:
-        """The rows of `canonical()`, as fresh {column: entry} maps."""
-        self.canonical()
+        """The rows of `canonical()`, as fresh {column: entry} maps; no
+        dense form is built or cached.
+
+        Over Z/m every entry is already in [0, m): `add` and `_normalize`
+        reduce what they write, and every pivot they write is below m.  So
+        a row with pivot m is an untouched seed row m*e_j, zero modulo m,
+        and is left out."""
+        self._normalize()
         rows, m = self._rows, self.modulus
         return [dict(rows[c]) for c in self.pivcols if rows[c][c] != m]
 
     def basis_rows(self) -> tuple[tuple[int, ...], ...]:
         """Normalized integer basis of the (preimage) lattice."""
-        if self._changes:
-            self._normalize()
+        self._normalize()
         return tuple(map(tuple, self.rows))
 
     def rank(self) -> int:
@@ -421,7 +428,7 @@ class IntLattice:
         return hash((self.ncols, self.modulus, self.canonical()))
 
 
-def lattice_from_rows(rows: Iterable[Sequence[int]], ncols: int, modulus: int = 0) -> IntLattice:
+def lattice_from_rows(rows: Iterable[Sequence[int] | dict[int, int]], ncols: int, modulus: int = 0) -> IntLattice:
     lat = IntLattice(ncols, modulus)
     lat.add_all(rows)
     return lat

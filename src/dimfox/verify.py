@@ -27,6 +27,7 @@ from .formulas import (
     remark_lower_bound,
 )
 from .groupring import (
+    CosetFrame,
     ModuleSpan,
     augmentation_ideal,
     dim_modules,
@@ -187,21 +188,22 @@ def verify_fox(G: FiniteGroup, H: Subgroup, K: Subgroup, n: int, ring: CoeffRing
 # -- exact sequence checks -----------------------------------------------------
 
 
-def _pushforward_rows(G: FiniteGroup, Q: FiniteGroup, proj, rows) -> list[list[int]]:
+def _pushforward_rows(proj, rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The images π(row) in R(G/K) of rows of R(G), for π read off proj."""
     out = []
     for row in rows:
-        v = [0] * Q.order
-        for g, c in enumerate(row):
-            if c:
-                v[proj[g]] += c
+        v: dict[int, int] = {}
+        for g, c in row.items():
+            v[proj[g]] = v.get(proj[g], 0) + c
         out.append(v)
     return out
 
 
-def _middle_kernel(G: FiniteGroup, proj, reps: list[int], jq: ModuleSpan) -> IntLattice:
-    """I(G) ∩ π⁻¹(J) for π : R(G) -> R(G/K) and J = jq ⊆ I(G/K), built
-    directly as R(G)I(K) + λ(J), where λ places a row of R(G/K) on the
-    coset representatives reps (the section of `quotient_group`).
+def _middle_kernel(G: FiniteGroup, K: Subgroup, reps: list[int], jq: ModuleSpan) -> IntLattice:
+    """I(G) ∩ π⁻¹(J) for π : R(G) -> R(G/K), K normal, and
+    J = jq ⊆ I(G/K), built directly as R(G)I(K) + λ(J), where λ places a
+    row of R(G/K) on the coset representatives reps (the section of
+    `quotient_group`).
 
     The rows are e_g - e_top(gK) for each g that is not the largest
     element top(gK) of its coset, and each canonical row of J placed on
@@ -215,19 +217,19 @@ def _middle_kernel(G: FiniteGroup, proj, reps: list[int], jq: ModuleSpan) -> Int
       the rows e_g - e_top.  Each such g is below its top and no top is
       such a g, so `IntLattice.from_differences` writes them as the
       Hermite basis directly; the rows of λ(J) are then added one by one.
+      K is normal, so its left cosets gK are the fibres of π, and the
+      tops and the g are those of the weight-0 Fox basis,
+      `CosetFrame.of(G, K)`.
     - Over Z/m the lattice is the full preimage in Z^|G|, which holds
       m·e_g = m(e_g - e_top) + m·e_top, so seeding mZ^|G| adds nothing;
       for the same reason the seed rows m·e_c of J's lattice, which the
       canonical rows leave out, would place only rows m·e_rep it holds.
     """
-    n = G.order
-    top = [0] * len(reps)
-    for g in range(n):
-        top[proj[g]] = g  # g ascends, so the last g of each coset is its largest
-    pairs = ((g, top[proj[g]]) for g in range(n) if g != top[proj[g]])
-    lat = IntLattice.from_differences(n, pairs, jq.ring.modulus)
-    for jrow in jq.canonical():
-        lat.add({reps[c]: x for c, x in enumerate(jrow) if x})
+    frame = CosetFrame.of(G, K)
+    pairs = ((g, frame.tops[g]) for g in frame.cols)
+    lat = IntLattice.from_differences(G.order, pairs, jq.ring.modulus)
+    for jrow in jq.ring_maps():
+        lat.add({reps[c]: x for c, x in jrow.items()})
     return lat
 
 
@@ -247,22 +249,19 @@ def _exactness(
     if not K.is_normal():
         raise GroupError(f"{check} check needs a normal subgroup")
     kn3 = join(G, [K, N.term(3)])
-    ig, mspan = dim_modules(G, K, N, ring)
-    n, m = G.order, ring.modulus
-    im_lat = lattice_from_rows(
-        list(mspan.basis_rows()) + [elem_minus_one(G, a) for a in sorted(kn3.members)], n, m
-    )
+    ig = augmentation_ideal(G, whole_group(G), ring)
+    mspan = dim_modules(G, K, N, ring)
+    m = ring.modulus
+    im_lat = lattice_from_rows(mspan.ring_maps() + [elem_minus_one(G, a) for a in sorted(kn3.members)], G.order, m)
     Q, proj, reps = quotient_group(G, K)
     piN = validate_nseries(
         Q, [generated_subgroup(Q, [proj[a] for a in t.members]) for t in N.chain]
     )
     jq = nseries_ideal_power(Q, piN, 3, ring)
-    push = lattice_from_rows(
-        _pushforward_rows(G, Q, proj, ig.basis_rows()) + list(jq.basis_rows()), Q.order, m
-    )
+    push = lattice_from_rows(_pushforward_rows(proj, ig.ring_maps()) + jq.ring_maps(), Q.order, m)
     iq = augmentation_ideal(Q, whole_group(Q), ring).lattice
     exact = {
-        "exact_at_middle": im_lat.canonical() == _middle_kernel(G, proj, reps, jq).canonical(),
+        "exact_at_middle": im_lat.canonical() == _middle_kernel(G, K, reps, jq).canonical(),
         "surjective_at_right": push.canonical() == iq.canonical(),
     }
     return kn3, ig, mspan, exact

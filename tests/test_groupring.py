@@ -94,10 +94,14 @@ def ideal_power_naive(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> Mo
             for a in pools[i]:
                 rec(i + 1, row_multiply(G, acc, elem_minus_one(G, a)))
 
-        one = [0] * G.order
-        one[G.identity] = 1
-        rec(0, one)
+        rec(0, {G.identity: 1})
     return out
+
+
+def row_map(v) -> dict:
+    """A dense coefficient row as the {column: entry} map of its nonzero
+    entries, the one row format of R(G)."""
+    return {j: c for j, c in enumerate(v) if c}
 
 
 def span_sum(parts) -> ModuleSpan:
@@ -114,7 +118,7 @@ def lifted(span: ModuleSpan) -> ModuleSpan:
     """The span in the coordinates of R(G): a span kept in the coordinates
     of R(G)I(H) has its basis lifted back and the modulus seeded again."""
     G, m = span.group, span.ring.modulus
-    return ModuleSpan(G, span.ring, lattice_from_rows(span.ring_rows(), G.order, m))
+    return ModuleSpan(G, span.ring, lattice_from_rows(span.ring_maps(), G.order, m))
 
 
 def composed_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) -> ModuleSpan:
@@ -128,10 +132,10 @@ def composed_ideal_power(G: FiniteGroup, N: NSeries, n: int, ring: CoeffRing) ->
     return J[n]
 
 
-def composed_dim_modules(G, K, N, n, ring) -> tuple[ModuleSpan, ModuleSpan]:
-    """I(G) and I(K)I(G) + J_n from separately built spans."""
+def composed_dim_module(G, K, N, n, ring) -> ModuleSpan:
+    """I(K)I(G) + J_n from separately built spans."""
     ig = augmentation_ideal(G, whole_group(G), ring)
-    return ig, span_sum([left_ideal_product(K, ig), composed_ideal_power(G, N, n, ring)])
+    return span_sum([left_ideal_product(K, ig), composed_ideal_power(G, N, n, ring)])
 
 
 def composed_fox_modules(G, H, K, n, ring) -> tuple[ModuleSpan, ModuleSpan]:
@@ -155,7 +159,7 @@ def translate_closure_naive(span: ModuleSpan) -> ModuleSpan:
     """R-span of all left G-translates of the given span."""
     G = span.group
     out = ModuleSpan(G, span.ring)
-    base = span.canonical()
+    base = span.ring_maps()
     for g in G.elements():
         for row in base:
             out.lattice.add(row_translate(G, g, row))
@@ -229,8 +233,8 @@ def test_span_product_examples():
     I = augmentation_ideal(C2, whole_group(C2), Z)
     I2 = span_product(I, I)
     # (x-1)^2 = -2(x-1)
-    assert I2.contains_row([2, -2])
-    assert not I2.contains_row([1, -1])
+    assert I2.contains_row({0: 2, 1: -2})
+    assert not I2.contains_row({0: 1, 1: -1})
     assert span_product(ModuleSpan(C2, Z), I).is_zero()
 
 
@@ -253,7 +257,7 @@ def test_span_sum_idempotent_and_filtration():
     assert span_sum([I2, I2]) == I2
     assert span_sum([I2, I3]) == I2  # containment
     for low, high in [(I2, I), (I3, I2)]:
-        for row in low.canonical():
+        for row in low.ring_maps():
             assert high.contains_row(row)
 
 
@@ -318,7 +322,7 @@ def test_gamma_powers_are_plain_powers():
 def test_membership_examples():
     C4 = build_group("cyclic:4")
     I = augmentation_ideal(C4, whole_group(C4), Z)
-    assert I.contains_row([0, 0, 0, 0])
+    assert I.contains_row({})
     assert I.contains_row(elem_minus_one(C4, 1))
     I3 = nseries_ideal_power(C4, lower_central_series(C4), 3, CoeffRing.mod(2))
     assert not I3.contains_row(elem_minus_one(C4, 2))
@@ -345,7 +349,7 @@ def test_membership_against_dense_solver():
                 if got == v:
                     brute = True
                     break
-            assert span.contains_row(v) == brute
+            assert span.contains_row(row_map(v)) == brute
 
 
 def test_group_slice_examples():
@@ -359,6 +363,23 @@ def test_group_slice_examples():
         N = lower_central_series(G)
         I2 = nseries_ideal_power(G, N, 2, Z)
         assert group_slice(G, I2) == N.term(2), spec
+
+
+def test_group_slice_leaves_no_dense_canonical_form():
+    """A slice reads its module through membership alone: after
+    `group_slice` of a freshly built module, as after `canonical_maps`, the
+    lattice caches no dense canonical tuple (a rank x |G| table the slice
+    never reads)."""
+    for spec, m in (("dihedral:4", 0), ("class2:2,1", 0), ("class2:2,1", 4)):
+        G = build_group(spec)
+        ring = CoeffRing.parse(m)
+        K = cyclic_subgroups(G)[-1]
+        N = lower_central_series(G)
+        span = dim_modules(G, K, N, ring)
+        assert group_slice(G, span) == dim_subgroup_brute(G, K, N, ring)
+        assert span.lattice._canonical is None, spec
+        span.ring_maps()
+        assert span.lattice._canonical is None, spec
 
 
 def test_dim_subgroup_brute_examples():
@@ -425,9 +446,9 @@ def _series_through_a_normal_subgroup(G: FiniteGroup) -> list[NSeries]:
 
 
 def _assert_weight_3_modules_match(G, K, N, ring) -> None:
-    new, old = dim_modules(G, K, N, ring), composed_dim_modules(G, K, N, 3, ring)
+    new, old = dim_modules(G, K, N, ring), composed_dim_module(G, K, N, 3, ring)
     label = (G.spec, [len(S) for S in N.chain], K.generators, ring.modulus)
-    assert [s.canonical() for s in new] == [s.canonical() for s in old], label
+    assert new.canonical() == old.canonical(), label
 
 
 @pytest.mark.parametrize(
@@ -511,7 +532,7 @@ def test_dim_modules_asserts_a_right_ideal(monkeypatch):
     x2 = generated_subgroup(G, [G.power(G.generators[0], 2)])
     N = validate_nseries(G, [whole_group(G), x2, x2])
     K = trivial_subgroup(G)
-    assert len(x2) == 2 and dim_modules(G, K, N, Z)[1] == composed_dim_modules(G, K, N, 3, Z)[1]
+    assert len(x2) == 2 and dim_modules(G, K, N, Z) == composed_dim_module(G, K, N, 3, Z)
     monkeypatch.setattr(groupring, "_product_row", lambda G, s, t: {})
     with pytest.raises(GroupError, match="not a right ideal"):
         dim_modules(G, K, N, Z)
@@ -520,14 +541,15 @@ def test_dim_modules_asserts_a_right_ideal(monkeypatch):
 def test_dim_modules_builds_I3_once_and_adds_only_the_case_rows(monkeypatch):
     """On a cold memo, two dim3 cases on one group and ring build I^3(G)
     once, and the second adds at most |N_3| - 1 + |T_KN2||T_G| rows to its
-    lattice: the basis of I(N_3) and the product rows."""
+    lattice: the basis of I(N_3) and the product rows.  It builds no
+    augmentation ideal at all, I(G) included."""
     import dimfox.groupring as groupring
     import dimfox.groups as groups
     from dimfox.intlinalg import IntLattice
 
     monkeypatch.setattr(groups, "_built", {})
-    builds, adds = [], []
-    cube_rows, add = groupring._cube_rows, IntLattice.add
+    builds, adds, ideals = [], [], []
+    cube_rows, add, ideal = groupring._cube_rows, IntLattice.add, groupring.augmentation_ideal
 
     def counting_build(G, d):
         builds.append(d)
@@ -537,8 +559,13 @@ def test_dim_modules_builds_I3_once_and_adds_only_the_case_rows(monkeypatch):
         adds.append(v)
         return add(lat, v)
 
+    def counting_ideal(G, S, ring):
+        ideals.append(S)
+        return ideal(G, S, ring)
+
     monkeypatch.setattr(groupring, "_cube_rows", counting_build)
     monkeypatch.setattr(IntLattice, "add", counting_add)
+    monkeypatch.setattr(groupring, "augmentation_ideal", counting_ideal)
     for spec, series in (("class2:2,1", "gamma"), ("dihedral:8", "double"), ("cyclic:2 x cyclic:4", "pow2")):
         G = build_group(spec)
         N = resolve_series(G, series)
@@ -547,10 +574,12 @@ def test_dim_modules_builds_I3_once_and_adds_only_the_case_rows(monkeypatch):
             builds.clear()
             dim_subgroup_brute(G, first, N, ring)
             adds.clear()
+            ideals.clear()
             dim_subgroup_brute(G, second, N, ring)
             kn2 = join(G, [second, N.term(2)])
             bound = len(N.term(3)) - 1 + len(small_generators(G, kn2.generators)) * len(G.generators)
             assert builds == [ring.modulus] and len(adds) <= bound, (spec, ring, builds, len(adds), bound)
+            assert not ideals, (spec, ring, ideals)
     # the case from which the count was first read: a warm case on
     # class2:2,1 with K = 1 adds the 2 rows (c - 1)(x - 1) and (c - 1)(y - 1)
     G = build_group("class2:2,1")
@@ -626,11 +655,9 @@ def _all_pairs_fox_module(G, H, K, ring) -> ModuleSpan:
     for k in K.sorted_members():
         for h in H.sorted_members():
             if k != one and h != one:
-                row = [0] * G.order
-                row[G.mul(k, h)] += 1
-                row[k] -= 1
-                row[h] -= 1
-                row[one] += 1
+                row: dict = {}
+                for y, c in ((G.mul(k, h), 1), (k, -1), (h, -1), (one, 1)):
+                    row[y] = row.get(y, 0) + c
                 module.add_row(row)
     return module
 
@@ -661,7 +688,7 @@ def test_fox_module_asserts_a_left_ideal(monkeypatch):
     G = build_group("dihedral:4")
     W = whole_group(G)
     fox_module(G, W, W, 2, Z)
-    monkeypatch.setattr(groupring, "row_translate", lambda G, g, v: [1] + [0] * (G.order - 1))
+    monkeypatch.setattr(groupring, "row_translate", lambda G, g, v: {G.identity: 1})
     with pytest.raises(GroupError, match="not a left ideal"):
         fox_module(G, W, W, 2, Z)
 
@@ -697,14 +724,14 @@ def test_span_in_coset_coordinates_reads_like_its_lift(m):
     H, K = _non_normal_first(G)[:2]
     span = fox_module(G, H, K, 2, ring)
     full = lifted(span)
-    basis = span.ring_rows()
-    cosets = fox_module(G, H, K, 0, ring).canonical()
+    basis = span.ring_maps()
+    cosets = fox_module(G, H, K, 0, ring).ring_maps()
     rows = [elem_minus_one(G, g) for g in G.elements()]
     for _ in range(60):
         picks = basis if rng.random() < 0.5 else cosets
-        row = [sum(rng.randint(-3, 3) * b[j] for b in picks) for j in range(G.order)]
-        rows.append([x + m * rng.randint(-2, 2) for x in row])
-        rows.append([rng.randint(-2, 2) for _ in range(G.order)])
+        row = [sum(rng.randint(-3, 3) * b.get(j, 0) for b in picks) for j in range(G.order)]
+        rows.append(row_map([x + m * rng.randint(-2, 2) for x in row]))
+        rows.append(row_map([rng.randint(-2, 2) for _ in range(G.order)]))
     hits = [span.contains_row(row) for row in rows]
     assert hits == [full.contains_row(row) for row in rows]
     assert 0 < sum(hits) < len(rows)
@@ -781,18 +808,45 @@ def test_module_quotient_presentation_coords():
         assert coords(s) == pres.group.add(coords(ru), coords(rv))
 
 
+def _dense_product(G: FiniteGroup, a: list, b: list) -> list:
+    """The oracle for `row_multiply`: the dense convolution
+    sum_{i,j} a_i b_j e_{ij} over every pair of columns."""
+    out = [0] * G.order
+    for i in range(G.order):
+        for j in range(G.order):
+            out[G.mul(i, j)] += a[i] * b[j]
+    return out
+
+
 def test_row_multiply_is_ring_product():
     D4 = build_group("dihedral:4")
     rng = random.Random(2)
     for _ in range(20):
         a = [rng.randint(-2, 2) for _ in range(8)]
         b = [rng.randint(-2, 2) for _ in range(8)]
-        out = row_multiply(D4, a, b)
-        expected = [0] * 8
-        for i in range(8):
-            for j in range(8):
-                expected[D4.mul(i, j)] += a[i] * b[j]
-        assert out == expected
+        out = row_multiply(D4, row_map(a), row_map(b))
+        assert out == row_map(_dense_product(D4, a, b))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:6", "quaternion:8", "cyclic:3 x dihedral:3"])
+def test_row_multiply_on_maps_equals_the_dense_convolution(spec):
+    """On maps, `row_multiply` returns exactly the nonzero entries of the
+    dense convolution: products that cancel leave no zero entry behind,
+    the empty map is zero, and sparse rows (g - 1, e_g) multiply as the
+    dense ones do."""
+    G = build_group(spec)
+    n = G.order
+    rng = random.Random(n)
+    dense = [[rng.choice((0, 0, -1, 1, 2)) for _ in range(n)] for _ in range(12)]
+    dense += [[0] * n, [(j == 1) - (j == G.identity) for j in range(n)], [int(j == n - 1) for j in range(n)]]
+    for a in dense:
+        for b in dense:
+            assert row_multiply(G, row_map(a), row_map(b)) == row_map(_dense_product(G, a, b))
+    # (g - 1)(g^-1 - 1) = 2 - g - g^-1: the cross terms g*g^-1 and 1 meet
+    g = G.generators[0]
+    a, b = ([(j == x) - (j == G.identity) for j in range(n)] for x in (g, G.inv(g)))
+    product = row_multiply(G, elem_minus_one(G, g), elem_minus_one(G, G.inv(g)))
+    assert product == row_map(_dense_product(G, a, b)) == {G.identity: 2, g: -1, G.inv(g): -1}
 
 
 def _non_normal_first(G: FiniteGroup):
@@ -844,7 +898,7 @@ def _module_forms(G, subs, series, rings) -> list:
         for N in series:
             out += [nseries_ideal_power(G, N, n, ring).canonical() for n in (1, 2, 3, 4)]
             for K in subs:
-                out += [module.canonical() for module in dim_modules(G, K, N, ring)]
+                out.append(dim_modules(G, K, N, ring).canonical())
         for H in subs:
             for K in subs:
                 out += [fox_module(G, H, K, n, ring).canonical() for n in (1, 2)]
@@ -900,7 +954,7 @@ def _direct_slices(case: dict, G: FiniteGroup) -> tuple:
     K = generated_subgroup(G, case["K"])
     if case["kind"] == "dim3":
         N = resolve_series(G, case["series"])
-        direct = group_slice(G, dim_modules(G, K, N, ring)[1])
+        direct = group_slice(G, dim_modules(G, K, N, ring))
         return dim_subgroup_brute(G, K, N, ring), direct
     H = generated_subgroup(G, case["H"])
     return fox_subgroup_brute(G, H, K, case["n"], ring), group_slice(G, fox_module(G, H, K, case["n"], ring))
@@ -947,7 +1001,7 @@ def _check_modules_match_compositions(keep) -> None:
         if case["kind"] == "dim3":
             N = resolve_series(G, case["series"])
             assert nseries_ideal_power(G, N, 3, R).canonical() == composed_ideal_power(G, N, 3, R).canonical()
-            new, old = dim_modules(G, K, N, R), composed_dim_modules(G, K, N, 3, R)
+            new, old = (dim_modules(G, K, N, R),), (composed_dim_module(G, K, N, 3, R),)
             brute = dim_subgroup_brute(G, K, N, ring)
         else:
             H = generated_subgroup(G, case["H"])
@@ -957,7 +1011,7 @@ def _check_modules_match_compositions(keep) -> None:
             assert cosets.canonical() == translate_closure(augmentation_ideal(G, H, R)).canonical(), case
             brute = fox_subgroup_brute(G, H, K, case["n"], ring)
         assert [s.canonical() for s in new] == [s.canonical() for s in old], case
-        assert brute == group_slice(G, old[1]), case
+        assert brute == group_slice(G, old[-1]), case
         checked[case["kind"], case.get("n"), "Z" if R == Z else "Z/d"] += 1
     assert len(checked) == 8 and min(checked.values()) > 0, checked
 
@@ -1079,7 +1133,7 @@ def test_direct_hermite_bases_equal_the_row_by_row_oracle(spec):
     n, rows = G.order, G.mul_rows()
     rng = random.Random(1)
     subgroups = all_subgroups(G) if G.order <= 16 else cyclic_subgroups(G) + [whole_group(G)]
-    quotients = [quotient_group(G, K) for K in normal_subgroups(G)]
+    quotients = [(K, *quotient_group(G, K)) for K in normal_subgroups(G)]
     for m in (0, 2, 3, 4, 6):
         ring = CoeffRing.parse(m)
         for S in subgroups:
@@ -1092,8 +1146,8 @@ def test_direct_hermite_bases_equal_the_row_by_row_oracle(spec):
             oracle = lattice_from_rows(_difference_rows(n, pairs), n, m)
             module = fox_module(G, S, trivial_subgroup(G), 0, ring).lattice
             _assert_same_lattice(module, oracle, rng, (m, S.generators, "R(G)I(H)"))
-        for Q, proj, reps in quotients:
+        for K, Q, proj, reps in quotients:
             pairs = [(g, reps[proj[g]]) for g in range(n) if g != reps[proj[g]]]
             oracle = lattice_from_rows(_difference_rows(n, pairs), n, m)
-            direct = _middle_kernel(G, proj, reps, ModuleSpan(Q, ring))
+            direct = _middle_kernel(G, K, reps, ModuleSpan(Q, ring))
             _assert_same_lattice(direct, oracle, rng, (m, Q.order, "R(G)I(K)"))

@@ -289,6 +289,38 @@ def test_reduce_with_coeffs_reconstructs():
     assert [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(2)] == v
 
 
+def test_reduce_with_coeffs_on_pending_changes_matches_the_normalized_copy():
+    """A lattice with changes pending (fewer adds than NORMALIZE_EVERY)
+    reduces like its normalized copy, written from the Hermite rows of the
+    same build: same residual and same coefficients, for dense vectors and
+    maps, over Z and Z/m.  The lattice settles its changes itself."""
+    rng = random.Random(9)
+    pending = 0
+    for _ in range(150):
+        ncols = rng.randint(2, 8)
+        m = rng.choice((0, 0, 3, 4, 6))
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randint(2, 6))]
+        lat = lattice_from_rows(rows, ncols, m)
+        pending += bool(lat._changes)
+        normalized = IntLattice.from_hermite_rows(ncols, lattice_from_rows(rows, ncols, m).hermite_rows(), m)
+        v = [rng.randint(-9, 9) for _ in range(ncols)]
+        vec = v if rng.random() < 0.5 else {j: x for j, x in enumerate(v) if x}
+        assert lat.reduce_with_coeffs(vec) == normalized.reduce_with_coeffs(vec), (rows, m, v)
+        assert lat.basis_rows() == normalized.basis_rows()
+    assert pending > 100
+
+
+def test_canonical_maps_caches_no_dense_canonical_form():
+    """`canonical_maps` normalizes and returns maps without building the
+    dense canonical tuple; `canonical` then builds the same rows densely."""
+    rng = random.Random(3)
+    for m in (0, 4):
+        lat = lattice_from_rows([[rng.randint(-3, 3) for _ in range(6)] for _ in range(5)], 6, m)
+        maps = lat.canonical_maps()
+        assert lat._canonical is None and not lat._changes
+        assert tuple(tuple(row.get(j, 0) for j in range(6)) for row in maps) == lat.canonical()
+
+
 def _assert_hermite_invariants(lat):
     """Read on the dense view `rows`: strictly increasing positive pivots,
     zeros left of each pivot and below it, and over Z/m every entry in

@@ -137,6 +137,35 @@ def test_no_src_module_imports_numpy_and_tables_are_kept_once():
         assert not [n for n in ("ix_", "comm_table", "_inv") if found[n]], name
 
 
+def test_rows_of_R_G_have_one_format_and_lattices_normalize_themselves():
+    """Two decisions live in one place each.
+    - Row format: groupring and verify speak {column: entry} maps only, so
+      neither tests a row for being a dict; the one isinstance(..., dict)
+      there checks a corpus config (`CorpusConfig.from_dict`).
+    - Normalization: only intlinalg names `_normalize`, `_changes` or
+      `_written`; every other module reads a lattice and lets it settle
+      its pending changes on read."""
+    trees = _parse(SRC.glob("*.py"))
+    dict_tests = []
+    for name in ("groupring.py", "verify.py"):
+        for func in ast.walk(trees[name]):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and "dict" in _names(node.args[1])
+                ):
+                    dict_tests.append((name, func.name))
+    assert dict_tests == [("verify.py", "from_dict")], dict_tests
+    for name, tree in trees.items():
+        if name != "intlinalg.py":
+            found = _names(tree)
+            assert not [n for n in ("_normalize", "_changes", "_written") if found[n]], name
+
+
 def _parser_actions(parser: argparse.ArgumentParser):
     """Every option and positional of parser and of its subcommands."""
     for action in parser._actions:
